@@ -14,6 +14,7 @@ from .errors import (
     BassError,
     BatchTooLargeError,
     CapacityConflictError,
+    RecordsFormatError,
     ScenarioFormatError,
     ValidationError,
 )
@@ -46,9 +47,8 @@ from .scheduler import (
     Assignment,
     AssignmentLedger,
     RequestBatch,
-    apply_plan,
     measure_gains,
-    release,
+    random_policy,
     solve_exact,
     solve_greedy,
 )
@@ -57,7 +57,6 @@ from .sim import (
     EpochRecord,
     SimConfig,
     hit_rate,
-    random_policy,
     run_simulation,
 )
 from .metrics import SummaryReport, cdf, emit_report, gain_multiplier, summarize

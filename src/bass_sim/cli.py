@@ -22,6 +22,7 @@ from .metrics import (
     summarize,
     write_rows_csv,
 )
+from .scheduler import DEFAULT_EXACT_CAP
 from .sim import POLICY_NAMES, SimConfig, run_simulation
 from .topology import (
     DEFAULT_K_CANDIDATES,
@@ -62,6 +63,15 @@ def _seed(text: str) -> int:
     if value >= 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
+
+
+def _policy_list(text: str) -> list[str]:
+    policies = [p.strip() for p in text.split(",") if p.strip()]
+    if not policies or not set(policies) <= set(POLICY_NAMES):
+        raise argparse.ArgumentTypeError(
+            f"unknown policy in {text!r}; valid policies: {', '.join(POLICY_NAMES)}"
+        )
+    return policies
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -109,7 +119,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reserve-mbps", type=float, default=DEFAULT_RESERVE_MBPS)
     parser.add_argument("--remeasure-noise", action="store_true",
                         help="re-draw path noise every epoch")
-    parser.add_argument("--exact-cap", type=_positive_int, default=12,
+    parser.add_argument("--exact-cap", type=_positive_int, default=DEFAULT_EXACT_CAP,
                         help="client cap for the exact solver")
 
 
@@ -180,7 +190,7 @@ def _gamma_values(records) -> list[float]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    policies = args.policies
     scenario = load_scenario(args.scenario)
     results = {}
     for policy in policies:
@@ -268,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run several policies on the same scenario and seed")
     p_cmp.add_argument("--scenario", required=True)
-    p_cmp.add_argument("--policies", default="bass_greedy,random",
+    p_cmp.add_argument("--policies", type=_policy_list, default="bass_greedy,random",
                        help="comma-separated policy names")
     p_cmp.add_argument("--out", default=None, help="optional output directory")
     _add_sim_flags(p_cmp)
@@ -288,22 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.subcommand == "compare":
-        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-        if not policies:
-            parser.error("at least one policy is required")
-        for policy in policies:
-            if policy not in POLICY_NAMES:
-                parser.error(
-                    f"unknown policy {policy!r}; valid policies: {', '.join(POLICY_NAMES)}"
-                )
-
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (BassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,0 +1,180 @@
+"""The one JSON codec for the package's dataclasses.
+
+A file format is written down once, as dataclasses. `encode` turns an
+instance into plain dicts, lists and scalars, one key per field; `decode`
+rebuilds it from the field annotations and checks every value on the way.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import types
+import typing
+from collections.abc import Mapping
+from enum import Enum
+from functools import cache, partial
+
+from .errors import ValidationError
+
+__all__ = ["encode", "decode", "load_json"]
+
+_SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+_PLAIN = frozenset((*_SCALARS, type(None)))
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
+def encode(value):
+    """Plain JSON data for a dataclass; enums become their value, tuples arrays."""
+    names = _field_names(type(value))
+    if names is not None:
+        data = {}
+        for name in names:
+            item = getattr(value, name)
+            data[name] = item if type(item) in _PLAIN else encode(item)  # scalars skip the call
+        return data
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [item if type(item) in _PLAIN else encode(item) for item in value]
+    if isinstance(value, Mapping):
+        return {key: item if type(item) in _PLAIN else encode(item) for key, item in value.items()}
+    return value
+
+
+class _Mismatch(Exception):
+    """A value that does not fit its annotation. The path to it is collected
+    only while this unwinds, innermost segment first."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.path: list[str] = []
+
+
+def _expected(what: str, value) -> _Mismatch:
+    text = repr(value)
+    text = text if len(text) <= 40 else text[:37] + "..."
+    return _Mismatch(f"expected {what}, got {type(value).__name__} {text}")
+
+
+def _unwind(bad: _Mismatch, item, key) -> _Mismatch:
+    """Add an array index or object key to the path, or the item's id if it has one."""
+    if type(item) is dict and type(item.get("id")) is str:
+        key = item["id"]
+    bad.path.append(f"[{key!r}]")
+    return bad
+
+
+def _read_scalar(tp: type, data):
+    # JSON has one number type: a float field takes an int, never a bool.
+    if type(data) is tp or (tp is float and type(data) is int):
+        try:
+            return tp(data)
+        except OverflowError:
+            pass
+    raise _expected(_SCALARS[tp], data)
+
+
+def _read_array(readers: list, variadic: bool, data):
+    if type(data) is not list or not (variadic or len(data) == len(readers)):
+        raise _expected("an array" if variadic else f"an array of {len(readers)} items", data)
+    items = []
+    for index, item in enumerate(data):
+        try:
+            items.append(readers[0 if variadic else index](item))
+        except _Mismatch as bad:
+            raise _unwind(bad, item, index)
+    return tuple(items)
+
+
+def _read_object(read_value, data):
+    if type(data) is not dict:
+        raise _expected("an object", data)
+    values = {}
+    for key, item in data.items():
+        try:
+            values[key] = read_value(item)
+        except _Mismatch as bad:
+            raise _unwind(bad, item, key)
+    return values
+
+
+def _read_enum(tp: type[Enum], data):
+    try:
+        return tp(data)
+    except (ValueError, TypeError):
+        raise _expected(f"one of {[m.value for m in tp]!r}", data) from None
+
+
+def _read_dataclass(cls: type, fields: dict, data):
+    if type(data) is not dict:
+        raise _expected("an object", data)
+    if data.keys() != fields.keys():
+        if data.keys() - fields.keys():
+            raise _Mismatch(f"unknown field(s) {sorted(data.keys() - fields.keys())!r}")
+        raise _Mismatch(f"missing field(s) {sorted(fields.keys() - data.keys())!r}")
+    values = {}
+    for name, (plain, read_field) in fields.items():
+        item = data[name]
+        if type(item) is not plain:  # a scalar of its annotated type skips the call
+            try:
+                item = read_field(item)
+            except _Mismatch as bad:
+                bad.path.append(f".{name}")
+                raise
+        values[name] = item
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise _Mismatch(str(exc)) from None
+
+
+@cache
+def _reader(tp):
+    """A function that checks JSON data against annotation `tp` and builds the value."""
+    if tp in _SCALARS:
+        return partial(_read_scalar, tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        read_value = _reader(args[0])
+        return lambda data: None if data is None else read_value(data)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        return partial(_read_array, [_reader(a) for a in args[: 1 if variadic else None]], variadic)
+    if origin is Mapping and args[0] is str:
+        return partial(_read_object, _reader(args[1]))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return partial(_read_enum, tp)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        fields = {n: (hints[n] if hints[n] in _SCALARS else None, _reader(hints[n]))
+                  for n in _field_names(tp)}
+        return partial(_read_dataclass, tp, fields)
+    raise TypeError(f"no JSON codec for annotation {tp!r}")
+
+
+def decode(cls: type, data, where: str, error: type[ValidationError]):
+    """Build a `cls` from JSON data, checking each value against its annotation.
+
+    Each object must have exactly the class's fields. A failure raises
+    `error` with the path to the value, naming entity ids where items have
+    them: `scenario.clients['c0000'].links: expected an array, got str 'ab'`.
+    """
+    try:
+        return _reader(cls)(data)
+    except _Mismatch as bad:
+        raise error(f"{where}{''.join(reversed(bad.path))}: {bad}") from None
+
+
+def load_json(cls: type, path, where: str, error: type[ValidationError]):
+    """Read a UTF-8 JSON file and decode it; undecodable content raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{path}: not readable as UTF-8 JSON ({exc})") from exc
+    return decode(cls, data, where, error)

@@ -16,6 +16,10 @@ class ScenarioFormatError(ValidationError):
     """
 
 
+class RecordsFormatError(ValidationError):
+    """A records file could not be parsed or failed type validation."""
+
+
 class BatchTooLargeError(BassError):
     """Request batch exceeds the exact solver's client cap.
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .codec import encode, load_json
+from .errors import RecordsFormatError, ValidationError
 from .scheduler import AllocationPlan, Assignment
 from .sim import ClientEpochRecord, EpochRecord
 
@@ -30,9 +31,6 @@ __all__ = [
     "load_report",
     "per_client_rows",
     "write_rows_csv",
-    "write_rows_json",
-    "records_to_dict",
-    "records_from_dict",
     "save_records",
     "load_records",
     "PER_CLIENT_COLUMNS",
@@ -98,13 +96,6 @@ class SummaryReport:
     objective_series: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "gamma_cdf", tuple((float(v), float(f)) for v, f in self.gamma_cdf)
-        )
-        object.__setattr__(
-            self, "multiplier_cdf", tuple((float(v), float(f)) for v, f in self.multiplier_cdf)
-        )
-        object.__setattr__(self, "objective_series", tuple(self.objective_series))
         for points in (self.gamma_cdf, self.multiplier_cdf):
             for (v0, f0), (v1, f1) in zip(points, points[1:]):
                 if not (v1 > v0 and f1 >= f0):
@@ -159,13 +150,13 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
     """Write a report as JSON or CSV. Same report, same bytes."""
     if format == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(report), fh, indent=2, sort_keys=True)
+            json.dump(encode(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["key", "value"])
-            data = asdict(report)
+            data = encode(report)
             for key in sorted(data):
                 value = data[key]
                 if key in ("gamma_cdf", "multiplier_cdf"):
@@ -181,12 +172,7 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
 
 def load_report(path) -> SummaryReport:
     """Read back a JSON report; load(emit(r)) == r."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    data["gamma_cdf"] = tuple((v, f) for v, f in data["gamma_cdf"])
-    data["multiplier_cdf"] = tuple((v, f) for v, f in data["multiplier_cdf"])
-    data["objective_series"] = tuple(data["objective_series"])
-    return SummaryReport(**data)
+    return load_json(SummaryReport, path, "report", ValidationError)
 
 
 def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> list[dict]:
@@ -221,100 +207,44 @@ def write_rows_csv(rows: Sequence[dict], path) -> None:
             writer.writerow(out)
 
 
-def write_rows_json(rows: Sequence[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(list(rows), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@dataclass(frozen=True)
+class _EpochRow:
+    """One epoch of records.json: an EpochRecord with its plan inlined."""
+
+    epoch_t: int
+    objective_mbps: float
+    assignments: Mapping[str, Assignment]
+    clients: tuple[ClientEpochRecord, ...]
+    server_load_rates: Mapping[str, float]
+    n_active: int
 
 
-# --- record stream (de)serialization ------------------------------------------
-
-
-def records_to_dict(policy: str, records: Sequence[EpochRecord]) -> dict:
-    return {
-        "policy": policy,
-        "epochs": [
-            {
-                "epoch_t": record.epoch_t,
-                "objective_mbps": record.plan.objective_mbps,
-                "assignments": {
-                    client_id: {
-                        "server_id": a.server_id,
-                        "demand_mbps": a.demand_mbps,
-                        "gain_mbps": a.gain_mbps,
-                    }
-                    for client_id, a in record.plan.assignments.items()
-                },
-                "clients": [
-                    {
-                        "client_id": c.client_id,
-                        "server_id": c.server_id,
-                        "candidate_count": c.candidate_count,
-                        "feasible_count": c.feasible_count,
-                        "b_baseline_mbps": c.b_baseline_mbps,
-                        "b_best_mbps": c.b_best_mbps,
-                        "b_achieved_mbps": c.b_achieved_mbps,
-                        "gain_mbps": c.gain_mbps,
-                        "gamma": c.gamma,
-                        "chose_best": c.chose_best,
-                    }
-                    for c in record.clients
-                ],
-                "server_load_rates": dict(record.server_load_rates),
-                "n_active": record.n_active,
-            }
-            for record in records
-        ],
-    }
-
-
-def records_from_dict(data: dict) -> tuple[str, list[EpochRecord]]:
-    records = []
-    for raw in data["epochs"]:
-        plan = AllocationPlan(
-            assignments={
-                client_id: Assignment(
-                    server_id=a["server_id"],
-                    demand_mbps=a["demand_mbps"],
-                    gain_mbps=a["gain_mbps"],
-                )
-                for client_id, a in raw["assignments"].items()
-            },
-            objective_mbps=raw["objective_mbps"],
-        )
-        clients = tuple(
-            ClientEpochRecord(
-                client_id=c["client_id"],
-                server_id=c["server_id"],
-                candidate_count=c["candidate_count"],
-                feasible_count=c["feasible_count"],
-                b_baseline_mbps=c["b_baseline_mbps"],
-                b_best_mbps=c["b_best_mbps"],
-                b_achieved_mbps=c["b_achieved_mbps"],
-                gain_mbps=c["gain_mbps"],
-                gamma=c["gamma"],
-                chose_best=c["chose_best"],
-            )
-            for c in raw["clients"]
-        )
-        records.append(
-            EpochRecord(
-                epoch_t=raw["epoch_t"],
-                plan=plan,
-                clients=clients,
-                server_load_rates=raw["server_load_rates"],
-                n_active=raw["n_active"],
-            )
-        )
-    return data["policy"], records
+@dataclass(frozen=True)
+class _RecordsFile:
+    policy: str
+    epochs: tuple[_EpochRow, ...]
 
 
 def save_records(policy: str, records: Sequence[EpochRecord], path) -> None:
+    rows = tuple(
+        _EpochRow(
+            r.epoch_t, r.plan.objective_mbps, r.plan.assignments, r.clients,
+            r.server_load_rates, r.n_active,
+        )
+        for r in records
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records_to_dict(policy, records), fh, indent=2, sort_keys=True)
+        json.dump(encode(_RecordsFile(policy, rows)), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_records(path) -> tuple[str, list[EpochRecord]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return records_from_dict(json.load(fh))
+    """Load and type-check a records.json; load(save(r)) == r."""
+    data = load_json(_RecordsFile, path, "records", RecordsFormatError)
+    return data.policy, [
+        EpochRecord(
+            row.epoch_t, AllocationPlan(row.assignments, row.objective_mbps), row.clients,
+            row.server_load_rates, row.n_active,
+        )
+        for row in data.epochs
+    ]

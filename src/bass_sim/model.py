@@ -95,9 +95,6 @@ class BBoxClient:
         if len(set(link_ids)) != len(link_ids):
             raise ValidationError(f"client {self.id!r} has duplicate link ids")
 
-    def uplinks_mbps(self) -> list[float]:
-        return [link.uplink_mbps for link in self.links]
-
 
 @dataclass
 class AggregationServer:

@@ -11,7 +11,8 @@ Two solvers are provided. `solve_exact` searches all assignments
 (depth-first with an admissible bound, results identical to full
 enumeration) and is capped at a small client count; `solve_greedy` scans
 candidate pairs in globally descending gain order and is the production
-path. Determinism contract: identical inputs produce identical plans,
+path; `random_policy` is the uniform baseline both are compared against.
+Determinism contract: identical inputs produce identical plans,
 including tie-breaks (gain ties resolve by client id, then server id; equal
 objectives resolve to the lexicographically smallest assignment vector).
 
@@ -28,6 +29,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import BatchTooLargeError, CapacityConflictError, ValidationError
 from .model import AggregationServer, BBoxClient, GainEntry, baseline_bandwidth
+from .seeding import rng_for
 
 DEFAULT_EXACT_CAP = 12
 
@@ -44,8 +46,7 @@ __all__ = [
     "measure_gains",
     "solve_exact",
     "solve_greedy",
-    "apply_plan",
-    "release",
+    "random_policy",
     "DEFAULT_EXACT_CAP",
 ]
 
@@ -94,11 +95,11 @@ class RequestBatch:
                         f"client {client_id!r} lists server {entry.server_id!r} twice"
                     )
                 server_ids.add(entry.server_id)
-            ordered = sorted(group, key=lambda e: (-e.gain_mbps, e.server_id))
-            if list(group) != ordered:
-                raise ValidationError(
-                    f"client {client_id!r} candidates not sorted by descending gain"
-                )
+            for a, b in zip(group, group[1:]):
+                if (-a.gain_mbps, a.server_id) > (-b.gain_mbps, b.server_id):
+                    raise ValidationError(
+                        f"client {client_id!r} candidates not sorted by descending gain"
+                    )
 
     @classmethod
     def build(cls, epoch_t: int, entries: Mapping[str, Iterable[GainEntry]]) -> "RequestBatch":
@@ -156,9 +157,6 @@ class AllocationPlan:
         return cls(assignments=assignments, objective_mbps=cls.objective_of(assignments))
 
 
-EMPTY_PLAN = AllocationPlan(assignments={}, objective_mbps=0.0)
-
-
 def measure_gains(
     client: BBoxClient,
     candidates: Sequence[AggregationServer],
@@ -169,8 +167,8 @@ def measure_gains(
     The client-to-server bandwidth is the sum of its per-link subflows (each
     capped by that link's uplink), the via-bandwidth is additionally capped
     by the server's own path to the client's origin, and the baseline is the
-    best single link on the direct path. Results are sorted by descending
-    gain, ties by server id.
+    best single link on the direct path. Results keep the candidates'
+    order; RequestBatch.build sorts them.
     """
     if not candidates:
         raise ValidationError(f"client {client.id!r}: candidate list must not be empty")
@@ -190,7 +188,6 @@ def measure_gains(
                 b_baseline_mbps=baseline,
             )
         )
-    entries.sort(key=lambda e: (-e.gain_mbps, e.server_id))
     return entries
 
 
@@ -341,6 +338,35 @@ def solve_exact(
     return AllocationPlan.from_assignments(assignments)
 
 
+def random_policy(
+    batch: RequestBatch,
+    capacities: Mapping[str, float],
+    seed: int,
+    reserve_mbps: float,
+) -> AllocationPlan:
+    """Baseline policy: assign each client a uniformly random candidate.
+
+    Candidates that no longer fit the remaining usable capacity are skipped;
+    the draw is uniform over the ones that fit at that moment, so every plan
+    is feasible by construction. Gains are ignored (they may be negative).
+    """
+    usable = _usable_capacity(batch, capacities, reserve_mbps)
+    rng = rng_for(seed, "random-policy")
+    assignments: dict[str, Assignment] = {}
+    for client_id in batch.client_ids():
+        feasible = [e for e in batch.entries[client_id] if e.b_via_mbps <= usable[e.server_id]]
+        if not feasible:
+            continue
+        entry = feasible[rng.randrange(len(feasible))]
+        assignments[client_id] = Assignment(
+            server_id=entry.server_id,
+            demand_mbps=entry.b_via_mbps,
+            gain_mbps=entry.gain_mbps,
+        )
+        usable[entry.server_id] -= entry.b_via_mbps
+    return AllocationPlan.from_assignments(assignments)
+
+
 class AssignmentLedger:
     """Active assignments plus the capacity bookkeeping derived from them.
 
@@ -429,12 +455,3 @@ class AssignmentLedger:
         for client_id in list(self._by_client):
             self.release(client_id)
 
-
-def apply_plan(plan: AllocationPlan, ledger: AssignmentLedger) -> None:
-    """Apply a plan to the ledger-owned server set. See AssignmentLedger.apply."""
-    ledger.apply(plan)
-
-
-def release(client_id: str, ledger: AssignmentLedger) -> Assignment:
-    """Release one client's assignment. See AssignmentLedger.release."""
-    return ledger.release(client_id)

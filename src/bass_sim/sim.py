@@ -26,12 +26,11 @@ from .errors import ValidationError
 from .model import AggregationServer, BBoxClient, baseline_bandwidth
 from .scheduler import (
     AllocationPlan,
-    Assignment,
     AssignmentLedger,
     DEFAULT_EXACT_CAP,
     RequestBatch,
-    _usable_capacity,
     measure_gains,
+    random_policy,
     solve_exact,
     solve_greedy,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "EpochRecord",
     "SimState",
     "hit_rate",
-    "random_policy",
     "run_epoch",
     "run_simulation",
 ]
@@ -65,7 +63,6 @@ __all__ = [
 class SimConfig:
     epochs: int
     policy: str = "bass_greedy"
-    epoch_minutes: float = 30.0
     arrival_rate: float = 0.0
     session_epochs_mean: float | None = None
     k_candidates: int = DEFAULT_K_CANDIDATES
@@ -74,9 +71,6 @@ class SimConfig:
     seed: int = 0
     remeasure_noise: bool = False
     exact_cap: int = DEFAULT_EXACT_CAP
-    realloc_throughput_floor_mbps: float | None = None
-    wifi_links_per_client: int = 2
-    cellular_links_per_client: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.epochs, int) or self.epochs < 0:
@@ -85,8 +79,6 @@ class SimConfig:
             raise ValidationError(
                 f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICY_NAMES)}"
             )
-        if not (math.isfinite(self.epoch_minutes) and self.epoch_minutes > 0):
-            raise ValidationError(f"epoch_minutes must be positive, got {self.epoch_minutes!r}")
         if not (math.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
             raise ValidationError(f"arrival_rate must be non-negative, got {self.arrival_rate!r}")
         if self.session_epochs_mean is not None and not (
@@ -103,14 +95,6 @@ class SimConfig:
             raise ValidationError(f"reserve_mbps must be non-negative, got {self.reserve_mbps!r}")
         if not (0 <= self.seed < 2**64):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.realloc_throughput_floor_mbps is not None and not (
-            math.isfinite(self.realloc_throughput_floor_mbps)
-            and self.realloc_throughput_floor_mbps >= 0
-        ):
-            raise ValidationError(
-                "realloc_throughput_floor_mbps must be non-negative or None, "
-                f"got {self.realloc_throughput_floor_mbps!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -137,10 +121,6 @@ class EpochRecord:
     server_load_rates: Mapping[str, float]
     n_active: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clients", tuple(self.clients))
-        object.__setattr__(self, "server_load_rates", dict(self.server_load_rates))
-
 
 def hit_rate(b_achieved: float, b_best: float) -> float:
     """Achieved over best-achievable bandwidth; 1.0 means the best option was taken."""
@@ -151,35 +131,6 @@ def hit_rate(b_achieved: float, b_best: float) -> float:
             f"b_achieved must satisfy 0 < b_achieved <= b_best, got {b_achieved!r} vs {b_best!r}"
         )
     return b_achieved / b_best
-
-
-def random_policy(
-    batch: RequestBatch,
-    capacities: Mapping[str, float],
-    seed: int,
-    reserve_mbps: float = DEFAULT_RESERVE_MBPS,
-) -> AllocationPlan:
-    """Baseline policy: assign each client a uniformly random candidate.
-
-    Candidates that no longer fit the remaining usable capacity are skipped;
-    the draw is uniform over the ones that fit at that moment, so every plan
-    is feasible by construction. Gains are ignored (they may be negative).
-    """
-    usable = _usable_capacity(batch, capacities, reserve_mbps)
-    rng = rng_for(seed, "random-policy")
-    assignments: dict[str, Assignment] = {}
-    for client_id in batch.client_ids():
-        feasible = [e for e in batch.entries[client_id] if e.b_via_mbps <= usable[e.server_id]]
-        if not feasible:
-            continue
-        entry = feasible[rng.randrange(len(feasible))]
-        assignments[client_id] = Assignment(
-            server_id=entry.server_id,
-            demand_mbps=entry.b_via_mbps,
-            gain_mbps=entry.gain_mbps,
-        )
-        usable[entry.server_id] -= entry.b_via_mbps
-    return AllocationPlan.from_assignments(assignments)
 
 
 def _poisson(rng, lam: float) -> int:
@@ -245,8 +196,6 @@ def _spawn_client(state: SimState) -> BBoxClient:
             index,
             state.scenario.net_params,
             [o.id for o in state.scenario.origins],
-            wifi_links=state.config.wifi_links_per_client,
-            cellular_links=state.config.cellular_links_per_client,
         )
         if client.id not in state.used_ids:
             return client
@@ -293,7 +242,7 @@ def run_epoch(state: SimState) -> EpochRecord:
 
     # 5. Measure gains against the (possibly re-drawn) network.
     if config.remeasure_noise:
-        state.net.noise_epoch = t
+        state.net.remeasure(t)
     baselines: dict[str, float] = {}
     entries = {}
     for client_id in sorted(state.active):

@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
+from .codec import encode, load_json
 from .errors import ScenarioFormatError, ValidationError
 from .model import (
     AggregationServer,
@@ -28,7 +29,7 @@ from .model import (
     LinkKind,
     OriginServer,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 
 log = logging.getLogger(__name__)
 
@@ -162,12 +163,6 @@ class Scenario:
                     f"client {client.id!r} references unknown origin {client.origin_id!r}"
                 )
 
-    def origins_by_id(self) -> dict[str, OriginServer]:
-        return {origin.id: origin for origin in self.origins}
-
-    def servers_by_id(self) -> dict[str, AggregationServer]:
-        return {server.id: server for server in self.agg_servers}
-
 
 def geo_distance_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance via the haversine formula."""
@@ -228,9 +223,14 @@ class DistanceDecayNetwork:
         self.noise_epoch = noise_epoch
         self._cache: dict[str, float] = {}
 
+    def remeasure(self, noise_epoch: int) -> None:
+        """Re-draw path noise; paths cached for other epochs are never read again."""
+        self.noise_epoch = noise_epoch
+        self._cache.clear()
+
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "DistanceDecayNetwork":
-        return cls(scenario.net_params, scenario.seed, scenario.origins_by_id())
+        return cls(scenario.net_params, scenario.seed, {o.id: o for o in scenario.origins})
 
     def _origin(self, origin_id: str) -> OriginServer:
         try:
@@ -403,184 +403,13 @@ def candidate_subset(
     return [s.id for s in eligible[:k]]
 
 
-# --- scenario file round-trip ------------------------------------------------
-
-_GEO_FIELDS = {"latitude", "longitude"}
-_LINK_FIELDS = {"id", "kind", "uplink_mbps"}
-_CLIENT_FIELDS = {"id", "location", "links", "origin_id"}
-_SERVER_FIELDS = {"id", "location", "total_capacity_mbps", "remaining_capacity_mbps"}
-_ORIGIN_FIELDS = {"id", "location"}
-_PARAM_FIELDS = {
-    "base_path_mbps",
-    "distance_decay_per_1000km",
-    "noise_sigma",
-    "wifi_lognormal_mu",
-    "wifi_lognormal_sigma",
-    "cellular_uplink_mbps_range",
-    "direct_path_factor",
-}
-_TOP_FIELDS = {"clients", "agg_servers", "origins", "net_params", "seed"}
-
-
-def _check_fields(obj: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioFormatError(f"{where}: unknown field(s) {sorted(unknown)!r}")
-    missing = allowed - set(obj)
-    if missing:
-        raise ScenarioFormatError(f"{where}: missing field(s) {sorted(missing)!r}")
-
-
-def _geo_to_dict(point: GeoPoint) -> dict:
-    return {"latitude": point.latitude, "longitude": point.longitude}
-
-
-def _geo_from_dict(obj: dict, where: str) -> GeoPoint:
-    _check_fields(obj, _GEO_FIELDS, where)
-    try:
-        return GeoPoint(latitude=obj["latitude"], longitude=obj["longitude"])
-    except ValidationError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "net_params": {
-            "base_path_mbps": scenario.net_params.base_path_mbps,
-            "distance_decay_per_1000km": scenario.net_params.distance_decay_per_1000km,
-            "noise_sigma": scenario.net_params.noise_sigma,
-            "wifi_lognormal_mu": scenario.net_params.wifi_lognormal_mu,
-            "wifi_lognormal_sigma": scenario.net_params.wifi_lognormal_sigma,
-            "cellular_uplink_mbps_range": list(scenario.net_params.cellular_uplink_mbps_range),
-            "direct_path_factor": scenario.net_params.direct_path_factor,
-        },
-        "origins": [
-            {"id": o.id, "location": _geo_to_dict(o.location)} for o in scenario.origins
-        ],
-        "agg_servers": [
-            {
-                "id": s.id,
-                "location": _geo_to_dict(s.location),
-                "total_capacity_mbps": s.total_capacity_mbps,
-                "remaining_capacity_mbps": s.remaining_capacity_mbps,
-            }
-            for s in scenario.agg_servers
-        ],
-        "clients": [
-            {
-                "id": c.id,
-                "location": _geo_to_dict(c.location),
-                "origin_id": c.origin_id,
-                "links": [
-                    {"id": l.id, "kind": l.kind.value, "uplink_mbps": l.uplink_mbps}
-                    for l in c.links
-                ],
-            }
-            for c in scenario.clients
-        ],
-    }
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    _check_fields(data, _TOP_FIELDS, "scenario")
-    raw_params = data["net_params"]
-    _check_fields(raw_params, _PARAM_FIELDS, "net_params")
-    try:
-        params = NetModelParams(
-            base_path_mbps=raw_params["base_path_mbps"],
-            distance_decay_per_1000km=raw_params["distance_decay_per_1000km"],
-            noise_sigma=raw_params["noise_sigma"],
-            wifi_lognormal_mu=raw_params["wifi_lognormal_mu"],
-            wifi_lognormal_sigma=raw_params["wifi_lognormal_sigma"],
-            cellular_uplink_mbps_range=tuple(raw_params["cellular_uplink_mbps_range"]),
-            direct_path_factor=raw_params["direct_path_factor"],
-        )
-    except ValidationError as exc:
-        raise ScenarioFormatError(f"net_params: {exc}") from exc
-
-    origins = []
-    for raw in data["origins"]:
-        _check_fields(raw, _ORIGIN_FIELDS, f"origin {raw.get('id', '?')!r}")
-        origins.append(
-            OriginServer(id=raw["id"], location=_geo_from_dict(raw["location"], f"origin {raw['id']!r}"))
-        )
-
-    servers = []
-    for raw in data["agg_servers"]:
-        _check_fields(raw, _SERVER_FIELDS, f"agg_server {raw.get('id', '?')!r}")
-        try:
-            servers.append(
-                AggregationServer(
-                    id=raw["id"],
-                    location=_geo_from_dict(raw["location"], f"agg_server {raw['id']!r}"),
-                    total_capacity_mbps=raw["total_capacity_mbps"],
-                    remaining_capacity_mbps=raw["remaining_capacity_mbps"],
-                )
-            )
-        except ValidationError as exc:
-            raise ScenarioFormatError(f"agg_server {raw['id']!r}: {exc}") from exc
-
-    clients = []
-    for raw in data["clients"]:
-        _check_fields(raw, _CLIENT_FIELDS, f"client {raw.get('id', '?')!r}")
-        links = []
-        for raw_link in raw["links"]:
-            _check_fields(raw_link, _LINK_FIELDS, f"client {raw['id']!r} link {raw_link.get('id', '?')!r}")
-            try:
-                kind = LinkKind(raw_link["kind"])
-            except ValueError:
-                raise ScenarioFormatError(
-                    f"client {raw['id']!r} link {raw_link['id']!r}: "
-                    f"field 'kind' must be one of {[k.value for k in LinkKind]!r}, "
-                    f"got {raw_link['kind']!r}"
-                ) from None
-            try:
-                links.append(
-                    EdgeLink(id=raw_link["id"], kind=kind, uplink_mbps=raw_link["uplink_mbps"])
-                )
-            except ValidationError as exc:
-                raise ScenarioFormatError(
-                    f"client {raw['id']!r} link {raw_link['id']!r}: {exc}"
-                ) from exc
-        try:
-            clients.append(
-                BBoxClient(
-                    id=raw["id"],
-                    location=_geo_from_dict(raw["location"], f"client {raw['id']!r}"),
-                    links=tuple(links),
-                    origin_id=raw["origin_id"],
-                )
-            )
-        except ValidationError as exc:
-            raise ScenarioFormatError(f"client {raw['id']!r}: {exc}") from exc
-
-    try:
-        return Scenario(
-            clients=tuple(clients),
-            agg_servers=tuple(servers),
-            origins=tuple(origins),
-            net_params=params,
-            seed=data["seed"],
-        )
-    except ValidationError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
-
-
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as UTF-8 JSON. Deterministic byte output."""
-    payload = json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(encode(scenario), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file. load(save(s)) == s, field for field."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(data)
+    """Load and type-check a scenario file. load(save(s)) == s, field for field."""
+    return load_json(Scenario, path, "scenario", ScenarioFormatError)

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from bass_sim.cli import main
+from bass_sim.codec import encode
 from bass_sim.metrics import load_report
-from bass_sim.topology import load_scenario
+from bass_sim.topology import generate_scenario, load_scenario
 
 
 def make_scenario(tmp_path, name="scenario.json", extra=()):
@@ -172,3 +173,83 @@ class TestReport:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def _set(path, value):
+    """A mutation of parsed JSON: set the value at `path` (keys and indices)."""
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return mutate
+
+
+MALFORMED_SCENARIOS = {
+    "origin-not-object": (_set(["origins"], [1]), "scenario.origins[0]: expected an object, got int 1"),
+    "origins-not-array": (_set(["origins"], 5), "scenario.origins: expected an array, got int 5"),
+    "seed-string": (_set(["seed"], "abc"), "scenario.seed: expected an integer, got str 'abc'"),
+    "links-string": (_set(["clients", 0, "links"], "ab"),
+                     "scenario.clients['c0000'].links: expected an array, got str 'ab'"),
+    "server-id-int": (_set(["agg_servers", 0, "id"], 7), "scenario.agg_servers[0].id: expected a string"),
+    "cellular-range-3": (_set(["net_params", "cellular_uplink_mbps_range"], [1.0, 2.0, 3.0]),
+                         "scenario.net_params.cellular_uplink_mbps_range: expected an array of 2"),
+    "latitude-string": (_set(["clients", 1, "location", "latitude"], "north"),
+                        "scenario.clients['c0001'].location.latitude: expected a number"),
+    "non-utf8": (b'{"seed": "\xff"}', "not readable as UTF-8 JSON"),
+    "nested-too-deep": (b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                        "not readable as UTF-8 JSON"),
+}
+
+MALFORMED_RECORDS = {
+    "no-assignments": (_drop(["epochs", 0, "assignments"]),
+                       "records.epochs[0]: missing field(s) ['assignments']"),
+    "epochs-null": (_set(["epochs"], None), "records.epochs: expected an array, got NoneType None"),
+    "no-policy": (_drop(["policy"]), "records: missing field(s) ['policy']"),
+    "non-utf8": (b'{"policy": "\xff"}', "not readable as UTF-8 JSON"),
+}
+
+
+def _write_mutated(path, data, mutate):
+    """Write `data` changed by `mutate`, or `mutate` itself if it is raw file content."""
+    if isinstance(mutate, bytes):
+        path.write_bytes(mutate)
+    else:
+        mutate(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def _assert_one_error_line(capsys, expected):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    assert expected in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_is_one_error_line(case, tmp_path, capsys):
+    mutate, expected = MALFORMED_SCENARIOS[case]
+    path = tmp_path / "scenario.json"
+    _write_mutated(path, encode(generate_scenario(3, 2, 2, seed=1)), mutate)
+    assert main(["run", "--scenario", str(path), "--epochs", "1", "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, expected)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_records_is_one_error_line(case, tmp_path, capsys):
+    mutate, expected = MALFORMED_RECORDS[case]
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(make_scenario(tmp_path)), "--epochs", "2",
+                 "--out", str(out)]) == 0
+    path = out / "records.json"
+    _write_mutated(path, json.loads(path.read_text(encoding="utf-8")), mutate)
+    capsys.readouterr()
+    assert main(["report", "--records", str(path), "--out", str(tmp_path / "s.json")]) == 1
+    _assert_one_error_line(capsys, expected)

@@ -12,7 +12,6 @@ from bass_sim.metrics import (
     save_records,
     summarize,
     write_rows_csv,
-    write_rows_json,
 )
 from bass_sim.sim import SimConfig, run_simulation
 from bass_sim.topology import generate_scenario
@@ -124,16 +123,6 @@ class TestPerClientRows:
         write_rows_csv(rows, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + len(rows)
-
-    def test_json_mirrors_csv_data(self, sample_run, tmp_path):
-        rows = per_client_rows("bass_greedy", sample_run)
-        path = tmp_path / "rows.json"
-        write_rows_json(rows, path)
-        import json
-
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        assert len(loaded) == len(rows)
-        assert set(loaded[0]) == set(PER_CLIENT_COLUMNS)
 
 
 class TestRecordsRoundTrip:

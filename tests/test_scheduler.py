@@ -16,9 +16,7 @@ from bass_sim.scheduler import (
     Assignment,
     AssignmentLedger,
     RequestBatch,
-    apply_plan,
     measure_gains,
-    release,
     solve_exact,
     solve_greedy,
 )
@@ -147,8 +145,8 @@ class TestMeasureGains:
             server_origin={("s1", "o1"): 4.0, ("s2", "o1"): 50.0},
             direct={"c1": [2.0, 3.0]},
         )
-        got = measure_gains(client, servers, net)
-        assert [e.server_id for e in got] == ["s2", "s1"]
+        batch = RequestBatch.build(0, {"c1": measure_gains(client, servers, net)})
+        assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
 
     def test_unknown_origin_propagates(self):
         client = make_client(origin_id="nowhere")
@@ -332,13 +330,13 @@ class TestLedger:
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
         plan = AllocationPlan.from_assignments({"c1": Assignment("s1", 8.0, 5.0)})
-        apply_plan(plan, ledger)
+        ledger.apply(plan)
         assert server.remaining_capacity_mbps == 2.0
 
     def test_empty_plan_no_change(self):
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        apply_plan(AllocationPlan.from_assignments({}), ledger)
+        ledger.apply(AllocationPlan.from_assignments({}))
         assert server.remaining_capacity_mbps == 10.0
 
     def test_reserve_boundary_accepted_at_equality(self):
@@ -350,7 +348,7 @@ class TestLedger:
             "c1": Assignment("s1", 10.0, 1.0),
             "c2": Assignment("s1", 6.0, 1.0),
         })
-        apply_plan(plan, ledger)
+        ledger.apply(plan)
         assert server.remaining_capacity_mbps == 4.0
 
     def test_reserve_boundary_rejected_above(self):
@@ -361,7 +359,7 @@ class TestLedger:
             "c2": Assignment("s1", 7.0, 1.0),
         })
         with pytest.raises(CapacityConflictError):
-            apply_plan(plan, ledger)
+            ledger.apply(plan)
         # No partial application.
         assert server.remaining_capacity_mbps == 20.0
         assert ledger.active_assignments() == {}
@@ -373,38 +371,38 @@ class TestLedger:
             "c1": Assignment("s1", 3.7, 1.0),
             "c2": Assignment("s1", 2.2, 1.0),
         })
-        apply_plan(plan, ledger)
-        release("c1", ledger)
-        release("c2", ledger)
+        ledger.apply(plan)
+        ledger.release("c1")
+        ledger.release("c2")
         assert server.remaining_capacity_mbps == 9.3
 
     def test_double_release_errors(self):
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        apply_plan(AllocationPlan.from_assignments({"c1": Assignment("s1", 1.0, 1.0)}), ledger)
-        release("c1", ledger)
+        ledger.apply(AllocationPlan.from_assignments({"c1": Assignment("s1", 1.0, 1.0)}))
+        ledger.release("c1")
         with pytest.raises(ValidationError):
-            release("c1", ledger)
+            ledger.release("c1")
 
     def test_release_unassigned_errors(self):
         ledger = AssignmentLedger([make_server("s1")], reserve_mbps=0.0)
         with pytest.raises(ValidationError):
-            release("ghost", ledger)
+            ledger.release("ghost")
 
     def test_double_assignment_conflicts(self):
         ledger = AssignmentLedger([make_server("s1")], reserve_mbps=0.0)
         plan = AllocationPlan.from_assignments({"c1": Assignment("s1", 1.0, 1.0)})
-        apply_plan(plan, ledger)
+        ledger.apply(plan)
         with pytest.raises(CapacityConflictError):
-            apply_plan(plan, ledger)
+            ledger.apply(plan)
 
     def test_stale_plan_conflicts(self):
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        apply_plan(AllocationPlan.from_assignments({"c1": Assignment("s1", 9.0, 1.0)}), ledger)
+        ledger.apply(AllocationPlan.from_assignments({"c1": Assignment("s1", 9.0, 1.0)}))
         stale = AllocationPlan.from_assignments({"c2": Assignment("s1", 5.0, 1.0)})
         with pytest.raises(CapacityConflictError):
-            apply_plan(stale, ledger)
+            ledger.apply(stale)
 
     def test_random_apply_release_round_trips(self):
         rng = random.Random(404)
@@ -417,7 +415,7 @@ class TestLedger:
             initial = {s.id: s.remaining_capacity_mbps for s in servers}
             ledger = AssignmentLedger(servers, reserve)
             plan = solve_greedy(batch, {s.id: s.remaining_capacity_mbps for s in servers}, reserve)
-            apply_plan(plan, ledger)
+            ledger.apply(plan)
             for cid in sorted(plan.assignments):
-                release(cid, ledger)
+                ledger.release(cid)
             assert {s.id: s.remaining_capacity_mbps for s in servers} == initial

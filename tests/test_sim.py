@@ -4,12 +4,11 @@ import pytest
 
 from bass_sim.errors import ValidationError
 from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GainEntry, GeoPoint, OriginServer
-from bass_sim.scheduler import RequestBatch, solve_greedy
+from bass_sim.scheduler import RequestBatch, random_policy, solve_greedy
 from bass_sim.sim import (
     SimConfig,
     hit_rate,
     new_state,
-    random_policy,
     run_epoch,
     run_simulation,
 )
@@ -276,6 +275,23 @@ class TestRunSimulation:
             tuple(c.gain_mbps for c in record.clients) for record in records
         ]
         assert gains_per_epoch[0] != gains_per_epoch[1]
+
+    def test_path_cache_stays_flat_when_noise_is_remeasured(self):
+        scenario = generate_scenario(10, 3, 2, seed=8)
+        config = SimConfig(
+            epochs=1000, seed=8, arrival_rate=0.5, session_epochs_mean=20.0, remeasure_noise=True,
+        )
+        state = new_state(scenario, config)
+        sizes = []
+        for t in range(config.epochs):
+            record = run_epoch(state)
+            cache = state.net._cache
+            assert all(tag.endswith(f"@{t}") for tag in cache)
+            # 3 links per client: one direct path each plus one per candidate,
+            # and one path per server-origin pair.
+            assert len(cache) <= record.n_active * 3 * (1 + config.k_candidates) + 3 * 2
+            sizes.append(len(cache))
+        assert max(sizes[500:]) <= 2 * max(sizes[:100])
 
     def test_gamma_in_unit_interval_with_candidates(self):
         scenario = generate_scenario(30, 4, 3, seed=6, server_capacity_mbps=60.0)

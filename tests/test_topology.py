@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bass_sim.codec import encode
 from bass_sim.errors import ScenarioFormatError, ValidationError
 from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GeoPoint
 from bass_sim.topology import (
@@ -17,7 +18,6 @@ from bass_sim.topology import (
     load_scenario,
     path_bandwidth,
     save_scenario,
-    scenario_to_dict,
     wifi_mu_for_sub_1mbps,
 )
 
@@ -169,25 +169,25 @@ class TestScenarioFiles:
         return path
 
     def test_duplicate_server_id_names_the_id(self, tmp_path):
-        data = scenario_to_dict(generate_scenario(2, 2, 1, seed=0))
+        data = encode(generate_scenario(2, 2, 1, seed=0))
         data["agg_servers"][1]["id"] = data["agg_servers"][0]["id"]
         with pytest.raises(ScenarioFormatError, match="s0000"):
             load_scenario(self._dump(tmp_path, data))
 
     def test_missing_origin_reference_named(self, tmp_path):
-        data = scenario_to_dict(generate_scenario(2, 2, 1, seed=0))
+        data = encode(generate_scenario(2, 2, 1, seed=0))
         data["clients"][0]["origin_id"] = "o9999"
         with pytest.raises(ScenarioFormatError, match="o9999"):
             load_scenario(self._dump(tmp_path, data))
 
     def test_unknown_field_rejected(self, tmp_path):
-        data = scenario_to_dict(generate_scenario(2, 2, 1, seed=0))
+        data = encode(generate_scenario(2, 2, 1, seed=0))
         data["agg_servers"][0]["favourite_color"] = "green"
         with pytest.raises(ScenarioFormatError, match="favourite_color"):
             load_scenario(self._dump(tmp_path, data))
 
     def test_invalid_capacity_names_entity(self, tmp_path):
-        data = scenario_to_dict(generate_scenario(2, 2, 1, seed=0))
+        data = encode(generate_scenario(2, 2, 1, seed=0))
         data["agg_servers"][0]["remaining_capacity_mbps"] = 1e9
         with pytest.raises(ScenarioFormatError, match="s0000"):
             load_scenario(self._dump(tmp_path, data))
