@@ -26,10 +26,7 @@ from .model import (
     GeoPoint,
     LinkKind,
     OriginServer,
-    aggregated_path_bandwidth,
-    bandwidth_gain,
     baseline_bandwidth,
-    load_rate,
 )
 from .topology import (
     DistanceDecayNetwork,

@@ -93,6 +93,10 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         "--direct-path-factor", type=float, default=defaults.direct_path_factor,
         help="multiplier on client-to-origin paths (below 1.0 throttles direct uploads)",
     )
+    group.add_argument("--wifi-links", type=_nonneg_int, default=defaults.wifi_links_per_client)
+    group.add_argument(
+        "--cellular-links", type=_nonneg_int, default=defaults.cellular_links_per_client
+    )
 
 
 def _params_from_args(args: argparse.Namespace) -> NetModelParams:
@@ -104,6 +108,8 @@ def _params_from_args(args: argparse.Namespace) -> NetModelParams:
         wifi_lognormal_sigma=args.wifi_sigma,
         cellular_uplink_mbps_range=tuple(args.cellular_range),
         direct_path_factor=args.direct_path_factor,
+        wifi_links_per_client=args.wifi_links,
+        cellular_links_per_client=args.cellular_links,
     )
 
 
@@ -146,8 +152,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _params_from_args(args),
         args.seed,
         server_capacity_mbps=args.server_capacity_mbps,
-        wifi_links_per_client=args.wifi_links,
-        cellular_links_per_client=args.cellular_links,
     )
     save_scenario(scenario, args.out)
     print(
@@ -264,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--server-capacity-mbps", type=float,
                        default=DEFAULT_SERVER_CAPACITY_MBPS)
-    p_gen.add_argument("--wifi-links", type=_nonneg_int, default=2)
-    p_gen.add_argument("--cellular-links", type=_nonneg_int, default=1)
     _add_model_flags(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 

@@ -12,9 +12,9 @@ always available to the schedulers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -26,10 +26,7 @@ __all__ = [
     "AggregationServer",
     "OriginServer",
     "GainEntry",
-    "aggregated_path_bandwidth",
     "baseline_bandwidth",
-    "bandwidth_gain",
-    "load_rate",
 ]
 
 
@@ -124,7 +121,8 @@ class AggregationServer:
 
     @property
     def load_rate(self) -> float:
-        return load_rate(self.remaining_capacity_mbps, self.total_capacity_mbps)
+        """Remaining over total capacity, in [0, 1]. 1.0 means idle."""
+        return self.remaining_capacity_mbps / self.total_capacity_mbps
 
 
 @dataclass(frozen=True)
@@ -139,78 +137,23 @@ class OriginServer:
 class GainEntry:
     """One candidate pairing of a client with a relay server.
 
-    Stores the raw measurements together with the derived via-bandwidth and
-    gain. Construction re-checks internal consistency: the stored derived
-    fields must equal what the algebra recomputes from the raw fields,
-    exactly (no epsilon), so entries cannot drift from their inputs.
+    Built from the raw measurements; the via-bandwidth and the gain are
+    derived here and cannot be passed in, so an entry always agrees with
+    its inputs.
     """
 
     client_id: str
     server_id: str
     b_client_server_mbps: float
     b_server_origin_mbps: float
-    b_via_mbps: float
+    b_via_mbps: float = field(init=False)
     b_baseline_mbps: float
-    gain_mbps: float
+    gain_mbps: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in (
-            "b_client_server_mbps",
-            "b_server_origin_mbps",
-            "b_via_mbps",
-            "b_baseline_mbps",
-        ):
-            _require_finite_nonneg(getattr(self, name), f"GainEntry.{name}")
-        if not math.isfinite(self.gain_mbps):
-            raise ValidationError(f"GainEntry.gain_mbps must be finite, got {self.gain_mbps!r}")
-        expected_via = min(self.b_client_server_mbps, self.b_server_origin_mbps)
-        if self.b_via_mbps != expected_via:
-            raise ValidationError(
-                f"GainEntry for ({self.client_id!r}, {self.server_id!r}): "
-                f"b_via_mbps {self.b_via_mbps!r} != min(client-server, server-origin) {expected_via!r}"
-            )
-        expected_gain = self.b_via_mbps - self.b_baseline_mbps
-        if self.gain_mbps != expected_gain:
-            raise ValidationError(
-                f"GainEntry for ({self.client_id!r}, {self.server_id!r}): "
-                f"gain_mbps {self.gain_mbps!r} != via - baseline {expected_gain!r}"
-            )
-
-    @classmethod
-    def from_measurements(
-        cls,
-        client_id: str,
-        server_id: str,
-        b_client_server_mbps: float,
-        b_server_origin_mbps: float,
-        b_baseline_mbps: float,
-    ) -> "GainEntry":
-        """Build an entry, deriving via-bandwidth and gain from raw values."""
-        b_via = min(float(b_client_server_mbps), float(b_server_origin_mbps))
-        return cls(
-            client_id=client_id,
-            server_id=server_id,
-            b_client_server_mbps=float(b_client_server_mbps),
-            b_server_origin_mbps=float(b_server_origin_mbps),
-            b_via_mbps=b_via,
-            b_baseline_mbps=float(b_baseline_mbps),
-            gain_mbps=b_via - float(b_baseline_mbps),
-        )
-
-
-def aggregated_path_bandwidth(
-    subflow_mbps: Iterable[float], server_to_origin_mbps: float
-) -> float:
-    """Deliverable bandwidth of a multipath connection through a relay.
-
-    The subflows are summed and the result is capped by the relay's own
-    path to the origin. An empty subflow list yields 0.
-    """
-    total = 0.0
-    for i, value in enumerate(subflow_mbps):
-        total += _require_finite_nonneg(value, f"subflow_mbps[{i}]")
-    cap = _require_finite_nonneg(server_to_origin_mbps, "server_to_origin_mbps")
-    return min(total, cap)
+        b_via = min(self.b_client_server_mbps, self.b_server_origin_mbps)
+        object.__setattr__(self, "b_via_mbps", b_via)
+        object.__setattr__(self, "gain_mbps", b_via - self.b_baseline_mbps)
 
 
 def baseline_bandwidth(direct_link_mbps: Sequence[float]) -> float:
@@ -220,33 +163,6 @@ def baseline_bandwidth(direct_link_mbps: Sequence[float]) -> float:
     baseline is the maximum over the client's links. An empty list is
     invalid: a client with no links cannot exist.
     """
-    values = [
-        _require_finite_nonneg(v, f"direct_link_mbps[{i}]")
-        for i, v in enumerate(direct_link_mbps)
-    ]
-    if not values:
+    if not direct_link_mbps:
         raise ValidationError("baseline_bandwidth requires at least one link value")
-    return max(values)
-
-
-def bandwidth_gain(b_via_mbps: float, b_baseline_mbps: float) -> float:
-    """Bandwidth gained by the relay path over the direct baseline.
-
-    Negative results are permitted: a relay detour can be worse than the
-    best direct link.
-    """
-    via = _require_finite_nonneg(b_via_mbps, "b_via_mbps")
-    base = _require_finite_nonneg(b_baseline_mbps, "b_baseline_mbps")
-    return via - base
-
-
-def load_rate(remaining_mbps: float, total_mbps: float) -> float:
-    """Remaining over total capacity, in [0, 1]. 1.0 means idle."""
-    if not (isinstance(total_mbps, (int, float)) and math.isfinite(total_mbps) and total_mbps > 0):
-        raise ValidationError(f"total_mbps must be positive, got {total_mbps!r}")
-    remaining = _require_finite_nonneg(remaining_mbps, "remaining_mbps")
-    if remaining > total_mbps:
-        raise ValidationError(
-            f"remaining_mbps {remaining!r} exceeds total_mbps {total_mbps!r}"
-        )
-    return remaining / float(total_mbps)
+    return max(direct_link_mbps)

@@ -23,12 +23,11 @@ produce bit-equal objectives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import BatchTooLargeError, CapacityConflictError, ValidationError
-from .model import AggregationServer, BBoxClient, GainEntry, baseline_bandwidth
+from .model import AggregationServer, BBoxClient, GainEntry
 from .seeding import rng_for
 
 DEFAULT_EXACT_CAP = 12
@@ -58,28 +57,27 @@ class PathOracle(Protocol):
 
     def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float: ...
 
-    def direct_link_bandwidths(self, client: BBoxClient) -> list[float]: ...
-
 
 @dataclass(frozen=True)
 class RequestBatch:
     """All requests of one scheduling round.
 
-    `entries` maps each requesting client to its candidate gain entries,
-    sorted by gain descending with ties by server id ascending. Use
-    :meth:`build` to get the sorting right.
+    `entries` maps each requesting client to its candidate gain entries.
+    Construction orders the clients by id and each client's candidates by
+    gain descending, ties by server id ascending.
     """
 
     epoch_t: int
     entries: Mapping[str, tuple[GainEntry, ...]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epoch_t, int) or self.epoch_t < 0:
-            raise ValidationError(f"epoch_t must be a non-negative integer, got {self.epoch_t!r}")
         object.__setattr__(
             self,
             "entries",
-            {cid: tuple(group) for cid, group in sorted(self.entries.items())},
+            {
+                cid: tuple(sorted(group, key=lambda e: (-e.gain_mbps, e.server_id)))
+                for cid, group in sorted(self.entries.items())
+            },
         )
         for client_id, group in self.entries.items():
             if not group:
@@ -95,31 +93,15 @@ class RequestBatch:
                         f"client {client_id!r} lists server {entry.server_id!r} twice"
                     )
                 server_ids.add(entry.server_id)
-            for a, b in zip(group, group[1:]):
-                if (-a.gain_mbps, a.server_id) > (-b.gain_mbps, b.server_id):
-                    raise ValidationError(
-                        f"client {client_id!r} candidates not sorted by descending gain"
-                    )
 
     @classmethod
     def build(cls, epoch_t: int, entries: Mapping[str, Iterable[GainEntry]]) -> "RequestBatch":
-        return cls(
-            epoch_t=epoch_t,
-            entries={
-                cid: tuple(sorted(group, key=lambda e: (-e.gain_mbps, e.server_id)))
-                for cid, group in entries.items()
-            },
-        )
+        return cls(epoch_t=epoch_t, entries=entries)
 
     @property
     def n(self) -> int:
         """Number of requesting clients."""
         return len(self.entries)
-
-    @property
-    def m(self) -> int:
-        """Number of distinct servers referenced."""
-        return len({e.server_id for group in self.entries.values() for e in group})
 
     def client_ids(self) -> list[str]:
         return sorted(self.entries)
@@ -161,18 +143,18 @@ def measure_gains(
     client: BBoxClient,
     candidates: Sequence[AggregationServer],
     net: PathOracle,
+    baseline: float,
 ) -> list[GainEntry]:
     """Measure one client's gain entry for every candidate server.
 
     The client-to-server bandwidth is the sum of its per-link subflows (each
-    capped by that link's uplink), the via-bandwidth is additionally capped
-    by the server's own path to the client's origin, and the baseline is the
-    best single link on the direct path. Results keep the candidates'
-    order; RequestBatch.build sorts them.
+    capped by that link's uplink); GainEntry caps it by the server's own
+    path to the client's origin and subtracts `baseline`, the client's best
+    single link on the direct path. Results keep the candidates' order;
+    RequestBatch sorts them.
     """
     if not candidates:
         raise ValidationError(f"client {client.id!r}: candidate list must not be empty")
-    baseline = baseline_bandwidth(net.direct_link_bandwidths(client))
     entries = []
     for server in candidates:
         b_client_server = 0.0
@@ -180,7 +162,7 @@ def measure_gains(
             b_client_server += subflow
         b_server_origin = net.server_origin_bandwidth(server, client.origin_id)
         entries.append(
-            GainEntry.from_measurements(
+            GainEntry(
                 client_id=client.id,
                 server_id=server.id,
                 b_client_server_mbps=b_client_server,
@@ -196,19 +178,11 @@ def _usable_capacity(
     capacities: Mapping[str, float],
     reserve_mbps: float,
 ) -> dict[str, float]:
-    if not (isinstance(reserve_mbps, (int, float)) and math.isfinite(reserve_mbps) and reserve_mbps >= 0):
-        raise ValidationError(f"reserve_mbps must be non-negative, got {reserve_mbps!r}")
-    usable: dict[str, float] = {}
-    for group in batch.entries.values():
-        for entry in group:
-            if entry.server_id in usable:
-                continue
-            if entry.server_id not in capacities:
-                raise ValidationError(
-                    f"batch references server {entry.server_id!r} with no known capacity"
-                )
-            usable[entry.server_id] = capacities[entry.server_id] - reserve_mbps
-    return usable
+    return {
+        entry.server_id: capacities[entry.server_id] - reserve_mbps
+        for group in batch.entries.values()
+        for entry in group
+    }
 
 
 def solve_greedy(
@@ -379,15 +353,11 @@ class AssignmentLedger:
     """
 
     def __init__(self, servers: Iterable[AggregationServer], reserve_mbps: float) -> None:
-        if not (math.isfinite(reserve_mbps) and reserve_mbps >= 0):
-            raise ValidationError(f"reserve_mbps must be non-negative, got {reserve_mbps!r}")
-        self.reserve_mbps = float(reserve_mbps)
+        self.reserve_mbps = reserve_mbps
         self.servers: dict[str, AggregationServer] = {}
         self._initial_remaining: dict[str, float] = {}
         self._per_server: dict[str, dict[str, float]] = {}
         for server in servers:
-            if server.id in self.servers:
-                raise ValidationError(f"duplicate server id {server.id!r}")
             self.servers[server.id] = server
             self._initial_remaining[server.id] = server.remaining_capacity_mbps
             self._per_server[server.id] = {}
@@ -452,6 +422,9 @@ class AssignmentLedger:
         return assignment
 
     def release_all(self) -> None:
-        for client_id in list(self._by_client):
-            self.release(client_id)
+        """Return every client's capacity: each server is back at its initial value."""
+        self._by_client.clear()
+        for server_id, demands in self._per_server.items():
+            demands.clear()
+            self.servers[server_id].remaining_capacity_mbps = self._initial_remaining[server_id]
 

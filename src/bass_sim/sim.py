@@ -19,11 +19,11 @@ every client with at least one candidate. Records are a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .errors import ValidationError
-from .model import AggregationServer, BBoxClient, baseline_bandwidth
+from .model import BBoxClient, baseline_bandwidth
 from .scheduler import (
     AllocationPlan,
     AssignmentLedger,
@@ -133,18 +133,23 @@ def hit_rate(b_achieved: float, b_best: float) -> float:
     return b_achieved / b_best
 
 
+# Knuth's product method compares against exp(-rate), which underflows to 0
+# above a rate of about 745, so larger rates are drawn in chunks and summed
+# (a sum of independent Poisson draws is Poisson with the summed rate).
+_POISSON_CHUNK = 500.0
+
+
 def _poisson(rng, lam: float) -> int:
-    # Knuth's product method; fine for the small rates used here.
-    if lam <= 0.0:
-        return 0
-    threshold = math.exp(-lam)
     count = 0
-    product = 1.0
-    while True:
-        product *= rng.random()
-        if product <= threshold:
-            return count
-        count += 1
+    while lam > 0.0:
+        chunk = min(lam, _POISSON_CHUNK)
+        lam -= chunk
+        threshold = math.exp(-chunk)
+        product = rng.random()
+        while product > threshold:
+            count += 1
+            product *= rng.random()
+    return count
 
 
 @dataclass
@@ -163,15 +168,7 @@ class SimState:
 
 
 def new_state(scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork | None = None) -> SimState:
-    servers = [
-        AggregationServer(
-            id=s.id,
-            location=s.location,
-            total_capacity_mbps=s.total_capacity_mbps,
-            remaining_capacity_mbps=s.remaining_capacity_mbps,
-        )
-        for s in scenario.agg_servers
-    ]
+    servers = [replace(s) for s in scenario.agg_servers]
     if net is None:
         net = DistanceDecayNetwork.for_scenario(scenario)
     active = {c.id: c for c in scenario.clients}
@@ -247,10 +244,11 @@ def run_epoch(state: SimState) -> EpochRecord:
     entries = {}
     for client_id in sorted(state.active):
         client = state.active[client_id]
-        baselines[client_id] = baseline_bandwidth(state.net.direct_link_bandwidths(client))
+        baseline = baseline_bandwidth(state.net.direct_link_bandwidths(client))
+        baselines[client_id] = baseline
         chosen_servers = [state.ledger.servers[sid] for sid in candidate_ids[client_id]]
         if chosen_servers:
-            entries[client_id] = measure_gains(client, chosen_servers, state.net)
+            entries[client_id] = measure_gains(client, chosen_servers, state.net, baseline)
     batch = RequestBatch.build(t, entries)
 
     # 6. Solve under the released capacities.

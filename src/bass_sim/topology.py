@@ -83,7 +83,9 @@ class NetModelParams:
     `direct_path_factor` multiplies the client-to-origin wide-area path
     only. At 1.0 direct and relayed wide-area legs behave identically;
     below 1.0 it emulates the poor edge-to-origin routing that makes
-    relaying through well-peered cloud nodes attractive.
+    relaying through well-peered cloud nodes attractive. Every client, in
+    the scenario and among later arrivals, gets `wifi_links_per_client`
+    Wi-Fi and `cellular_links_per_client` cellular uplinks.
     """
 
     base_path_mbps: float = 22.0
@@ -93,6 +95,8 @@ class NetModelParams:
     wifi_lognormal_sigma: float = DEFAULT_WIFI_SIGMA
     cellular_uplink_mbps_range: tuple[float, float] = (2.0, 8.0)
     direct_path_factor: float = 1.0
+    wifi_links_per_client: int = 2
+    cellular_links_per_client: int = 1
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.base_path_mbps) and self.base_path_mbps > 0):
@@ -120,6 +124,12 @@ class NetModelParams:
         if not (math.isfinite(self.direct_path_factor) and self.direct_path_factor > 0):
             raise ValidationError(
                 f"direct_path_factor must be positive, got {self.direct_path_factor!r}"
+            )
+        wifi, cellular = self.wifi_links_per_client, self.cellular_links_per_client
+        if not all(isinstance(n, int) and n >= 0 for n in (wifi, cellular)) or wifi + cellular < 1:
+            raise ValidationError(
+                "wifi_links_per_client and cellular_links_per_client must be non-negative "
+                f"integers with a sum of at least 1, got {wifi!r} and {cellular!r}"
             )
 
 
@@ -178,7 +188,13 @@ def _lognormal_noise(params: NetModelParams, seed: int, edge_tag: str) -> float:
     if params.noise_sigma == 0.0:
         return 1.0
     z = rng_for(seed, "path-noise", edge_tag).normalvariate(0.0, 1.0)
-    return math.exp(params.noise_sigma * z)
+    try:
+        return math.exp(params.noise_sigma * z)
+    except OverflowError:
+        raise ValidationError(
+            f"noise_sigma {params.noise_sigma!r} is too large: the noise factor "
+            f"exp(noise_sigma * {z!r}) of path {edge_tag!r} overflows"
+        ) from None
 
 
 def path_bandwidth(
@@ -293,8 +309,6 @@ def sample_client(
     index: int,
     params: NetModelParams,
     origin_ids: Sequence[str],
-    wifi_links: int = 2,
-    cellular_links: int = 1,
 ) -> BBoxClient:
     """Sample one client; a pure function of (seed, index) given fixed params.
 
@@ -302,17 +316,15 @@ def sample_client(
     many other clients exist, which lets the simulator draw mid-run arrivals
     from the same population as the initial scenario.
     """
-    if wifi_links + cellular_links < 1:
-        raise ValidationError("a client needs at least one link")
     rng = rng_for(seed, "client", index)
     client_id = f"c{index:04d}"
     location = _sample_point(rng)
     links = []
-    for w in range(wifi_links):
+    for w in range(params.wifi_links_per_client):
         uplink = rng.lognormvariate(params.wifi_lognormal_mu, params.wifi_lognormal_sigma)
         links.append(EdgeLink(id=f"{client_id}-wifi{w}", kind=LinkKind.WIFI, uplink_mbps=uplink))
     low, high = params.cellular_uplink_mbps_range
-    for c in range(cellular_links):
+    for c in range(params.cellular_links_per_client):
         uplink = rng.uniform(low, high)
         links.append(EdgeLink(id=f"{client_id}-cell{c}", kind=LinkKind.CELLULAR, uplink_mbps=uplink))
     origin_id = origin_ids[rng.randrange(len(origin_ids))]
@@ -327,8 +339,6 @@ def generate_scenario(
     seed: int = 0,
     *,
     server_capacity_mbps: float = DEFAULT_SERVER_CAPACITY_MBPS,
-    wifi_links_per_client: int = 2,
-    cellular_links_per_client: int = 1,
 ) -> Scenario:
     """Generate a deterministic synthetic scenario.
 
@@ -360,17 +370,7 @@ def generate_scenario(
         for j in range(m_servers)
     )
     origin_ids = [origin.id for origin in origins]
-    clients = tuple(
-        sample_client(
-            seed,
-            i,
-            params,
-            origin_ids,
-            wifi_links=wifi_links_per_client,
-            cellular_links=cellular_links_per_client,
-        )
-        for i in range(n_clients)
-    )
+    clients = tuple(sample_client(seed, i, params, origin_ids) for i in range(n_clients))
     scenario = Scenario(
         clients=clients, agg_servers=agg_servers, origins=origins, net_params=params, seed=seed
     )
@@ -394,10 +394,6 @@ def candidate_subset(
     by server id, and the nearest k ids returned (possibly fewer; an empty
     list means no aggregation is available).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
-    if not (0.0 <= load_threshold <= 1.0):
-        raise ValidationError(f"load_threshold must be in [0, 1], got {load_threshold!r}")
     eligible = [s for s in servers if s.load_rate >= load_threshold]
     eligible.sort(key=lambda s: (geo_distance_km(client.location, s.location), s.id))
     return [s.id for s in eligible[:k]]

@@ -76,7 +76,7 @@ def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4, epoch_t: in
         group = []
         for sid in rng.sample(server_ids, count):
             group.append(
-                GainEntry.from_measurements(
+                GainEntry(
                     client_id=client_id,
                     server_id=sid,
                     b_client_server_mbps=rng.uniform(0.0, 20.0),

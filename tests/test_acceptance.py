@@ -190,10 +190,9 @@ def test_criterion_6_gain_multiplier_direction(capsys):
             wifi_lognormal_mu=math.log(4.0),
             wifi_lognormal_sigma=0.0,
             direct_path_factor=0.012,
+            cellular_links_per_client=0,
         )
-        scenario = generate_scenario(
-            60, 8, 10, throttled, seed=61, cellular_links_per_client=0,
-        )
+        scenario = generate_scenario(60, 8, 10, throttled, seed=61)
         config = SimConfig(epochs=1, policy="bass_greedy", seed=61)
         report = summarize("bass_greedy", run_simulation(scenario, config))
         _emit(
@@ -231,7 +230,7 @@ def test_criterion_7_cli_determinism(capsys, tmp_path):
 
 def test_criterion_8_sampler_calibration(capsys):
     with criterion(capsys, "8 sampled Wi-Fi uplinks hit the sub-1 Mbit/s target within 2 points"):
-        params = NetModelParams()
+        params = NetModelParams(wifi_links_per_client=2, cellular_links_per_client=0)
         assert params.wifi_lognormal_mu == wifi_mu_for_sub_1mbps(
             WIFI_SUB_1MBPS_TARGET, params.wifi_lognormal_sigma
         )
@@ -239,7 +238,7 @@ def test_criterion_8_sampler_calibration(capsys):
         total = 0
         # 50,000 sampled clients with two Wi-Fi links each.
         for index in range(50_000):
-            client = sample_client(1234, index, params, ["o0"], wifi_links=2, cellular_links=0)
+            client = sample_client(1234, index, params, ["o0"])
             for link in client.links:
                 total += 1
                 if link.uplink_mbps < 1.0:

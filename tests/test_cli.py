@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -203,6 +204,7 @@ MALFORMED_SCENARIOS = {
                          "scenario.net_params.cellular_uplink_mbps_range: expected an array of 2"),
     "latitude-string": (_set(["clients", 1, "location", "latitude"], "north"),
                         "scenario.clients['c0001'].location.latitude: expected a number"),
+    "noise-overflow": (_set(["net_params", "noise_sigma"], 400.0), "noise_sigma"),
     "non-utf8": (b'{"seed": "\xff"}', "not readable as UTF-8 JSON"),
     "nested-too-deep": (b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
                         "not readable as UTF-8 JSON"),
@@ -253,3 +255,59 @@ def test_malformed_records_is_one_error_line(case, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--records", str(path), "--out", str(tmp_path / "s.json")]) == 1
     _assert_one_error_line(capsys, expected)
+
+
+# Output digests of three small generate + run invocations. They were
+# recorded from a build whose outputs the benchmark's golden digests also
+# match, so any change to the numbers a run writes shows up here.
+PINNED_RUNS = {
+    "greedy-churn": (
+        ["--clients", "12", "--servers", "4", "--origins", "3", "--seed", "5"],
+        ["--policy", "bass_greedy", "--epochs", "4", "--seed", "1",
+         "--arrival-rate", "3", "--session-mean", "5", "--remeasure-noise"],
+    ),
+    "exact-contended": (
+        ["--clients", "8", "--servers", "3", "--origins", "3", "--seed", "5",
+         "--server-capacity-mbps", "20", "--distance-decay", "0.2", "--direct-path-factor", "0.3"],
+        ["--policy", "bass_exact", "--epochs", "4", "--seed", "2",
+         "--reserve-mbps", "0", "--remeasure-noise"],
+    ),
+    "random": (
+        ["--clients", "12", "--servers", "4", "--origins", "3", "--seed", "5"],
+        ["--policy", "random", "--epochs", "3", "--seed", "9"],
+    ),
+}
+PINNED_DIGESTS = {
+    "exact-contended": {
+        "records.json": "167da235b75d1b63e631bc84b3b9b516177cc7e8316aace3d685c94feefe78c7",
+        "per_client.csv": "838c67ea1dee3935bf555be1401fdc67209d9b098c5985f91b5df2ba36c89064",
+        "summary.json": "4ea6e491c83038b53f322fe1c6d18f46e6366da0f1d81e73bbc20aea26ff86b9",
+    },
+    "greedy-churn": {
+        "records.json": "f90989dcd880394076282e474d4f38caba0b6d1b67d9f1a7a9a3c5145e977328",
+        "per_client.csv": "044cde4aa267d0259bdf39e493a6a577082e8eaed2c07c5e56580e71ae0462ea",
+        "summary.json": "4b95f5a2afc341dbd40c8ee7613cb3e3dd26dc0fd2afd27cd08904afcd117f80",
+    },
+    "random": {
+        "records.json": "ea1cbd6007830a7692fb893d3c4ca4ed85b7880f169e7303f3071825be04bba7",
+        "per_client.csv": "82ecde570fd59c70e8eb79daaed7172b37333ead868cc7e82fc996e561d30b47",
+        "summary.json": "ae2e23607aa62613faf7fc027be354f8e29f3f58502244d2949cf149a09f58b2",
+    },
+}
+
+
+def _output_digests(tmp_path, case):
+    generate_flags, run_flags = PINNED_RUNS[case]
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--out", str(scenario), *generate_flags]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out), *run_flags]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("records.json", "per_client.csv", "summary.json")
+    }
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_outputs_match_pinned_digests(case, tmp_path):
+    assert _output_digests(tmp_path, case) == PINNED_DIGESTS[case]

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,52 +9,51 @@ from bass_sim.model import (
     GainEntry,
     GeoPoint,
     LinkKind,
-    aggregated_path_bandwidth,
-    bandwidth_gain,
     baseline_bandwidth,
-    load_rate,
 )
 
 bandwidths = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
+def server(total, remaining):
+    return AggregationServer(
+        id="s", location=GeoPoint(0, 0),
+        total_capacity_mbps=total, remaining_capacity_mbps=remaining,
+    )
+
+
 class TestAggregatedPathBandwidth:
+    """GainEntry.b_via_mbps: the subflow sum capped by the relay's path to the origin."""
+
     def test_subflow_sum_binds(self):
-        assert aggregated_path_bandwidth([4, 4], 50) == 8
+        assert GainEntry("c", "s", 4.0 + 4.0, 50.0, 0.0).b_via_mbps == 8
 
     def test_origin_path_binds(self):
-        assert aggregated_path_bandwidth([10, 10], 8) == 8
+        assert GainEntry("c", "s", 10.0 + 10.0, 8.0, 0.0).b_via_mbps == 8
 
     def test_no_subflows(self):
-        assert aggregated_path_bandwidth([], 100) == 0
-
-    def test_rejects_negative_subflow(self):
-        with pytest.raises(ValidationError):
-            aggregated_path_bandwidth([3, -1], 10)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            aggregated_path_bandwidth([math.inf], 10)
-        with pytest.raises(ValidationError):
-            aggregated_path_bandwidth([1.0], math.nan)
+        assert GainEntry("c", "s", 0.0, 100.0, 0.0).b_via_mbps == 0
 
     @given(st.lists(bandwidths, max_size=8), bandwidths)
     def test_bounded_by_both_arguments(self, xs, y):
-        result = aggregated_path_bandwidth(xs, y)
         total = 0.0
         for x in xs:
             total += x
+        result = GainEntry("c", "s", total, y, 0.0).b_via_mbps
         assert result <= total
         assert result <= y
         assert result == min(total, y)
 
     @given(st.lists(bandwidths, min_size=1, max_size=6), bandwidths, bandwidths)
     def test_monotone_in_subflows_and_origin(self, xs, y, bump):
-        base = aggregated_path_bandwidth(xs, y)
+        def via(subflows, origin):
+            return GainEntry("c", "s", sum(subflows), origin, 0.0).b_via_mbps
+
+        base = via(xs, y)
         grown = list(xs)
         grown[0] += bump
-        assert aggregated_path_bandwidth(grown, y) >= base
-        assert aggregated_path_bandwidth(xs, y + bump) >= base
+        assert via(grown, y) >= base
+        assert via(xs, y + bump) >= base
 
 
 class TestBaselineBandwidth:
@@ -79,43 +76,44 @@ class TestBaselineBandwidth:
 
 
 class TestBandwidthGain:
+    """GainEntry.gain_mbps: via-bandwidth minus the direct baseline."""
+
     def test_positive(self):
-        assert bandwidth_gain(8, 3) == 5
+        assert GainEntry("c", "s", 8.0, 50.0, 3.0).gain_mbps == 5
 
     def test_zero(self):
-        assert bandwidth_gain(5, 5) == 0
+        assert GainEntry("c", "s", 5.0, 50.0, 5.0).gain_mbps == 0
 
     def test_negative_detour(self):
-        assert bandwidth_gain(4, 6) == -2
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValidationError):
-            bandwidth_gain(-1, 0)
+        assert GainEntry("c", "s", 4.0, 50.0, 6.0).gain_mbps == -2
 
 
 class TestLoadRate:
+    """AggregationServer.load_rate: remaining over total capacity."""
+
     def test_half(self):
-        assert load_rate(5, 10) == 0.5
+        assert server(10.0, 5.0).load_rate == 0.5
 
     def test_fully_loaded(self):
-        assert load_rate(0, 10) == 0.0
+        assert server(10.0, 0.0).load_rate == 0.0
 
     def test_idle(self):
-        assert load_rate(10, 10) == 1.0
+        assert server(10.0, 10.0).load_rate == 1.0
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError):
-            load_rate(0, 0)
+            server(0.0, 0.0)
         with pytest.raises(ValidationError):
-            load_rate(1, -2)
+            server(-2.0, 1.0)
 
     def test_rejects_remaining_above_total(self):
+        # The property does not check; a rate above 1 cannot be built.
         with pytest.raises(ValidationError):
-            load_rate(11, 10)
+            server(10.0, 11.0)
 
-    @given(st.floats(min_value=1e-9, max_value=1e6, allow_nan=False))
-    def test_in_unit_interval(self, total):
-        assert 0.0 <= load_rate(total / 2, total) <= 1.0
+    @given(st.floats(min_value=1e-9, max_value=1e6, allow_nan=False), st.floats(0.0, 1.0))
+    def test_in_unit_interval(self, total, share):
+        assert 0.0 <= server(total, min(total, total * share)).load_rate <= 1.0
 
 
 class TestGeoPoint:
@@ -135,6 +133,11 @@ class TestEdgeLink:
     def test_rejects_negative_uplink(self):
         with pytest.raises(ValidationError):
             EdgeLink(id="l1", kind=LinkKind.WIFI, uplink_mbps=-0.1)
+
+    def test_rejects_non_finite_uplink(self):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                EdgeLink(id="l1", kind=LinkKind.WIFI, uplink_mbps=value)
 
 
 class TestBBoxClient:
@@ -165,33 +168,35 @@ class TestAggregationServer:
 
 
 class TestGainEntry:
-    def test_from_measurements_derives_fields(self):
-        entry = GainEntry.from_measurements("c", "s", 5.0, 50.0, 3.0)
+    def test_derives_via_and_gain(self):
+        entry = GainEntry("c", "s", 5.0, 50.0, 3.0)
         assert entry.b_via_mbps == 5.0
         assert entry.gain_mbps == 2.0
 
     def test_negative_gain_allowed(self):
-        entry = GainEntry.from_measurements("c", "s", 4.0, 50.0, 6.0)
+        entry = GainEntry("c", "s", 4.0, 50.0, 6.0)
         assert entry.gain_mbps == -2.0
 
     def test_inconsistent_via_rejected(self):
-        with pytest.raises(ValidationError):
+        # The derived fields are not constructor arguments, so no entry can
+        # state a via-bandwidth that disagrees with its legs.
+        with pytest.raises(TypeError):
             GainEntry(
                 client_id="c", server_id="s",
                 b_client_server_mbps=5.0, b_server_origin_mbps=50.0,
-                b_via_mbps=6.0, b_baseline_mbps=3.0, gain_mbps=3.0,
+                b_via_mbps=6.0, b_baseline_mbps=3.0,
             )
 
     def test_inconsistent_gain_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             GainEntry(
                 client_id="c", server_id="s",
                 b_client_server_mbps=5.0, b_server_origin_mbps=50.0,
-                b_via_mbps=5.0, b_baseline_mbps=3.0, gain_mbps=1.0,
+                b_baseline_mbps=3.0, gain_mbps=1.0,
             )
 
     @given(bandwidths, bandwidths, bandwidths)
     def test_reconstruction_is_exact(self, b_cs, b_so, base):
-        entry = GainEntry.from_measurements("c", "s", b_cs, b_so, base)
+        entry = GainEntry("c", "s", b_cs, b_so, base)
         assert entry.b_via_mbps == min(entry.b_client_server_mbps, entry.b_server_origin_mbps)
         assert entry.gain_mbps == entry.b_via_mbps - entry.b_baseline_mbps

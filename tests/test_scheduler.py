@@ -9,7 +9,6 @@ from bass_sim.model import (
     EdgeLink,
     GainEntry,
     GeoPoint,
-    aggregated_path_bandwidth,
 )
 from bass_sim.scheduler import (
     AllocationPlan,
@@ -25,7 +24,7 @@ from oracles import brute_force_optimum, random_batch
 
 
 def entry(cid, sid, b_cs, b_so, baseline):
-    return GainEntry.from_measurements(cid, sid, b_cs, b_so, baseline)
+    return GainEntry(cid, sid, b_cs, b_so, baseline)
 
 
 def batch_of(*entries, epoch_t=0):
@@ -38,19 +37,15 @@ def batch_of(*entries, epoch_t=0):
 class FakeNet:
     """Path oracle with fixed tables, for hand-computed cases."""
 
-    def __init__(self, subflows, server_origin, direct):
+    def __init__(self, subflows, server_origin):
         self._subflows = subflows          # (client_id, server_id) -> list
         self._server_origin = server_origin  # (server_id, origin_id) -> value
-        self._direct = direct              # client_id -> list
 
     def subflow_bandwidths(self, client, server):
         return list(self._subflows[(client.id, server.id)])
 
     def server_origin_bandwidth(self, server, origin_id):
         return self._server_origin[(server.id, origin_id)]
-
-    def direct_link_bandwidths(self, client):
-        return list(self._direct[client.id])
 
 
 def make_client(cid="c1", uplinks=(2.0, 3.0), origin_id="o1"):
@@ -77,10 +72,18 @@ class TestRequestBatch:
         )
         assert [e.server_id for e in batch.entries["c1"]] == ["s1", "s3", "s2"]
 
-    def test_rejects_unsorted(self):
-        entries = {"c1": (entry("c1", "s1", 2, 50, 1), entry("c1", "s2", 9, 50, 1))}
-        with pytest.raises(ValidationError):
-            RequestBatch(epoch_t=0, entries=entries)
+    def test_constructor_sorts_clients_and_candidates(self):
+        entries = {
+            "c2": (entry("c2", "s1", 2, 50, 1),),
+            "c1": (entry("c1", "s1", 2, 50, 1), entry("c1", "s2", 9, 50, 1)),
+        }
+        batch = RequestBatch(epoch_t=0, entries=entries)
+        assert list(batch.entries) == ["c1", "c2"]
+        assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
+
+    def test_rejects_entry_filed_under_another_client(self):
+        with pytest.raises(ValidationError, match="filed under"):
+            RequestBatch(epoch_t=0, entries={"c1": (entry("c2", "s1", 2, 50, 1),)})
 
     def test_rejects_duplicate_server(self):
         with pytest.raises(ValidationError):
@@ -93,26 +96,23 @@ class TestRequestBatch:
             entry("c2", "s2", 2, 50, 1),
         )
         assert batch.n == 2
-        assert batch.m == 2
 
 
 class TestMeasureGains:
     def test_hand_computed_uncapped(self):
         # Links 2 and 3, paths to the server uncapped, origin leg 50,
-        # best direct link 3: B = 5, via = 5, gain = 2.
+        # best direct link 3: B = 5, via = 5, gain = 2. The subflow sum binds.
         client = make_client()
         server = make_server("s1")
         net = FakeNet(
             subflows={("c1", "s1"): [2.0, 3.0]},
             server_origin={("s1", "o1"): 50.0},
-            direct={"c1": [2.0, 3.0]},
         )
-        (got,) = measure_gains(client, [server], net)
+        (got,) = measure_gains(client, [server], net, baseline=3.0)
         assert got.b_client_server_mbps == 5.0
         assert got.b_via_mbps == 5.0
         assert got.b_baseline_mbps == 3.0
         assert got.gain_mbps == 2.0
-        assert got.b_via_mbps == aggregated_path_bandwidth([2.0, 3.0], 50.0)
 
     def test_origin_leg_binds(self):
         client = make_client()
@@ -120,9 +120,8 @@ class TestMeasureGains:
         net = FakeNet(
             subflows={("c1", "s1"): [2.0, 3.0]},
             server_origin={("s1", "o1"): 4.0},
-            direct={"c1": [2.0, 3.0]},
         )
-        (got,) = measure_gains(client, [server], net)
+        (got,) = measure_gains(client, [server], net, baseline=3.0)
         assert got.b_via_mbps == 4.0
         assert got.gain_mbps == 1.0
 
@@ -132,9 +131,8 @@ class TestMeasureGains:
         net = FakeNet(
             subflows={("c1", "s1"): [3.0]},
             server_origin={("s1", "o1"): 50.0},
-            direct={"c1": [3.0]},
         )
-        (got,) = measure_gains(client, [server], net)
+        (got,) = measure_gains(client, [server], net, baseline=3.0)
         assert got.gain_mbps == 0.0
 
     def test_sorted_by_gain_descending(self):
@@ -143,21 +141,20 @@ class TestMeasureGains:
         net = FakeNet(
             subflows={("c1", "s1"): [2.0, 3.0], ("c1", "s2"): [2.0, 3.0]},
             server_origin={("s1", "o1"): 4.0, ("s2", "o1"): 50.0},
-            direct={"c1": [2.0, 3.0]},
         )
-        batch = RequestBatch.build(0, {"c1": measure_gains(client, servers, net)})
+        batch = RequestBatch.build(0, {"c1": measure_gains(client, servers, net, baseline=3.0)})
         assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
 
     def test_unknown_origin_propagates(self):
         client = make_client(origin_id="nowhere")
         server = make_server("s1")
-        net = FakeNet(subflows={("c1", "s1"): [1.0]}, server_origin={}, direct={})
+        net = FakeNet(subflows={("c1", "s1"): [1.0]}, server_origin={})
         with pytest.raises(KeyError):
-            measure_gains(client, [server], net)
+            measure_gains(client, [server], net, baseline=1.0)
 
     def test_empty_candidates_invalid(self):
         with pytest.raises(ValidationError):
-            measure_gains(make_client(), [], FakeNet({}, {}, {}))
+            measure_gains(make_client(), [], FakeNet({}, {}), baseline=1.0)
 
 
 class TestSolveExact:

@@ -5,8 +5,10 @@ import pytest
 from bass_sim.errors import ValidationError
 from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GainEntry, GeoPoint, OriginServer
 from bass_sim.scheduler import RequestBatch, random_policy, solve_greedy
+from bass_sim.seeding import rng_for
 from bass_sim.sim import (
     SimConfig,
+    _poisson,
     hit_rate,
     new_state,
     run_epoch,
@@ -60,6 +62,11 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(epochs=1, session_epochs_mean=0.5)
 
+    def test_rejects_bad_candidate_and_reserve_settings(self):
+        for bad in (dict(k_candidates=0), dict(load_threshold=1.5), dict(reserve_mbps=-1.0)):
+            with pytest.raises(ValidationError):
+                SimConfig(epochs=1, **bad)
+
     def test_epochs_zero_allowed(self):
         assert SimConfig(epochs=0).epochs == 0
 
@@ -87,7 +94,7 @@ class TestHitRate:
 def three_candidate_batch():
     entries = {
         "c1": [
-            GainEntry.from_measurements("c1", sid, b_cs, 100.0, 1.0)
+            GainEntry("c1", sid, b_cs, 100.0, 1.0)
             for sid, b_cs in (("s1", 5.0), ("s2", 4.0), ("s3", 3.0))
         ]
     }
@@ -104,8 +111,8 @@ class TestRandomPolicy:
 
     def test_single_candidate_matches_greedy(self):
         entries = {
-            "c1": [GainEntry.from_measurements("c1", "s1", 5.0, 100.0, 1.0)],
-            "c2": [GainEntry.from_measurements("c2", "s1", 4.0, 100.0, 1.0)],
+            "c1": [GainEntry("c1", "s1", 5.0, 100.0, 1.0)],
+            "c2": [GainEntry("c2", "s1", 4.0, 100.0, 1.0)],
         }
         batch = RequestBatch.build(0, entries)
         caps = {"s1": 50.0}
@@ -127,8 +134,8 @@ class TestRandomPolicy:
     def test_skips_choices_that_do_not_fit(self):
         entries = {
             "c1": [
-                GainEntry.from_measurements("c1", "s1", 40.0, 100.0, 1.0),
-                GainEntry.from_measurements("c1", "s2", 5.0, 100.0, 1.0),
+                GainEntry("c1", "s1", 40.0, 100.0, 1.0),
+                GainEntry("c1", "s2", 5.0, 100.0, 1.0),
             ]
         }
         batch = RequestBatch.build(0, entries)
@@ -138,10 +145,17 @@ class TestRandomPolicy:
             assert plan.assignments["c1"].server_id == "s2"
 
     def test_no_feasible_candidate_leaves_unassigned(self):
-        entries = {"c1": [GainEntry.from_measurements("c1", "s1", 40.0, 100.0, 1.0)]}
+        entries = {"c1": [GainEntry("c1", "s1", 40.0, 100.0, 1.0)]}
         batch = RequestBatch.build(0, entries)
         plan = random_policy(batch, {"s1": 10.0}, seed=0, reserve_mbps=0.0)
         assert plan.assignments == {}
+
+
+class TestPoisson:
+    def test_mean_holds_above_the_underflow_rate(self):
+        # The standard error of a mean of 200 draws at rate 2000 is about 3.2.
+        draws = [_poisson(rng_for(7, "poisson-test", i), 2000.0) for i in range(200)]
+        assert abs(sum(draws) / len(draws) - 2000.0) <= 16.0
 
 
 class TestRunEpoch:
@@ -219,6 +233,7 @@ class TestRunEpoch:
         # Rebuild the same batch the epoch solved (static network, so the
         # measurements are reproducible).
         state2 = new_state(scenario, config)
+        from bass_sim.model import baseline_bandwidth
         from bass_sim.scheduler import measure_gains
         from bass_sim.topology import candidate_subset
 
@@ -228,8 +243,9 @@ class TestRunEpoch:
             cand = candidate_subset(client, list(state2.ledger.servers.values()),
                                     config.k_candidates, config.load_threshold)
             if cand:
+                baseline = baseline_bandwidth(state2.net.direct_link_bandwidths(client))
                 entries[cid] = measure_gains(
-                    client, [state2.ledger.servers[s] for s in cand], state2.net
+                    client, [state2.ledger.servers[s] for s in cand], state2.net, baseline
                 )
         batch = RequestBatch.build(0, entries)
         capacities = {sid: s.total_capacity_mbps for sid, s in state2.ledger.servers.items()}
@@ -292,6 +308,15 @@ class TestRunSimulation:
             assert len(cache) <= record.n_active * 3 * (1 + config.k_candidates) + 3 * 2
             sizes.append(len(cache))
         assert max(sizes[500:]) <= 2 * max(sizes[:100])
+
+    def test_arrivals_get_the_scenario_link_mix(self):
+        params = NetModelParams(wifi_links_per_client=1, cellular_links_per_client=0)
+        scenario = generate_scenario(4, 2, 2, params, seed=5)
+        state = new_state(scenario, SimConfig(epochs=3, seed=5, arrival_rate=2.0))
+        for _ in range(3):
+            run_epoch(state)
+        assert len(state.active) > len(scenario.clients)
+        assert {len(client.links) for client in state.active.values()} == {1}
 
     def test_gamma_in_unit_interval_with_candidates(self):
         scenario = generate_scenario(30, 4, 3, seed=6, server_capacity_mbps=60.0)

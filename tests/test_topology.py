@@ -133,12 +133,17 @@ class TestGenerateScenario:
         assert small.clients == large.clients[:3]
 
     def test_link_mix(self):
-        scenario = generate_scenario(4, 2, 2, seed=1, wifi_links_per_client=3,
-                                     cellular_links_per_client=2)
+        params = NetModelParams(wifi_links_per_client=3, cellular_links_per_client=2)
+        scenario = generate_scenario(4, 2, 2, params, seed=1)
         for client in scenario.clients:
             kinds = [link.kind.value for link in client.links]
             assert kinds.count("wifi") == 3
             assert kinds.count("cellular") == 2
+
+    def test_link_mix_needs_one_link(self):
+        for wifi, cellular in ((0, 0), (-1, 2), (1, -1), (1.0, 0)):
+            with pytest.raises(ValidationError, match="links_per_client"):
+                NetModelParams(wifi_links_per_client=wifi, cellular_links_per_client=cellular)
 
     def test_cellular_links_within_range(self):
         params = NetModelParams(cellular_uplink_mbps_range=(3.0, 4.0))
@@ -235,10 +240,6 @@ class TestCandidateSubset:
     def test_fewer_than_k(self):
         servers = [_server("only", 3)]
         assert candidate_subset(self.client, servers, k=5, load_threshold=0.0) == ["only"]
-
-    def test_invalid_k(self):
-        with pytest.raises(ValidationError):
-            candidate_subset(self.client, [], k=0, load_threshold=0.0)
 
     def test_sorted_by_distance_property(self):
         rng = random.Random(99)
