@@ -16,16 +16,53 @@ import random
 _SEED_BYTES = 8
 
 
+def _label_bytes(labels) -> bytes:
+    """What a label path adds to the hash: each label, UTF-8, after a 0x1f byte."""
+    return "".join(["\x1f" + str(label) for label in labels]).encode("utf-8")
+
+
+def _master_hash(master: int, labels) -> "hashlib.blake2b":
+    return hashlib.blake2b(
+        str(int(master)).encode("utf-8") + _label_bytes(labels), digest_size=_SEED_BYTES
+    )
+
+
 def derive_seed(master: int, *labels: object) -> int:
     """Derive a 64-bit sub-seed from a master seed and a label path."""
-    h = hashlib.blake2b(digest_size=_SEED_BYTES)
-    h.update(str(int(master)).encode("utf-8"))
-    for label in labels:
-        h.update(b"\x1f")
-        h.update(str(label).encode("utf-8"))
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(_master_hash(master, labels).digest(), "big")
 
 
 def rng_for(master: int, *labels: object) -> random.Random:
     """Fresh ``random.Random`` seeded from :func:`derive_seed`."""
     return random.Random(derive_seed(master, *labels))
+
+
+class SeededStream:
+    """One draw per label path under a fixed prefix, without a Random per draw.
+
+    ``stream.normal(*labels)`` equals
+    ``rng_for(master, *prefix, *labels).normalvariate(0.0, 1.0)`` and
+    ``stream.random(*labels)`` equals ``rng_for(master, *prefix, *labels).random()``,
+    by construction: the prefix is hashed once, each draw copies that hash
+    state, adds its labels and re-seeds one private generator in place. The
+    generator never escapes, so no caller can advance it between draws.
+    Generators that draw many values from one label path use :func:`rng_for`.
+    """
+
+    def __init__(self, master: int, *prefix: object) -> None:
+        self._prefix = _master_hash(master, prefix)
+        self._rng = random.Random()
+
+    def _seeded(self, labels) -> random.Random:
+        h = self._prefix.copy()
+        h.update(_label_bytes(labels))
+        self._rng.seed(int.from_bytes(h.digest(), "big"))
+        return self._rng
+
+    def normal(self, *labels: object) -> float:
+        """A standard normal draw for the label path."""
+        return self._seeded(labels).normalvariate(0.0, 1.0)
+
+    def random(self, *labels: object) -> float:
+        """A uniform draw in [0, 1) for the label path."""
+        return self._seeded(labels).random()

@@ -34,11 +34,12 @@ from .scheduler import (
     solve_exact,
     solve_greedy,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import SeededStream, derive_seed, rng_for
 from .topology import (
     DEFAULT_K_CANDIDATES,
     DEFAULT_LOAD_THRESHOLD,
     DEFAULT_RESERVE_MBPS,
+    CandidateIndex,
     DistanceDecayNetwork,
     Scenario,
     candidate_subset,
@@ -154,12 +155,17 @@ def _poisson(rng, lam: float) -> int:
 
 @dataclass
 class SimState:
-    """Mutable simulation state owned by the single-threaded loop."""
+    """Mutable simulation state owned by the single-threaded loop.
+
+    `candidates` ranks the ledger's server objects, so a walk down a
+    client's ranking reads the loads the ledger left.
+    """
 
     scenario: Scenario
     config: SimConfig
     net: DistanceDecayNetwork
     ledger: AssignmentLedger
+    candidates: CandidateIndex
     active: dict[str, BBoxClient]
     arrival_epoch: dict[str, int]
     next_client_index: int
@@ -168,7 +174,7 @@ class SimState:
 
 
 def new_state(scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork | None = None) -> SimState:
-    servers = [replace(s) for s in scenario.agg_servers]
+    ledger = AssignmentLedger([replace(s) for s in scenario.agg_servers], config.reserve_mbps)
     if net is None:
         net = DistanceDecayNetwork.for_scenario(scenario)
     active = {c.id: c for c in scenario.clients}
@@ -176,7 +182,8 @@ def new_state(scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork |
         scenario=scenario,
         config=config,
         net=net,
-        ledger=AssignmentLedger(servers, config.reserve_mbps),
+        ledger=ledger,
+        candidates=CandidateIndex(ledger.servers.values()),
         active=active,
         arrival_epoch={cid: 0 for cid in active},
         next_client_index=len(scenario.clients),
@@ -203,17 +210,20 @@ def run_epoch(state: SimState) -> EpochRecord:
     config = state.config
     t = state.epoch
 
-    # 1. Departures return their capacity.
+    # 1. Departures return their capacity, and their ranking and paths go.
     if config.session_epochs_mean is not None:
         p_depart = 1.0 / config.session_epochs_mean
+        depart = SeededStream(config.seed, "depart")
         for client_id in sorted(state.active):
             if state.arrival_epoch[client_id] >= t:
                 continue
-            if rng_for(config.seed, "depart", client_id, t).random() < p_depart:
+            if depart.random(client_id, t) < p_depart:
                 if state.ledger.assignment_of(client_id) is not None:
                     state.ledger.release(client_id)
                 del state.active[client_id]
                 del state.arrival_epoch[client_id]
+                state.candidates.forget(client_id)
+                state.net.forget(client_id)
 
     # 2. Seeded arrivals join the population.
     if config.arrival_rate > 0.0:
@@ -226,10 +236,9 @@ def run_epoch(state: SimState) -> EpochRecord:
 
     # 3. Candidate subsets against the load left by the previous epoch
     #    (the scheduler filters on current load when requests come in).
-    servers = list(state.ledger.servers.values())
     candidate_ids = {
         client_id: candidate_subset(
-            state.active[client_id], servers, config.k_candidates, config.load_threshold
+            state.active[client_id], state.candidates, config.k_candidates, config.load_threshold
         )
         for client_id in sorted(state.active)
     }

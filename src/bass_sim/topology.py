@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
@@ -29,7 +29,7 @@ from .model import (
     LinkKind,
     OriginServer,
 )
-from .seeding import rng_for
+from .seeding import SeededStream, rng_for
 
 log = logging.getLogger(__name__)
 
@@ -49,12 +49,14 @@ __all__ = [
     "Scenario",
     "DistanceDecayNetwork",
     "geo_distance_km",
+    "decayed_bandwidth",
     "path_bandwidth",
     "wifi_mu_for_sub_1mbps",
     "sample_client",
     "generate_scenario",
     "save_scenario",
     "load_scenario",
+    "CandidateIndex",
     "candidate_subset",
     "DEFAULT_K_CANDIDATES",
     "DEFAULT_LOAD_THRESHOLD",
@@ -184,12 +186,29 @@ def geo_distance_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def _lognormal_noise(params: NetModelParams, seed: int, edge_tag: str) -> float:
+def decayed_bandwidth(src: GeoPoint, dst: GeoPoint, params: NetModelParams) -> float:
+    """Noise-free wide-area path bandwidth: base / (1 + distance_km * decay / 1000)."""
+    distance = geo_distance_km(src, dst)
+    return params.base_path_mbps / (1.0 + distance * params.distance_decay_per_1000km / 1000.0)
+
+
+def path_bandwidth(
+    decayed_mbps: float,
+    params: NetModelParams,
+    noise: SeededStream,
+    edge_tag: str,
+) -> float:
+    """Deterministic wide-area path bandwidth: the decay times a lognormal noise factor.
+
+    The factor is exp(noise_sigma * z), with z the standard normal draw of
+    `noise` for `edge_tag`; `noise` is a network's ``SeededStream(seed,
+    "path-noise")``, so the same (seed, edge tag) always yields the same value.
+    """
     if params.noise_sigma == 0.0:
-        return 1.0
-    z = rng_for(seed, "path-noise", edge_tag).normalvariate(0.0, 1.0)
+        return decayed_mbps
+    z = noise.normal(edge_tag)
     try:
-        return math.exp(params.noise_sigma * z)
+        return decayed_mbps * math.exp(params.noise_sigma * z)
     except OverflowError:
         raise ValidationError(
             f"noise_sigma {params.noise_sigma!r} is too large: the noise factor "
@@ -197,33 +216,26 @@ def _lognormal_noise(params: NetModelParams, seed: int, edge_tag: str) -> float:
         ) from None
 
 
-def path_bandwidth(
-    src: GeoPoint,
-    dst: GeoPoint,
-    params: NetModelParams,
-    seed: int,
-    edge_tag: str,
-) -> float:
-    """Deterministic wide-area path bandwidth between two points.
+@dataclass(slots=True)
+class _ClientPaths:
+    """One client's measured paths, and its noise-free decays, kept for its lifetime.
 
-    base / (1 + distance_km * decay / 1000), scaled by a lognormal noise
-    term keyed on (seed, edge_tag). The same key always yields the same
-    value.
+    `decays` is keyed by relay id, and by None for the client's origin.
     """
-    distance = geo_distance_km(src, dst)
-    decayed = params.base_path_mbps / (
-        1.0 + distance * params.distance_decay_per_1000km / 1000.0
-    )
-    return decayed * _lognormal_noise(params, seed, edge_tag)
+
+    decays: dict[str | None, float] = field(default_factory=dict)
+    paths: dict[str, float] = field(default_factory=dict)
 
 
 class DistanceDecayNetwork:
     """Path-bandwidth oracle over a scenario's geometry.
 
-    Values are cached per edge tag; with `noise_epoch` unset the whole
-    network is static, which is the reproducibility default. Setting a
-    noise epoch mixes it into the noise key so each epoch re-measures
-    fresh values.
+    Each path's noise-free decay is computed once per (source, destination)
+    pair and kept; its measured value, the decay times the noise factor, is
+    cached per edge tag. With `noise_epoch` unset the whole network is
+    static, which is the reproducibility default. Setting a noise epoch
+    mixes it into the noise key so each epoch re-measures fresh values. A
+    client's decays and paths are kept until `forget`.
     """
 
     def __init__(
@@ -234,15 +246,24 @@ class DistanceDecayNetwork:
         noise_epoch: int | None = None,
     ) -> None:
         self.params = params
-        self.seed = seed
         self._origins = dict(origins)
-        self.noise_epoch = noise_epoch
-        self._cache: dict[str, float] = {}
+        self._noise = SeededStream(seed, "path-noise")
+        self._clients: dict[str, _ClientPaths] = {}
+        self._relay_decays: dict[tuple[str, str], float] = {}
+        self._relay_paths: dict[str, float] = {}
+        self.remeasure(noise_epoch)
 
-    def remeasure(self, noise_epoch: int) -> None:
-        """Re-draw path noise; paths cached for other epochs are never read again."""
+    def remeasure(self, noise_epoch: int | None) -> None:
+        """Re-draw path noise; paths measured under other epochs are never read again."""
         self.noise_epoch = noise_epoch
-        self._cache.clear()
+        self._suffix = "" if noise_epoch is None else f"@{noise_epoch}"
+        for client in self._clients.values():
+            client.paths.clear()
+        self._relay_paths.clear()
+
+    def forget(self, client_id: str) -> None:
+        """Drop a departed client's decays and paths; its id is never measured again."""
+        self._clients.pop(client_id, None)
 
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "DistanceDecayNetwork":
@@ -254,43 +275,57 @@ class DistanceDecayNetwork:
         except KeyError:
             raise ValidationError(f"unknown origin server {origin_id!r}") from None
 
-    def _tag(self, base_tag: str) -> str:
-        if self.noise_epoch is None:
-            return base_tag
-        return f"{base_tag}@{self.noise_epoch}"
+    def _client(self, client_id: str) -> _ClientPaths:
+        entry = self._clients.get(client_id)
+        if entry is None:
+            entry = self._clients[client_id] = _ClientPaths()
+        return entry
 
-    def _path(self, src: GeoPoint, dst: GeoPoint, base_tag: str) -> float:
-        tag = self._tag(base_tag)
-        value = self._cache.get(tag)
+    def _measured(
+        self, paths: dict, tag: str, decays: dict, key, src: GeoPoint, dst: GeoPoint
+    ) -> float:
+        """The path's value under the current noise epoch, from its cached decay on a miss."""
+        value = paths.get(tag)
         if value is None:
-            value = path_bandwidth(src, dst, self.params, self.seed, tag)
-            self._cache[tag] = value
+            decay = decays.get(key)
+            if decay is None:
+                decay = decays[key] = decayed_bandwidth(src, dst, self.params)
+            value = paths[tag] = path_bandwidth(decay, self.params, self._noise, tag)
         return value
 
     def subflow_bandwidths(self, client: BBoxClient, server: AggregationServer) -> list[float]:
         """Per-link deliverable subflow bandwidth from client to server."""
+        entry = self._client(client.id)
         return [
             min(
                 link.uplink_mbps,
-                self._path(client.location, server.location, f"{client.id}/{link.id}->{server.id}"),
+                self._measured(
+                    entry.paths, f"{client.id}/{link.id}->{server.id}{self._suffix}",
+                    entry.decays, server.id, client.location, server.location,
+                ),
             )
             for link in client.links
         ]
 
     def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float:
-        origin = self._origin(origin_id)
-        return self._path(server.location, origin.location, f"{server.id}->{origin_id}")
+        return self._measured(
+            self._relay_paths, f"{server.id}->{origin_id}{self._suffix}",
+            self._relay_decays, (server.id, origin_id),
+            server.location, self._origin(origin_id).location,
+        )
 
     def direct_link_bandwidths(self, client: BBoxClient) -> list[float]:
         """Per-link bandwidth on the client's own path to its origin."""
+        entry = self._client(client.id)
         origin = self._origin(client.origin_id)
         factor = self.params.direct_path_factor
         return [
             min(
                 link.uplink_mbps,
                 factor
-                * self._path(
-                    client.location, origin.location, f"{client.id}/{link.id}->{client.origin_id}"
+                * self._measured(
+                    entry.paths, f"{client.id}/{link.id}->{client.origin_id}{self._suffix}",
+                    entry.decays, None, client.location, origin.location,
                 ),
             )
             for link in client.links
@@ -321,7 +356,14 @@ def sample_client(
     location = _sample_point(rng)
     links = []
     for w in range(params.wifi_links_per_client):
-        uplink = rng.lognormvariate(params.wifi_lognormal_mu, params.wifi_lognormal_sigma)
+        try:
+            uplink = rng.lognormvariate(params.wifi_lognormal_mu, params.wifi_lognormal_sigma)
+        except OverflowError:
+            raise ValidationError(
+                f"a Wi-Fi uplink of client {client_id!r} overflows: exp(normal draw) with "
+                f"wifi_lognormal_mu {params.wifi_lognormal_mu!r} and wifi_lognormal_sigma "
+                f"{params.wifi_lognormal_sigma!r} is too large"
+            ) from None
         links.append(EdgeLink(id=f"{client_id}-wifi{w}", kind=LinkKind.WIFI, uplink_mbps=uplink))
     low, high = params.cellular_uplink_mbps_range
     for c in range(params.cellular_links_per_client):
@@ -381,22 +423,54 @@ def generate_scenario(
     return scenario
 
 
+class CandidateIndex:
+    """Each client's relays ranked nearest first by great-circle distance, ties by id.
+
+    Positions never move, so a client's ranking is computed the first time
+    it is asked for and kept until `forget`. It holds the given server
+    objects, so a walk down it reads their current loads.
+    """
+
+    def __init__(self, servers: Iterable[AggregationServer]) -> None:
+        self._servers = tuple(servers)
+        self._rankings: dict[str, tuple[AggregationServer, ...]] = {}
+
+    def ranking(self, client: BBoxClient) -> tuple[AggregationServer, ...]:
+        ranking = self._rankings.get(client.id)
+        if ranking is None:
+            ranking = self._rankings[client.id] = tuple(
+                sorted(
+                    self._servers,
+                    key=lambda s: (geo_distance_km(client.location, s.location), s.id),
+                )
+            )
+        return ranking
+
+    def forget(self, client_id: str) -> None:
+        """Drop a departed client's ranking; its id is never ranked again."""
+        self._rankings.pop(client_id, None)
+
+
 def candidate_subset(
     client: BBoxClient,
-    servers: Iterable[AggregationServer],
+    index: CandidateIndex,
     k: int = DEFAULT_K_CANDIDATES,
     load_threshold: float = DEFAULT_LOAD_THRESHOLD,
 ) -> list[str]:
     """Candidate relay servers for one client: the k nearest, load-filtered.
 
-    Servers whose load rate (remaining/total) is below `load_threshold` are
-    never offered. The rest are ranked by great-circle distance, ties broken
-    by server id, and the nearest k ids returned (possibly fewer; an empty
-    list means no aggregation is available).
+    Walks the client's ranking in `index` and returns the ids of the first
+    k servers whose load rate (remaining/total) is at least
+    `load_threshold` (possibly fewer; an empty list means no aggregation is
+    available).
     """
-    eligible = [s for s in servers if s.load_rate >= load_threshold]
-    eligible.sort(key=lambda s: (geo_distance_km(client.location, s.location), s.id))
-    return [s.id for s in eligible[:k]]
+    chosen: list[str] = []
+    for server in index.ranking(client):
+        if server.load_rate >= load_threshold:
+            chosen.append(server.id)
+            if len(chosen) == k:
+                break
+    return chosen
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -15,6 +15,7 @@ import random
 
 from bass_sim.model import GainEntry
 from bass_sim.scheduler import RequestBatch
+from bass_sim.topology import geo_distance_km
 
 
 def brute_force_optimum(batch, capacities, reserve_mbps):
@@ -87,3 +88,11 @@ def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4, epoch_t: in
         if group:
             entries[client_id] = group
     return RequestBatch.build(epoch_t, entries), capacities, reserve
+
+
+def filtered_then_sorted_candidates(client, servers, k, load_threshold):
+    """Candidate ids by filtering and sorting every server: drop those below the
+    load threshold, sort the rest by (great-circle distance, id), keep k."""
+    eligible = [s for s in servers if s.load_rate >= load_threshold]
+    eligible.sort(key=lambda s: (geo_distance_km(client.location, s.location), s.id))
+    return [s.id for s in eligible[:k]]

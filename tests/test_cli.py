@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from bass_sim import sim
 from bass_sim.cli import main
 from bass_sim.codec import encode
 from bass_sim.metrics import load_report
@@ -244,6 +245,24 @@ def test_malformed_scenario_is_one_error_line(case, tmp_path, capsys):
     _assert_one_error_line(capsys, expected)
 
 
+@pytest.mark.parametrize("flags", [["--wifi-sigma", "400"], ["--wifi-mu", "1000"]])
+def test_wifi_uplink_overflow_is_one_error_line(flags, tmp_path, capsys):
+    out = tmp_path / "scenario.json"
+    assert main(["generate", "--out", str(out), *flags]) == 1
+    _assert_one_error_line(capsys, "wifi_lognormal_mu")
+    assert not out.exists()
+
+
+def test_arrival_with_overflowing_wifi_uplink_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    data = encode(generate_scenario(3, 2, 2, seed=1))
+    data["net_params"]["wifi_lognormal_sigma"] = 400.0
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--epochs", "3", "--arrival-rate", "5",
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, "wifi_lognormal_sigma")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
 def test_malformed_records_is_one_error_line(case, tmp_path, capsys):
     mutate, expected = MALFORMED_RECORDS[case]
@@ -257,9 +276,11 @@ def test_malformed_records_is_one_error_line(case, tmp_path, capsys):
     _assert_one_error_line(capsys, expected)
 
 
-# Output digests of three small generate + run invocations. They were
+# Output digests of four small generate + run invocations. They were
 # recorded from a build whose outputs the benchmark's golden digests also
 # match, so any change to the numbers a run writes shows up here.
+# "greedy-load-filter" is the one whose load filter binds: with reserve 0 on
+# 20 Mbit/s relays, some relays fall below the threshold and are skipped.
 PINNED_RUNS = {
     "greedy-churn": (
         ["--clients", "12", "--servers", "4", "--origins", "3", "--seed", "5"],
@@ -276,12 +297,24 @@ PINNED_RUNS = {
         ["--clients", "12", "--servers", "4", "--origins", "3", "--seed", "5"],
         ["--policy", "random", "--epochs", "3", "--seed", "9"],
     ),
+    "greedy-load-filter": (
+        ["--clients", "24", "--servers", "6", "--origins", "3", "--seed", "5",
+         "--server-capacity-mbps", "20"],
+        ["--policy", "bass_greedy", "--epochs", "6", "--seed", "4", "--arrival-rate", "3",
+         "--session-mean", "5", "--k-candidates", "2", "--load-threshold", "0.3",
+         "--reserve-mbps", "0"],
+    ),
 }
 PINNED_DIGESTS = {
     "exact-contended": {
         "records.json": "167da235b75d1b63e631bc84b3b9b516177cc7e8316aace3d685c94feefe78c7",
         "per_client.csv": "838c67ea1dee3935bf555be1401fdc67209d9b098c5985f91b5df2ba36c89064",
         "summary.json": "4ea6e491c83038b53f322fe1c6d18f46e6366da0f1d81e73bbc20aea26ff86b9",
+    },
+    "greedy-load-filter": {
+        "records.json": "cbeaa3fa9316db4694dacb8ce08bd1a3f370e270a1713f09e064b230a7a491f7",
+        "per_client.csv": "6bd2a59ea2e22757739a5060f2f51e10e58edacbb0f56c89a2bf2c84177e6d91",
+        "summary.json": "8dc28f1f48a7487a60bf8e33d28f94464ccffd3e4465c3aa2f2bf32e92306ac3",
     },
     "greedy-churn": {
         "records.json": "f90989dcd880394076282e474d4f38caba0b6d1b67d9f1a7a9a3c5145e977328",
@@ -311,3 +344,21 @@ def _output_digests(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
 def test_outputs_match_pinned_digests(case, tmp_path):
     assert _output_digests(tmp_path, case) == PINNED_DIGESTS[case]
+
+
+def test_load_filter_binds_in_the_load_filter_case(tmp_path, monkeypatch):
+    # Each candidate list the run asks for is compared with the list the
+    # same call gives at threshold 0 (the threshold is the last argument):
+    # the pinned case is only a test of the filter's skip path if they differ.
+    original = sim.candidate_subset
+    calls = []
+
+    def spy(*args):
+        got = original(*args)
+        calls.append(got != original(*args[:-1], 0.0))
+        return got
+
+    monkeypatch.setattr(sim, "candidate_subset", spy)
+    _output_digests(tmp_path, "greedy-load-filter")
+    assert len(calls) == 153  # one call per client-epoch
+    assert sum(calls) == 45

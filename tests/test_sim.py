@@ -51,6 +51,14 @@ def one_server_scenario(clients, total_mbps, params=None, seed=0):
     )
 
 
+def _path_tags(net):
+    """Every edge tag a network holds a measured path for."""
+    tags = list(net._relay_paths)
+    for client in net._clients.values():
+        tags.extend(client.paths)
+    return tags
+
+
 class TestSimConfig:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValidationError, match="bass_greedy"):
@@ -240,7 +248,7 @@ class TestRunEpoch:
         entries = {}
         for cid in sorted(state2.active):
             client = state2.active[cid]
-            cand = candidate_subset(client, list(state2.ledger.servers.values()),
+            cand = candidate_subset(client, state2.candidates,
                                     config.k_candidates, config.load_threshold)
             if cand:
                 baseline = baseline_bandwidth(state2.net.direct_link_bandwidths(client))
@@ -301,13 +309,33 @@ class TestRunSimulation:
         sizes = []
         for t in range(config.epochs):
             record = run_epoch(state)
-            cache = state.net._cache
-            assert all(tag.endswith(f"@{t}") for tag in cache)
+            tags = _path_tags(state.net)
+            assert all(tag.endswith(f"@{t}") for tag in tags)
             # 3 links per client: one direct path each plus one per candidate,
             # and one path per server-origin pair.
-            assert len(cache) <= record.n_active * 3 * (1 + config.k_candidates) + 3 * 2
-            sizes.append(len(cache))
+            assert len(tags) <= record.n_active * 3 * (1 + config.k_candidates) + 3 * 2
+            sizes.append(len(tags))
         assert max(sizes[500:]) <= 2 * max(sizes[:100])
+
+    @pytest.mark.parametrize("remeasure_noise", [False, True])
+    def test_per_client_caches_hold_only_active_clients(self, remeasure_noise):
+        # Rankings, decays and a static network's paths are kept per client
+        # across epochs; a departure must drop them, or they grow with every
+        # client ever seen.
+        scenario = generate_scenario(10, 3, 2, seed=8)
+        config = SimConfig(
+            epochs=1000, seed=8, arrival_rate=0.5, session_epochs_mean=20.0,
+            remeasure_noise=remeasure_noise,
+        )
+        state = new_state(scenario, config)
+        clients_seen = set(state.active)
+        for _ in range(config.epochs):
+            record = run_epoch(state)
+            clients_seen |= set(state.active)
+            assert set(state.candidates._rankings) == set(state.active)
+            assert set(state.net._clients) == set(state.active)
+            assert len(_path_tags(state.net)) <= record.n_active * 3 * (1 + 3) + 3 * 2
+        assert len(clients_seen) > 5 * len(state.active)
 
     def test_arrivals_get_the_scenario_link_mix(self):
         params = NetModelParams(wifi_links_per_client=1, cellular_links_per_client=0)

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from bass_sim.codec import encode
 from bass_sim.errors import ScenarioFormatError, ValidationError
 from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GeoPoint
+from bass_sim.seeding import SeededStream, rng_for
 from bass_sim.topology import (
     EARTH_RADIUS_KM,
     WIFI_SUB_1MBPS_TARGET,
+    CandidateIndex,
     NetModelParams,
     candidate_subset,
+    decayed_bandwidth,
     generate_scenario,
     geo_distance_km,
     load_scenario,
@@ -20,6 +23,8 @@ from bass_sim.topology import (
     save_scenario,
     wifi_mu_for_sub_1mbps,
 )
+
+from oracles import filtered_then_sorted_candidates
 
 geo_points = st.builds(
     GeoPoint,
@@ -54,36 +59,49 @@ class TestGeoDistance:
         assert direct <= detour * (1 + 1e-6) + 1e-6
 
 
+def measured(src, dst, params, seed, edge_tag):
+    """One path as a network measures it on a cache miss."""
+    noise = SeededStream(seed, "path-noise")
+    return path_bandwidth(decayed_bandwidth(src, dst, params), params, noise, edge_tag)
+
+
 class TestPathBandwidth:
     def test_no_decay_no_noise(self):
         params = NetModelParams(base_path_mbps=100.0, distance_decay_per_1000km=0.0, noise_sigma=0.0)
         p = GeoPoint(10, 10)
-        assert path_bandwidth(p, p, params, seed=1, edge_tag="a->b") == 100.0
+        assert measured(p, p, params, seed=1, edge_tag="a->b") == 100.0
 
     def test_decay_halves_at_1000km(self):
         params = NetModelParams(base_path_mbps=100.0, distance_decay_per_1000km=1.0, noise_sigma=0.0)
         # 1000 km along the equator.
         dst = GeoPoint(0, math.degrees(1000.0 / EARTH_RADIUS_KM))
-        value = path_bandwidth(GeoPoint(0, 0), dst, params, seed=1, edge_tag="a->b")
+        value = measured(GeoPoint(0, 0), dst, params, seed=1, edge_tag="a->b")
         assert value == pytest.approx(50.0, rel=1e-12)
 
     def test_deterministic_per_seed_and_tag(self):
         params = NetModelParams(noise_sigma=0.7)
         a, b = GeoPoint(1, 2), GeoPoint(3, 4)
-        first = path_bandwidth(a, b, params, seed=9, edge_tag="x")
-        second = path_bandwidth(a, b, params, seed=9, edge_tag="x")
+        first = measured(a, b, params, seed=9, edge_tag="x")
+        second = measured(a, b, params, seed=9, edge_tag="x")
         assert first == second
-        assert path_bandwidth(a, b, params, seed=9, edge_tag="y") != first
-        assert path_bandwidth(a, b, params, seed=10, edge_tag="x") != first
+        assert measured(a, b, params, seed=9, edge_tag="y") != first
+        assert measured(a, b, params, seed=10, edge_tag="x") != first
 
     def test_non_increasing_in_distance_without_noise(self):
         params = NetModelParams(base_path_mbps=40.0, distance_decay_per_1000km=2.0, noise_sigma=0.0)
         src = GeoPoint(0, 0)
         values = [
-            path_bandwidth(src, GeoPoint(0, lon), params, seed=0, edge_tag="t")
+            measured(src, GeoPoint(0, lon), params, seed=0, edge_tag="t")
             for lon in (0, 10, 40, 90, 170)
         ]
         assert values == sorted(values, reverse=True)
+
+    def test_noise_factor_is_the_rng_for_draw(self):
+        params = NetModelParams(noise_sigma=0.7)
+        a, b = GeoPoint(1, 2), GeoPoint(3, 4)
+        z = rng_for(9, "path-noise", "x@3").normalvariate(0.0, 1.0)
+        expected = decayed_bandwidth(a, b, params) * math.exp(0.7 * z)
+        assert measured(a, b, params, seed=9, edge_tag="x@3") == expected
 
 
 class TestWifiCalibration:
@@ -220,32 +238,67 @@ class TestCandidateSubset:
             origin_id="o1",
         )
 
+    def pick(self, servers, k, load_threshold):
+        return candidate_subset(self.client, CandidateIndex(servers), k, load_threshold)
+
     def test_nearest_k(self):
         servers = [_server("far", 30), _server("near", 1), _server("mid", 10)]
-        assert candidate_subset(self.client, servers, k=2, load_threshold=0.1) == ["near", "mid"]
+        assert self.pick(servers, k=2, load_threshold=0.1) == ["near", "mid"]
 
     def test_threshold_filters_nearest(self):
         servers = [_server("near", 1, remaining=5.0), _server("mid", 10)]
-        got = candidate_subset(self.client, servers, k=1, load_threshold=0.1)
+        got = self.pick(servers, k=1, load_threshold=0.1)
         assert got == ["mid"]
 
     def test_all_below_threshold(self):
         servers = [_server("a", 1, remaining=0.0), _server("b", 2, remaining=1.0)]
-        assert candidate_subset(self.client, servers, k=3, load_threshold=0.5) == []
+        assert self.pick(servers, k=3, load_threshold=0.5) == []
 
     def test_distance_ties_break_by_id(self):
         servers = [_server("b", 5), _server("a", -5)]
-        assert candidate_subset(self.client, servers, k=2, load_threshold=0.0) == ["a", "b"]
+        assert self.pick(servers, k=2, load_threshold=0.0) == ["a", "b"]
 
     def test_fewer_than_k(self):
         servers = [_server("only", 3)]
-        assert candidate_subset(self.client, servers, k=5, load_threshold=0.0) == ["only"]
+        assert self.pick(servers, k=5, load_threshold=0.0) == ["only"]
 
     def test_sorted_by_distance_property(self):
         rng = random.Random(99)
         servers = [_server(f"s{i:02d}", rng.uniform(-179, 179)) for i in range(12)]
-        got = candidate_subset(self.client, servers, k=6, load_threshold=0.0)
+        got = self.pick(servers, k=6, load_threshold=0.0)
         by_id = {s.id: s for s in servers}
         distances = [geo_distance_km(self.client.location, by_id[sid].location) for sid in got]
         assert len(got) <= 6
         assert distances == sorted(distances)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_ranked_walk_equals_filter_then_sort(self, data):
+        # Servers often share a position, and the client on the equator's
+        # zero meridian sees mirrored servers at equal distances, so the id
+        # tie-break is exercised.
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        lons = data.draw(st.lists(st.sampled_from([-40.0, -5.0, 0.0, 5.0, 40.0, 170.0]),
+                                  min_size=n, max_size=n))
+        ids = data.draw(st.lists(st.text("abs0123", min_size=1, max_size=3),
+                                 min_size=n, max_size=n, unique=True))
+        servers = []
+        for sid, lon in zip(ids, lons):
+            total = data.draw(st.floats(min_value=1.0, max_value=500.0))
+            remaining = data.draw(st.floats(min_value=0.0, max_value=1.0)) * total
+            servers.append(_server(sid, lon, total=total, remaining=remaining))
+        client = BBoxClient(
+            id="c",
+            location=data.draw(st.just(GeoPoint(0, 0)) | geo_points),
+            links=(EdgeLink(id="c-l0", kind="wifi", uplink_mbps=1.0),),
+            origin_id="o1",
+        )
+        k = data.draw(st.integers(min_value=1, max_value=n + 1))
+        threshold = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
+        index = CandidateIndex(servers)
+        index.ranking(client)
+        # Loads change between epochs while the ranking is kept.
+        for server in data.draw(st.permutations(servers))[: n // 2]:
+            server.remaining_capacity_mbps = 0.0
+        got = candidate_subset(client, index, k, threshold)
+        assert got == filtered_then_sorted_candidates(client, servers, k, threshold)
