@@ -1,16 +1,22 @@
 """Command-line front end: generate scenarios, run simulations, compare policies.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error. All output
-files and stdout tables are byte-reproducible under fixed flags; set the
-BASS_SIM_LOG environment variable (DEBUG, INFO, ...) for log verbosity.
+Exit codes: 0 success; 2 a usage error (an unknown flag or policy, a value
+that does not parse, a `generate` shape flag out of range); 1 any other
+failure, as one `error:` line (a flag value its dataclass rejects, a bad
+input file, an I/O error). Model and sim flags are the fields of
+`NetModelParams` and `SimConfig` with `flag` metadata. All output files and
+stdout tables are byte-reproducible under fixed flags; set the BASS_SIM_LOG
+environment variable (DEBUG, INFO, ...) for log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 from .errors import BassError
@@ -22,12 +28,8 @@ from .metrics import (
     summarize,
     write_rows_csv,
 )
-from .scheduler import DEFAULT_EXACT_CAP
 from .sim import POLICY_NAMES, SimConfig, run_simulation
 from .topology import (
-    DEFAULT_K_CANDIDATES,
-    DEFAULT_LOAD_THRESHOLD,
-    DEFAULT_RESERVE_MBPS,
     DEFAULT_SERVER_CAPACITY_MBPS,
     NetModelParams,
     generate_scenario,
@@ -38,30 +40,24 @@ from .topology import (
 log = logging.getLogger(__name__)
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
 def _seed(text: str) -> int:
-    value = _nonneg_int(text)
-    if value >= 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+    value = _int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {value}")
     return value
 
 
@@ -74,74 +70,28 @@ def _policy_list(text: str) -> list[str]:
     return policies
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = NetModelParams()
-    group = parser.add_argument_group("network model")
-    group.add_argument("--base-path-mbps", type=float, default=defaults.base_path_mbps)
-    group.add_argument(
-        "--distance-decay", type=float, default=defaults.distance_decay_per_1000km,
-        help="bandwidth decay per 1000 km of path distance",
-    )
-    group.add_argument("--noise-sigma", type=float, default=defaults.noise_sigma)
-    group.add_argument("--wifi-mu", type=float, default=defaults.wifi_lognormal_mu)
-    group.add_argument("--wifi-sigma", type=float, default=defaults.wifi_lognormal_sigma)
-    group.add_argument(
-        "--cellular-range", type=float, nargs=2, metavar=("LOW", "HIGH"),
-        default=list(defaults.cellular_uplink_mbps_range),
-    )
-    group.add_argument(
-        "--direct-path-factor", type=float, default=defaults.direct_path_factor,
-        help="multiplier on client-to-origin paths (below 1.0 throttles direct uploads)",
-    )
-    group.add_argument("--wifi-links", type=_nonneg_int, default=defaults.wifi_links_per_client)
-    group.add_argument(
-        "--cellular-links", type=_nonneg_int, default=defaults.cellular_links_per_client
-    )
+def _add_field_flags(parser, cls) -> None:
+    """Add a flag for each field of `cls` whose metadata names one, parsed as
+    its annotation says (`bool` is a switch). `cls` checks the range."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if "flag" not in f.metadata:
+            continue
+        hint, meta = hints[f.name], f.metadata
+        parts = typing.get_args(hint) or (hint,)
+        if hint is bool:
+            how = {"action": "store_true"}
+        elif typing.get_origin(hint) is tuple:
+            how = {"type": parts[0], "nargs": len(parts), "metavar": meta["metavar"]}
+        else:
+            how = {"type": parts[0]}  # the X of `X | None` too
+        parser.add_argument(meta["flag"], default=f.default, help=meta.get("help"), **how)
 
 
-def _params_from_args(args: argparse.Namespace) -> NetModelParams:
-    return NetModelParams(
-        base_path_mbps=args.base_path_mbps,
-        distance_decay_per_1000km=args.distance_decay,
-        noise_sigma=args.noise_sigma,
-        wifi_lognormal_mu=args.wifi_mu,
-        wifi_lognormal_sigma=args.wifi_sigma,
-        cellular_uplink_mbps_range=tuple(args.cellular_range),
-        direct_path_factor=args.direct_path_factor,
-        wifi_links_per_client=args.wifi_links,
-        cellular_links_per_client=args.cellular_links,
-    )
-
-
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=_nonneg_int, default=10)
-    parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--arrival-rate", type=float, default=0.0,
-                        help="expected new clients per epoch")
-    parser.add_argument("--session-mean", type=float, default=None,
-                        help="mean session length in epochs (default: clients never leave)")
-    parser.add_argument("--k-candidates", type=_positive_int, default=DEFAULT_K_CANDIDATES)
-    parser.add_argument("--load-threshold", type=float, default=DEFAULT_LOAD_THRESHOLD)
-    parser.add_argument("--reserve-mbps", type=float, default=DEFAULT_RESERVE_MBPS)
-    parser.add_argument("--remeasure-noise", action="store_true",
-                        help="re-draw path noise every epoch")
-    parser.add_argument("--exact-cap", type=_positive_int, default=DEFAULT_EXACT_CAP,
-                        help="client cap for the exact solver")
-
-
-def _config_from_args(args: argparse.Namespace, policy: str) -> SimConfig:
-    return SimConfig(
-        epochs=args.epochs,
-        policy=policy,
-        arrival_rate=args.arrival_rate,
-        session_epochs_mean=args.session_mean,
-        k_candidates=args.k_candidates,
-        load_threshold=args.load_threshold,
-        reserve_mbps=args.reserve_mbps,
-        seed=args.seed,
-        remeasure_noise=args.remeasure_noise,
-        exact_cap=args.exact_cap,
-    )
+def _from_flags(cls, args: argparse.Namespace, **values):
+    """Build `cls` from `values` and its flag fields' values (`--a-b` is parsed into `a_b`)."""
+    return cls(**values, **{f.name: getattr(args, f.metadata["flag"][2:].replace("-", "_"))
+                            for f in dataclasses.fields(cls) if "flag" in f.metadata})
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -149,7 +99,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         args.clients,
         args.servers,
         args.origins,
-        _params_from_args(args),
+        _from_flags(NetModelParams, args),
         args.seed,
         server_capacity_mbps=args.server_capacity_mbps,
     )
@@ -168,7 +118,7 @@ def _fmt(value) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    config = _config_from_args(args, args.policy)
+    config = _from_flags(SimConfig, args, policy=args.policy)
     records = run_simulation(scenario, config)
     report = summarize(args.policy, records)
 
@@ -198,7 +148,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     results = {}
     for policy in policies:
-        config = _config_from_args(args, policy)
+        config = _from_flags(SimConfig, args, policy=policy)
         records = run_simulation(scenario, config)
         results[policy] = (records, summarize(policy, records))
 
@@ -268,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--server-capacity-mbps", type=float,
                        default=DEFAULT_SERVER_CAPACITY_MBPS)
-    _add_model_flags(p_gen)
+    _add_field_flags(p_gen.add_argument_group("network model"), NetModelParams)
     p_gen.set_defaults(func=cmd_generate)
 
     p_run = sub.add_parser("run", help="run one policy on a scenario")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--policy", choices=POLICY_NAMES, default="bass_greedy")
     p_run.add_argument("--out", required=True, help="output directory")
-    _add_sim_flags(p_run)
+    _add_field_flags(p_run, SimConfig)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several policies on the same scenario and seed")
@@ -283,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--policies", type=_policy_list, default="bass_greedy,random",
                        help="comma-separated policy names")
     p_cmp.add_argument("--out", default=None, help="optional output directory")
-    _add_sim_flags(p_cmp)
+    _add_field_flags(p_cmp, SimConfig)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rep = sub.add_parser("report", help="summarize a saved records.json")

@@ -36,9 +36,6 @@ from .scheduler import (
 )
 from .seeding import SeededStream, derive_seed, rng_for
 from .topology import (
-    DEFAULT_K_CANDIDATES,
-    DEFAULT_LOAD_THRESHOLD,
-    DEFAULT_RESERVE_MBPS,
     CandidateIndex,
     DistanceDecayNetwork,
     Scenario,
@@ -60,18 +57,34 @@ __all__ = [
 ]
 
 
+MAX_ARRIVAL_RATE = 10_000.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    epochs: int
+    """Settings of one simulation run.
+
+    A field with `flag` metadata is a `run`/`compare` option; its default
+    and range check are the field's own. `arrival_rate` is at most
+    `MAX_ARRIVAL_RATE`, 50 times the 200 of the largest benchmark workload:
+    an epoch's arrivals are all built in memory, and stay until they depart.
+    """
+
+    epochs: int = field(default=10, metadata={"flag": "--epochs"})
     policy: str = "bass_greedy"
-    arrival_rate: float = 0.0
-    session_epochs_mean: float | None = None
-    k_candidates: int = DEFAULT_K_CANDIDATES
-    load_threshold: float = DEFAULT_LOAD_THRESHOLD
-    reserve_mbps: float = DEFAULT_RESERVE_MBPS
-    seed: int = 0
-    remeasure_noise: bool = False
-    exact_cap: int = DEFAULT_EXACT_CAP
+    seed: int = field(default=0, metadata={"flag": "--seed"})
+    arrival_rate: float = field(default=0.0, metadata={
+        "flag": "--arrival-rate", "help": "expected new clients per epoch"})
+    session_epochs_mean: float | None = field(default=None, metadata={
+        "flag": "--session-mean",
+        "help": "mean session length in epochs (default: clients never leave)"})
+    k_candidates: int = field(default=3, metadata={"flag": "--k-candidates"})
+    load_threshold: float = field(default=0.1, metadata={"flag": "--load-threshold"})
+    reserve_mbps: float = field(default=50.0, metadata={"flag": "--reserve-mbps"})
+    remeasure_noise: bool = field(default=False, metadata={
+        "flag": "--remeasure-noise", "help": "re-draw path noise every epoch"})
+    exact_cap: int = field(default=DEFAULT_EXACT_CAP, metadata={
+        "flag": "--exact-cap", "help": "client cap for the exact solver"})
 
     def __post_init__(self) -> None:
         if not isinstance(self.epochs, int) or self.epochs < 0:
@@ -80,8 +93,12 @@ class SimConfig:
             raise ValidationError(
                 f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICY_NAMES)}"
             )
-        if not (math.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
-            raise ValidationError(f"arrival_rate must be non-negative, got {self.arrival_rate!r}")
+        if not (0 <= self.seed < 2**64):
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not (0 <= self.arrival_rate <= MAX_ARRIVAL_RATE):
+            raise ValidationError(
+                f"arrival_rate must be in [0, {MAX_ARRIVAL_RATE:g}], got {self.arrival_rate!r}"
+            )
         if self.session_epochs_mean is not None and not (
             math.isfinite(self.session_epochs_mean) and self.session_epochs_mean >= 1.0
         ):
@@ -94,8 +111,8 @@ class SimConfig:
             raise ValidationError(f"load_threshold must be in [0, 1], got {self.load_threshold!r}")
         if not (math.isfinite(self.reserve_mbps) and self.reserve_mbps >= 0):
             raise ValidationError(f"reserve_mbps must be non-negative, got {self.reserve_mbps!r}")
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not isinstance(self.exact_cap, int) or self.exact_cap < 1:
+            raise ValidationError(f"exact_cap must be >= 1, got {self.exact_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +204,7 @@ def new_state(scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork |
         active=active,
         arrival_epoch={cid: 0 for cid in active},
         next_client_index=len(scenario.clients),
-        used_ids=set(active),
+        used_ids={*active, *ledger.servers, *(o.id for o in scenario.origins)},
     )
 
 

@@ -40,9 +40,7 @@ WIFI_SUB_1MBPS_TARGET = 0.60
 DEFAULT_WIFI_SIGMA = 1.2
 
 DEFAULT_SERVER_CAPACITY_MBPS = 200.0
-DEFAULT_K_CANDIDATES = 3
-DEFAULT_LOAD_THRESHOLD = 0.1
-DEFAULT_RESERVE_MBPS = 50.0
+MAX_LINKS_PER_CLIENT = 64
 
 __all__ = [
     "NetModelParams",
@@ -58,9 +56,6 @@ __all__ = [
     "load_scenario",
     "CandidateIndex",
     "candidate_subset",
-    "DEFAULT_K_CANDIDATES",
-    "DEFAULT_LOAD_THRESHOLD",
-    "DEFAULT_RESERVE_MBPS",
     "DEFAULT_SERVER_CAPACITY_MBPS",
 ]
 
@@ -87,18 +82,28 @@ class NetModelParams:
     below 1.0 it emulates the poor edge-to-origin routing that makes
     relaying through well-peered cloud nodes attractive. Every client, in
     the scenario and among later arrivals, gets `wifi_links_per_client`
-    Wi-Fi and `cellular_links_per_client` cellular uplinks.
+    Wi-Fi and `cellular_links_per_client` cellular uplinks. A proxy box
+    bonds a handful; `MAX_LINKS_PER_CLIENT` caps the sum, as every link of
+    every client is built in memory.
+
+    A field with `flag` metadata is a `generate` option; its default and
+    range check are the field's own.
     """
 
-    base_path_mbps: float = 22.0
-    distance_decay_per_1000km: float = 1.0
-    noise_sigma: float = 0.5
-    wifi_lognormal_mu: float = wifi_mu_for_sub_1mbps(WIFI_SUB_1MBPS_TARGET, DEFAULT_WIFI_SIGMA)
-    wifi_lognormal_sigma: float = DEFAULT_WIFI_SIGMA
-    cellular_uplink_mbps_range: tuple[float, float] = (2.0, 8.0)
-    direct_path_factor: float = 1.0
-    wifi_links_per_client: int = 2
-    cellular_links_per_client: int = 1
+    base_path_mbps: float = field(default=22.0, metadata={"flag": "--base-path-mbps"})
+    distance_decay_per_1000km: float = field(default=1.0, metadata={
+        "flag": "--distance-decay", "help": "bandwidth decay per 1000 km of path distance"})
+    noise_sigma: float = field(default=0.5, metadata={"flag": "--noise-sigma"})
+    wifi_lognormal_mu: float = field(default=wifi_mu_for_sub_1mbps(
+        WIFI_SUB_1MBPS_TARGET, DEFAULT_WIFI_SIGMA), metadata={"flag": "--wifi-mu"})
+    wifi_lognormal_sigma: float = field(default=DEFAULT_WIFI_SIGMA, metadata={"flag": "--wifi-sigma"})
+    cellular_uplink_mbps_range: tuple[float, float] = field(default=(2.0, 8.0), metadata={
+        "flag": "--cellular-range", "metavar": ("LOW", "HIGH")})
+    direct_path_factor: float = field(default=1.0, metadata={
+        "flag": "--direct-path-factor",
+        "help": "multiplier on client-to-origin paths (below 1.0 throttles direct uploads)"})
+    wifi_links_per_client: int = field(default=2, metadata={"flag": "--wifi-links"})
+    cellular_links_per_client: int = field(default=1, metadata={"flag": "--cellular-links"})
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.base_path_mbps) and self.base_path_mbps > 0):
@@ -128,10 +133,11 @@ class NetModelParams:
                 f"direct_path_factor must be positive, got {self.direct_path_factor!r}"
             )
         wifi, cellular = self.wifi_links_per_client, self.cellular_links_per_client
-        if not all(isinstance(n, int) and n >= 0 for n in (wifi, cellular)) or wifi + cellular < 1:
+        if not (all(isinstance(n, int) and n >= 0 for n in (wifi, cellular))
+                and 1 <= wifi + cellular <= MAX_LINKS_PER_CLIENT):
             raise ValidationError(
                 "wifi_links_per_client and cellular_links_per_client must be non-negative "
-                f"integers with a sum of at least 1, got {wifi!r} and {cellular!r}"
+                f"integers with a sum in [1, {MAX_LINKS_PER_CLIENT}], got {wifi!r} and {cellular!r}"
             )
 
 
@@ -158,16 +164,16 @@ class Scenario:
             raise ValidationError("scenario needs at least one origin server")
         if not self.agg_servers:
             raise ValidationError("scenario needs at least one aggregation server")
-        for kind, entities in (
-            ("client", self.clients),
-            ("agg_server", self.agg_servers),
-            ("origin", self.origins),
-        ):
-            seen: set[str] = set()
-            for entity in entities:
-                if entity.id in seen:
-                    raise ValidationError(f"duplicate {kind} id {entity.id!r}")
-                seen.add(entity.id)
+        # A path's tag is "{client}/{link}->{relay or origin}", so an id used
+        # twice (even by two kinds) or holding a separator could share a tag.
+        seen: set[str] = set()
+        for entity in (*self.clients, *self.agg_servers, *self.origins):
+            if entity.id in seen:
+                raise ValidationError(f"duplicate id {entity.id!r}")
+            seen.add(entity.id)
+        for name in (*seen, *(link.id for client in self.clients for link in client.links)):
+            if "/" in name or "->" in name:
+                raise ValidationError(f"id {name!r} contains '/' or '->'")
         origin_ids = {origin.id for origin in self.origins}
         for client in self.clients:
             if client.origin_id not in origin_ids:
@@ -452,10 +458,7 @@ class CandidateIndex:
 
 
 def candidate_subset(
-    client: BBoxClient,
-    index: CandidateIndex,
-    k: int = DEFAULT_K_CANDIDATES,
-    load_threshold: float = DEFAULT_LOAD_THRESHOLD,
+    client: BBoxClient, index: CandidateIndex, k: int, load_threshold: float
 ) -> list[str]:
     """Candidate relay servers for one client: the k nearest, load-filtered.
 

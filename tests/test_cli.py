@@ -206,6 +206,9 @@ MALFORMED_SCENARIOS = {
     "latitude-string": (_set(["clients", 1, "location", "latitude"], "north"),
                         "scenario.clients['c0001'].location.latitude: expected a number"),
     "noise-overflow": (_set(["net_params", "noise_sigma"], 400.0), "noise_sigma"),
+    "relay-id-of-origin": (_set(["agg_servers", 0, "id"], "o0000"), "duplicate id 'o0000'"),
+    "link-id-separator": (_set(["clients", 0, "links", 0, "id"], "c0000->o0000"),
+                          "id 'c0000->o0000' contains"),
     "non-utf8": (b'{"seed": "\xff"}', "not readable as UTF-8 JSON"),
     "nested-too-deep": (b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
                         "not readable as UTF-8 JSON"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GainEntry, G
 from bass_sim.scheduler import RequestBatch, random_policy, solve_greedy
 from bass_sim.seeding import rng_for
 from bass_sim.sim import (
+    MAX_ARRIVAL_RATE,
     SimConfig,
     _poisson,
     hit_rate,
@@ -71,9 +73,17 @@ class TestSimConfig:
             SimConfig(epochs=1, session_epochs_mean=0.5)
 
     def test_rejects_bad_candidate_and_reserve_settings(self):
-        for bad in (dict(k_candidates=0), dict(load_threshold=1.5), dict(reserve_mbps=-1.0)):
+        for bad in (dict(k_candidates=0), dict(load_threshold=1.5), dict(reserve_mbps=-1.0),
+                    dict(exact_cap=0)):
             with pytest.raises(ValidationError):
                 SimConfig(epochs=1, **bad)
+
+    def test_arrival_rate_is_capped(self):
+        # Never run at such a rate: constructing the config is the test.
+        assert SimConfig(arrival_rate=MAX_ARRIVAL_RATE).arrival_rate == MAX_ARRIVAL_RATE
+        for bad in (math.nextafter(MAX_ARRIVAL_RATE, math.inf), 1e300, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="arrival_rate"):
+                SimConfig(arrival_rate=bad)
 
     def test_epochs_zero_allowed(self):
         assert SimConfig(epochs=0).epochs == 0
@@ -345,6 +355,21 @@ class TestRunSimulation:
             run_epoch(state)
         assert len(state.active) > len(scenario.clients)
         assert {len(client.links) for client in state.active.values()} == {1}
+
+    def test_arrivals_never_take_a_relay_or_origin_id(self):
+        # The next generated ids are c0003, c0004, ...; a loaded file may
+        # already use them for a relay or an origin.
+        scenario = generate_scenario(3, 2, 1, seed=5)
+        scenario = replace(
+            scenario,
+            agg_servers=(replace(scenario.agg_servers[0], id="c0003"), *scenario.agg_servers[1:]),
+            origins=(OriginServer(id="c0004", location=GeoPoint(0, 0)),),
+            clients=tuple(replace(c, origin_id="c0004") for c in scenario.clients),
+        )
+        state = new_state(scenario, SimConfig(epochs=1, seed=5, arrival_rate=5.0))
+        run_epoch(state)
+        assert len(state.active) > len(scenario.clients)
+        assert not {"c0003", "c0004"} & set(state.active)
 
     def test_gamma_in_unit_interval_with_candidates(self):
         scenario = generate_scenario(30, 4, 3, seed=6, server_capacity_mbps=60.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,11 @@ from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GeoPoint
 from bass_sim.seeding import SeededStream, rng_for
 from bass_sim.topology import (
     EARTH_RADIUS_KM,
+    MAX_LINKS_PER_CLIENT,
     WIFI_SUB_1MBPS_TARGET,
     CandidateIndex,
     NetModelParams,
+    Scenario,
     candidate_subset,
     decayed_bandwidth,
     generate_scenario,
@@ -163,6 +166,13 @@ class TestGenerateScenario:
             with pytest.raises(ValidationError, match="links_per_client"):
                 NetModelParams(wifi_links_per_client=wifi, cellular_links_per_client=cellular)
 
+    def test_link_mix_is_capped(self):
+        at_cap = NetModelParams(wifi_links_per_client=MAX_LINKS_PER_CLIENT - 1,
+                                cellular_links_per_client=1)
+        assert at_cap.wifi_links_per_client == MAX_LINKS_PER_CLIENT - 1
+        with pytest.raises(ValidationError, match="links_per_client"):
+            NetModelParams(wifi_links_per_client=MAX_LINKS_PER_CLIENT, cellular_links_per_client=1)
+
     def test_cellular_links_within_range(self):
         params = NetModelParams(cellular_uplink_mbps_range=(3.0, 4.0))
         scenario = generate_scenario(20, 2, 2, params, seed=2)
@@ -196,6 +206,23 @@ class TestScenarioFiles:
         data["agg_servers"][1]["id"] = data["agg_servers"][0]["id"]
         with pytest.raises(ScenarioFormatError, match="s0000"):
             load_scenario(self._dump(tmp_path, data))
+
+    @pytest.mark.parametrize("bad_id", ["o0000", "c0001", "s/0", "s->0"])
+    def test_relay_id_shared_with_another_kind_or_holding_a_separator(self, bad_id):
+        # A relay named like the origin would share the direct path's tag,
+        # cached value and noise draw.
+        scenario = generate_scenario(2, 2, 1, seed=0)
+        relays = (replace(scenario.agg_servers[0], id=bad_id), *scenario.agg_servers[1:])
+        with pytest.raises(ValidationError, match="duplicate id|contains"):
+            replace(scenario, agg_servers=relays)
+
+    def test_link_id_holding_a_separator(self):
+        scenario = generate_scenario(2, 2, 1, seed=0)
+        client = scenario.clients[0]
+        links = (replace(client.links[0], id="c0000/wifi0"), *client.links[1:])
+        clients = (replace(client, links=links), *scenario.clients[1:])
+        with pytest.raises(ValidationError, match="contains"):
+            replace(scenario, clients=clients)
 
     def test_missing_origin_reference_named(self, tmp_path):
         data = encode(generate_scenario(2, 2, 1, seed=0))
