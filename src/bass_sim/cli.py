@@ -1,11 +1,13 @@
 """Command-line front end: generate scenarios, run simulations, compare policies.
 
 Exit codes: 0 success; 2 a usage error (an unknown flag or policy, a value
-that does not parse, a `generate` shape flag out of range); 1 any other
-failure, as one `error:` line (a flag value its dataclass rejects, a bad
-input file, an I/O error). Model and sim flags are the fields of
-`NetModelParams` and `SimConfig` with `flag` metadata. All output files and
-stdout tables are byte-reproducible under fixed flags; set the BASS_SIM_LOG
+that does not parse); 1 any other failure, as one `error:` line (a flag
+value out of range, a bad input file, an I/O error). Model and sim flags
+are the fields of `NetModelParams` and `SimConfig` with `flag` metadata;
+`generate_scenario` and `Scenario.validate` check `generate`'s shape flags.
+argparse reads a negative value in exponent notation, such as `-1e3`, as an
+option, so write it as `--wifi-mu=-1e3`. All output files and stdout
+tables are byte-reproducible under fixed flags; set the BASS_SIM_LOG
 environment variable (DEBUG, INFO, ...) for log verbosity.
 """
 
@@ -38,27 +40,6 @@ from .topology import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {value}")
-    return value
 
 
 def _policy_list(text: str) -> list[str]:
@@ -211,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic scenario file")
-    p_gen.add_argument("--clients", type=_positive_int, default=60)
-    p_gen.add_argument("--servers", type=_positive_int, default=8)
-    p_gen.add_argument("--origins", type=_positive_int, default=10)
-    p_gen.add_argument("--seed", type=_seed, default=0)
+    p_gen.add_argument("--clients", type=int, default=60)
+    p_gen.add_argument("--servers", type=int, default=8)
+    p_gen.add_argument("--origins", type=int, default=10)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--server-capacity-mbps", type=float,
                        default=DEFAULT_SERVER_CAPACITY_MBPS)

@@ -15,11 +15,10 @@ import json
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .codec import encode, load_json
 from .errors import RecordsFormatError, ValidationError
-from .scheduler import AllocationPlan, Assignment
 from .sim import ClientEpochRecord, EpochRecord
 
 __all__ = [
@@ -142,7 +141,7 @@ def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
         multiplier_max=max(multipliers_filtered) if multipliers_filtered else None,
         multiplier_cdf=tuple(cdf(multipliers_filtered)) if multipliers_filtered else (),
         multiplier_mean_all=_mean(multipliers_all) if multipliers_all else None,
-        objective_series=tuple(record.plan.objective_mbps for record in records),
+        objective_series=tuple(record.objective_mbps for record in records),
     )
 
 
@@ -163,8 +162,6 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
                     value = ";".join(f"{v!r}:{f!r}" for v, f in value)
                 elif key == "objective_series":
                     value = ";".join(repr(v) for v in value)
-                elif value is None:
-                    value = ""
                 writer.writerow([key, value])
     else:
         raise ValidationError(f"unknown report format {format!r}; use 'csv' or 'json'")
@@ -175,76 +172,37 @@ def load_report(path) -> SummaryReport:
     return load_json(SummaryReport, path, "report", ValidationError)
 
 
-def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> list[dict]:
-    """Flat per-client rows in the documented column order."""
-    rows = []
-    for record in records:
-        for c in record.clients:
-            rows.append(
-                {
-                    "policy": policy,
-                    "epoch": record.epoch_t,
-                    "client_id": c.client_id,
-                    "server_id": c.server_id,
-                    "b_baseline_mbps": c.b_baseline_mbps,
-                    "b_achieved_mbps": c.b_achieved_mbps,
-                    "gain_mbps": c.gain_mbps,
-                    "gamma": c.gamma,
-                }
-            )
-    return rows
+def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> list[tuple]:
+    """Flat per-client rows, their values in `PER_CLIENT_COLUMNS` order."""
+    return [
+        (policy, record.epoch_t, c.client_id, c.server_id, c.b_baseline_mbps,
+         c.b_achieved_mbps, c.gain_mbps, c.gamma)
+        for record in records
+        for c in record.clients
+    ]
 
 
-def write_rows_csv(rows: Sequence[dict], path) -> None:
+def write_rows_csv(rows: Iterable[tuple], path) -> None:
+    """Write rows under the `PER_CLIENT_COLUMNS` header; csv writes None as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=PER_CLIENT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for key in ("server_id", "gamma"):
-                if out[key] is None:
-                    out[key] = ""
-            writer.writerow(out)
-
-
-@dataclass(frozen=True)
-class _EpochRow:
-    """One epoch of records.json: an EpochRecord with its plan inlined."""
-
-    epoch_t: int
-    objective_mbps: float
-    assignments: Mapping[str, Assignment]
-    clients: tuple[ClientEpochRecord, ...]
-    server_load_rates: Mapping[str, float]
-    n_active: int
+        writer = csv.writer(fh)
+        writer.writerow(PER_CLIENT_COLUMNS)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
 class _RecordsFile:
     policy: str
-    epochs: tuple[_EpochRow, ...]
+    epochs: tuple[EpochRecord, ...]
 
 
 def save_records(policy: str, records: Sequence[EpochRecord], path) -> None:
-    rows = tuple(
-        _EpochRow(
-            r.epoch_t, r.plan.objective_mbps, r.plan.assignments, r.clients,
-            r.server_load_rates, r.n_active,
-        )
-        for r in records
-    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(encode(_RecordsFile(policy, rows)), fh, indent=2, sort_keys=True)
+        json.dump(encode(_RecordsFile(policy, tuple(records))), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_records(path) -> tuple[str, list[EpochRecord]]:
     """Load and type-check a records.json; load(save(r)) == r."""
     data = load_json(_RecordsFile, path, "records", RecordsFormatError)
-    return data.policy, [
-        EpochRecord(
-            row.epoch_t, AllocationPlan(row.assignments, row.objective_mbps), row.clients,
-            row.server_load_rates, row.n_active,
-        )
-        for row in data.epochs
-    ]
+    return data.policy, list(data.epochs)

@@ -53,7 +53,9 @@ __all__ = [
 class PathOracle(Protocol):
     """Bandwidth measurements the scheduler needs from the network layer."""
 
-    def subflow_bandwidths(self, client: BBoxClient, server: AggregationServer) -> list[float]: ...
+    def subflow_bandwidths(
+        self, client: BBoxClient, server: AggregationServer
+    ) -> tuple[float, ...]: ...
 
     def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float: ...
 

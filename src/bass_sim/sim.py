@@ -25,7 +25,7 @@ from typing import Mapping
 from .errors import ValidationError
 from .model import BBoxClient, baseline_bandwidth
 from .scheduler import (
-    AllocationPlan,
+    Assignment,
     AssignmentLedger,
     DEFAULT_EXACT_CAP,
     RequestBatch,
@@ -133,8 +133,12 @@ class ClientEpochRecord:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch's outcome: the applied plan's objective and assignments, and
+    its per-client records. It is also one epoch of records.json."""
+
     epoch_t: int
-    plan: AllocationPlan
+    objective_mbps: float
+    assignments: Mapping[str, Assignment]
     clients: tuple[ClientEpochRecord, ...]
     server_load_rates: Mapping[str, float]
     n_active: int
@@ -333,7 +337,8 @@ def run_epoch(state: SimState) -> EpochRecord:
 
     record = EpochRecord(
         epoch_t=t,
-        plan=plan,
+        objective_mbps=plan.objective_mbps,
+        assignments=plan.assignments,
         clients=tuple(records),
         server_load_rates={
             sid: server.load_rate for sid, server in sorted(state.ledger.servers.items())

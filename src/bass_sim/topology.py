@@ -164,8 +164,9 @@ class Scenario:
             raise ValidationError("scenario needs at least one origin server")
         if not self.agg_servers:
             raise ValidationError("scenario needs at least one aggregation server")
-        # A path's tag is "{client}/{link}->{relay or origin}", so an id used
-        # twice (even by two kinds) or holding a separator could share a tag.
+        # Paths are cached by these ids and draw their noise under the tag
+        # "{client}/{link}->{relay or origin}", so an id used twice (even by
+        # two kinds) or holding a separator would share a value or a draw.
         seen: set[str] = set()
         for entity in (*self.clients, *self.agg_servers, *self.origins):
             if entity.id in seen:
@@ -224,23 +225,25 @@ def path_bandwidth(
 
 @dataclass(slots=True)
 class _ClientPaths:
-    """One client's measured paths, and its noise-free decays, kept for its lifetime.
+    """One client's paths, keyed by destination id (a relay or its origin).
 
-    `decays` is keyed by relay id, and by None for the client's origin.
+    `decays` holds each path's noise-free decay for the client's lifetime;
+    `links` holds its per-link values under the current noise epoch.
     """
 
-    decays: dict[str | None, float] = field(default_factory=dict)
-    paths: dict[str, float] = field(default_factory=dict)
+    decays: dict[str, float] = field(default_factory=dict)
+    links: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
 
 class DistanceDecayNetwork:
     """Path-bandwidth oracle over a scenario's geometry.
 
     Each path's noise-free decay is computed once per (source, destination)
-    pair and kept; its measured value, the decay times the noise factor, is
-    cached per edge tag. With `noise_epoch` unset the whole network is
+    id pair and kept; its measured value, the decay times the noise factor,
+    is cached by the same ids. The edge tag only labels the noise draw and
+    is built on a miss. With `noise_epoch` unset the whole network is
     static, which is the reproducibility default. Setting a noise epoch
-    mixes it into the noise key so each epoch re-measures fresh values. A
+    mixes it into the tag so each epoch re-measures fresh values. A
     client's decays and paths are kept until `forget`.
     """
 
@@ -256,15 +259,15 @@ class DistanceDecayNetwork:
         self._noise = SeededStream(seed, "path-noise")
         self._clients: dict[str, _ClientPaths] = {}
         self._relay_decays: dict[tuple[str, str], float] = {}
-        self._relay_paths: dict[str, float] = {}
+        self._relay_paths: dict[tuple[str, str], float] = {}
         self.remeasure(noise_epoch)
 
     def remeasure(self, noise_epoch: int | None) -> None:
-        """Re-draw path noise; paths measured under other epochs are never read again."""
+        """Re-draw path noise; values measured under other epochs are dropped."""
         self.noise_epoch = noise_epoch
         self._suffix = "" if noise_epoch is None else f"@{noise_epoch}"
         for client in self._clients.values():
-            client.paths.clear()
+            client.links.clear()
         self._relay_paths.clear()
 
     def forget(self, client_id: str) -> None:
@@ -275,67 +278,53 @@ class DistanceDecayNetwork:
     def for_scenario(cls, scenario: Scenario) -> "DistanceDecayNetwork":
         return cls(scenario.net_params, scenario.seed, {o.id: o for o in scenario.origins})
 
-    def _origin(self, origin_id: str) -> OriginServer:
-        try:
-            return self._origins[origin_id]
-        except KeyError:
-            raise ValidationError(f"unknown origin server {origin_id!r}") from None
-
-    def _client(self, client_id: str) -> _ClientPaths:
-        entry = self._clients.get(client_id)
+    def _link_bandwidths(
+        self, client: BBoxClient, dest: AggregationServer | OriginServer, factor: float
+    ) -> tuple[float, ...]:
+        """Per link, min(uplink, factor × path) from the client to `dest`, measured on a miss."""
+        entry = self._clients.get(client.id)
         if entry is None:
-            entry = self._clients[client_id] = _ClientPaths()
-        return entry
-
-    def _measured(
-        self, paths: dict, tag: str, decays: dict, key, src: GeoPoint, dst: GeoPoint
-    ) -> float:
-        """The path's value under the current noise epoch, from its cached decay on a miss."""
-        value = paths.get(tag)
-        if value is None:
-            decay = decays.get(key)
+            entry = self._clients[client.id] = _ClientPaths()
+        values = entry.links.get(dest.id)
+        if values is None:
+            decay = entry.decays.get(dest.id)
             if decay is None:
-                decay = decays[key] = decayed_bandwidth(src, dst, self.params)
-            value = paths[tag] = path_bandwidth(decay, self.params, self._noise, tag)
-        return value
-
-    def subflow_bandwidths(self, client: BBoxClient, server: AggregationServer) -> list[float]:
-        """Per-link deliverable subflow bandwidth from client to server."""
-        entry = self._client(client.id)
-        return [
-            min(
-                link.uplink_mbps,
-                self._measured(
-                    entry.paths, f"{client.id}/{link.id}->{server.id}{self._suffix}",
-                    entry.decays, server.id, client.location, server.location,
-                ),
+                decay = decayed_bandwidth(client.location, dest.location, self.params)
+                entry.decays[dest.id] = decay
+            values = entry.links[dest.id] = tuple(
+                min(
+                    link.uplink_mbps,
+                    factor * path_bandwidth(
+                        decay, self.params, self._noise,
+                        f"{client.id}/{link.id}->{dest.id}{self._suffix}",
+                    ),
+                )
+                for link in client.links
             )
-            for link in client.links
-        ]
+        return values
+
+    def subflow_bandwidths(self, client: BBoxClient, server: AggregationServer) -> tuple[float, ...]:
+        """Per-link deliverable subflow bandwidth from client to server."""
+        return self._link_bandwidths(client, server, 1.0)
 
     def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float:
-        return self._measured(
-            self._relay_paths, f"{server.id}->{origin_id}{self._suffix}",
-            self._relay_decays, (server.id, origin_id),
-            server.location, self._origin(origin_id).location,
-        )
-
-    def direct_link_bandwidths(self, client: BBoxClient) -> list[float]:
-        """Per-link bandwidth on the client's own path to its origin."""
-        entry = self._client(client.id)
-        origin = self._origin(client.origin_id)
-        factor = self.params.direct_path_factor
-        return [
-            min(
-                link.uplink_mbps,
-                factor
-                * self._measured(
-                    entry.paths, f"{client.id}/{link.id}->{client.origin_id}{self._suffix}",
-                    entry.decays, None, client.location, origin.location,
-                ),
+        key = (server.id, origin_id)
+        value = self._relay_paths.get(key)
+        if value is None:
+            decay = self._relay_decays.get(key)
+            if decay is None:
+                decay = self._relay_decays[key] = decayed_bandwidth(
+                    server.location, self._origins[origin_id].location, self.params
+                )
+            value = self._relay_paths[key] = path_bandwidth(
+                decay, self.params, self._noise, f"{server.id}->{origin_id}{self._suffix}"
             )
-            for link in client.links
-        ]
+        return value
+
+    def direct_link_bandwidths(self, client: BBoxClient) -> tuple[float, ...]:
+        """Per-link bandwidth on the client's own path to its origin."""
+        origin = self._origins[client.origin_id]
+        return self._link_bandwidths(client, origin, self.params.direct_path_factor)
 
 
 def _sample_point(rng) -> GeoPoint:

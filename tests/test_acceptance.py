@@ -95,7 +95,7 @@ def test_criterion_3_feasibility_and_conservation(capsys):
         for _ in range(10_000):
             record = run_epoch(state)
             per_server: dict[str, list[float]] = {}
-            for a in record.plan.assignments.values():
+            for a in record.assignments.values():
                 per_server.setdefault(a.server_id, []).append(a.demand_mbps)
             for sid, demands in per_server.items():
                 bound = state.ledger.initial_remaining(sid) - config.reserve_mbps

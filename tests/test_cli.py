@@ -35,9 +35,10 @@ class TestGenerate:
         assert main(["generate", "--seed", "1", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_clients_is_usage_error(self, tmp_path):
+    # An out-of-range --clients is one error line: see test_cli_flags.
+    def test_clients_that_do_not_parse_are_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["generate", "--clients", "0", "--out", str(tmp_path / "x.json")])
+            main(["generate", "--clients", "1.5", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
 

@@ -218,6 +218,34 @@ def test_out_of_range_flag_is_one_error_line(name, flag, tmp_path, capsys):
     _assert_one_error_line(capsys, name)
 
 
+# One out-of-range value per `generate` shape flag: (what the error names,
+# flag and value). `generate_scenario` and `Scenario.validate` check them.
+BAD_SHAPE_VALUES = [
+    ("n_clients", ["--clients", "0"]),
+    ("m_servers", ["--servers", "0"]),
+    ("k_origins", ["--origins", "0"]),
+    ("seed", ["--seed", "-1"]),
+    ("seed", ["--seed", str(2**64)]),
+    ("server_capacity_mbps", ["--server-capacity-mbps", "0"]),
+]
+
+
+@pytest.mark.parametrize("name, flag", BAD_SHAPE_VALUES,
+                         ids=["generate " + " ".join(flag) for _, flag in BAD_SHAPE_VALUES])
+def test_out_of_range_shape_flag_is_one_error_line(name, flag, tmp_path, capsys):
+    out = tmp_path / "scenario.json"
+    assert main(["generate", "--clients", "3", "--out", str(out), *flag]) == 1
+    assert not out.exists()
+    _assert_one_error_line(capsys, name)
+
+
+def test_negative_exponent_value_is_written_with_equals(tmp_path):
+    # argparse reads a separate "-1e3" as an option, so the value follows "=".
+    out = tmp_path / "scenario.json"
+    assert main(["generate", "--clients", "3", "--out", str(out), "--wifi-mu=-1e3"]) == 0
+    assert load_scenario(out).net_params.wifi_lognormal_mu == -1000.0
+
+
 # Text for a flag value: valid, at a boundary, negative, nan, inf, not a
 # number, or huge. Epochs stay at 4 or fewer and arrival rates at 5 or fewer
 # unless above the cap, so that no example runs or allocates without bound.

@@ -74,7 +74,7 @@ class TestSummarize:
 
     def test_objective_series_matches_plans(self, sample_run):
         report = summarize("bass_greedy", sample_run)
-        assert report.objective_series == tuple(r.plan.objective_mbps for r in sample_run)
+        assert report.objective_series == tuple(r.objective_mbps for r in sample_run)
 
     def test_counts_are_consistent(self, sample_run):
         report = summarize("bass_greedy", sample_run)

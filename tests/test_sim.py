@@ -16,7 +16,7 @@ from bass_sim.sim import (
     run_epoch,
     run_simulation,
 )
-from bass_sim.topology import NetModelParams, Scenario, generate_scenario
+from bass_sim.topology import DistanceDecayNetwork, NetModelParams, Scenario, generate_scenario
 
 from oracles import brute_force_optimum
 
@@ -53,12 +53,28 @@ def one_server_scenario(clients, total_mbps, params=None, seed=0):
     )
 
 
-def _path_tags(net):
-    """Every edge tag a network holds a measured path for."""
-    tags = list(net._relay_paths)
-    for client in net._clients.values():
-        tags.extend(client.paths)
-    return tags
+def _cached_values(net):
+    """How many measured values a network holds: each cached link value and relay path."""
+    links = sum(len(values) for client in net._clients.values() for values in client.links.values())
+    return links + len(net._relay_paths)
+
+
+def _assert_cache_is_fresh(state):
+    """Every cached link tuple and relay path equals what a new network measures now."""
+    scenario, net = state.scenario, state.net
+    fresh = DistanceDecayNetwork(
+        scenario.net_params, scenario.seed, {o.id: o for o in scenario.origins}, net.noise_epoch
+    )
+    servers = state.ledger.servers
+    for client_id, paths in net._clients.items():
+        client = state.active[client_id]
+        for dest_id, values in paths.links.items():
+            if dest_id == client.origin_id:
+                assert values == fresh.direct_link_bandwidths(client)
+            else:
+                assert values == fresh.subflow_bandwidths(client, servers[dest_id])
+    for (server_id, origin_id), value in net._relay_paths.items():
+        assert value == fresh.server_origin_bandwidth(servers[server_id], origin_id)
 
 
 class TestSimConfig:
@@ -182,7 +198,7 @@ class TestRunEpoch:
         scenario = one_server_scenario([client_with_links("c0", (2.0, 3.0))], total_mbps=50.0)
         config = SimConfig(epochs=1, policy="bass_greedy", reserve_mbps=0.0, seed=0)
         (record,) = run_simulation(scenario, config)
-        assert record.plan.objective_mbps == 2.0
+        assert record.objective_mbps == 2.0
         (client_record,) = record.clients
         assert client_record.server_id == "s0"
         assert client_record.b_baseline_mbps == 3.0
@@ -193,7 +209,8 @@ class TestRunEpoch:
         scenario = generate_scenario(6, 3, 2, seed=21, server_capacity_mbps=500.0)
         config = SimConfig(epochs=4, policy="bass_greedy", seed=21)
         records = run_simulation(scenario, config)
-        assert all(r.plan == records[0].plan for r in records[1:])
+        plans = [(r.objective_mbps, r.assignments) for r in records]
+        assert all(plan == plans[0] for plan in plans[1:])
 
     def test_competition_leaves_weakest_on_direct_path(self):
         # Server fits 16 + 12 but not 20: the optimal plan assigns the two
@@ -207,10 +224,10 @@ class TestRunEpoch:
         scenario = one_server_scenario(clients, total_mbps=30.0, params=flat_params(base=1000.0))
         config = SimConfig(epochs=1, policy="bass_exact", reserve_mbps=0.0, seed=0)
         (record,) = run_simulation(scenario, config)
-        assert {c: a.server_id for c, a in record.plan.assignments.items()} == {
+        assert {c: a.server_id for c, a in record.assignments.items()} == {
             "cB": "s0", "cC": "s0",
         }
-        assert record.plan.objective_mbps == 14.0
+        assert record.objective_mbps == 14.0
         by_id = {c.client_id: c for c in record.clients}
         assert by_id["cA"].server_id is None
         assert by_id["cA"].b_achieved_mbps == 10.0
@@ -239,7 +256,7 @@ class TestRunEpoch:
         assert client_record.candidate_count == 0
         assert client_record.gamma is None
         assert client_record.b_achieved_mbps == 3.0
-        assert record.plan.assignments == {}
+        assert record.assignments == {}
 
     def test_epoch_protocol_matches_exact_solver(self):
         # The epoch's applied plan must equal what the exact solver (checked
@@ -268,8 +285,8 @@ class TestRunEpoch:
         batch = RequestBatch.build(0, entries)
         capacities = {sid: s.total_capacity_mbps for sid, s in state2.ledger.servers.items()}
         expected_obj, expected_assign = brute_force_optimum(batch, capacities, config.reserve_mbps)
-        assert record.plan.objective_mbps == expected_obj
-        assert {c: a.server_id for c, a in record.plan.assignments.items()} == expected_assign
+        assert record.objective_mbps == expected_obj
+        assert {c: a.server_id for c, a in record.assignments.items()} == expected_assign
 
 
 class TestRunSimulation:
@@ -319,12 +336,13 @@ class TestRunSimulation:
         sizes = []
         for t in range(config.epochs):
             record = run_epoch(state)
-            tags = _path_tags(state.net)
-            assert all(tag.endswith(f"@{t}") for tag in tags)
+            assert state.net.noise_epoch == t
+            _assert_cache_is_fresh(state)
             # 3 links per client: one direct path each plus one per candidate,
             # and one path per server-origin pair.
-            assert len(tags) <= record.n_active * 3 * (1 + config.k_candidates) + 3 * 2
-            sizes.append(len(tags))
+            size = _cached_values(state.net)
+            assert size <= record.n_active * 3 * (1 + config.k_candidates) + 3 * 2
+            sizes.append(size)
         assert max(sizes[500:]) <= 2 * max(sizes[:100])
 
     @pytest.mark.parametrize("remeasure_noise", [False, True])
@@ -344,7 +362,7 @@ class TestRunSimulation:
             clients_seen |= set(state.active)
             assert set(state.candidates._rankings) == set(state.active)
             assert set(state.net._clients) == set(state.active)
-            assert len(_path_tags(state.net)) <= record.n_active * 3 * (1 + 3) + 3 * 2
+            assert _cached_values(state.net) <= record.n_active * 3 * (1 + 3) + 3 * 2
         assert len(clients_seen) > 5 * len(state.active)
 
     def test_arrivals_get_the_scenario_link_mix(self):
@@ -402,7 +420,7 @@ class TestRunSimulation:
                 assert server.remaining_capacity_mbps == expected
             # Feasibility of the applied plan against solve-time capacity.
             per_server = {}
-            for a in record.plan.assignments.values():
+            for a in record.assignments.values():
                 per_server.setdefault(a.server_id, []).append(a.demand_mbps)
             for sid, demands in per_server.items():
                 bound = state.ledger.initial_remaining(sid) - config.reserve_mbps
