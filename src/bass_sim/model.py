@@ -93,9 +93,13 @@ class BBoxClient:
             raise ValidationError(f"client {self.id!r} has duplicate link ids")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregationServer:
-    """Cloud relay with total and remaining bandwidth capacity."""
+    """Cloud relay with its total capacity and the part of it free when a run starts.
+
+    A run never writes a server: the load of the plan in force is derived
+    from the assignments an `AssignmentLedger` holds.
+    """
 
     id: str
     location: GeoPoint
@@ -103,9 +107,6 @@ class AggregationServer:
     remaining_capacity_mbps: float
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         total = self.total_capacity_mbps
         if not (isinstance(total, (int, float)) and math.isfinite(total) and total > 0):
             raise ValidationError(
@@ -118,11 +119,6 @@ class AggregationServer:
             raise ValidationError(
                 f"server {self.id!r} remaining capacity {remaining!r} exceeds total {total!r}"
             )
-
-    @property
-    def load_rate(self) -> float:
-        """Remaining over total capacity, in [0, 1]. 1.0 means idle."""
-        return self.remaining_capacity_mbps / self.total_capacity_mbps
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ produce bit-equal objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import BatchTooLargeError, CapacityConflictError, ValidationError
@@ -105,9 +105,6 @@ class RequestBatch:
         """Number of requesting clients."""
         return len(self.entries)
 
-    def client_ids(self) -> list[str]:
-        return sorted(self.entries)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -120,25 +117,23 @@ class Assignment:
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Solver output: at most one assignment per client, plus the objective."""
+    """Solver output: at most one assignment per client, ordered by client id.
+
+    The objective is derived here, as the running sum of the gains in
+    client-id order, and cannot be passed in, so equal plans always carry
+    bit-equal objectives.
+    """
 
     assignments: Mapping[str, Assignment]
-    objective_mbps: float
+    objective_mbps: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", dict(sorted(self.assignments.items())))
-
-    @staticmethod
-    def objective_of(assignments: Mapping[str, Assignment]) -> float:
-        """Canonical objective: running sum of gains in client-id order."""
+        assignments = dict(sorted(self.assignments.items()))
+        object.__setattr__(self, "assignments", assignments)
         total = 0.0
-        for client_id in sorted(assignments):
-            total += assignments[client_id].gain_mbps
-        return total
-
-    @classmethod
-    def from_assignments(cls, assignments: Mapping[str, Assignment]) -> "AllocationPlan":
-        return cls(assignments=assignments, objective_mbps=cls.objective_of(assignments))
+        for assignment in assignments.values():
+            total += assignment.gain_mbps
+        object.__setattr__(self, "objective_mbps", total)
 
 
 def measure_gains(
@@ -218,7 +213,7 @@ def solve_greedy(
                 gain_mbps=entry.gain_mbps,
             )
             usable[entry.server_id] -= entry.b_via_mbps
-    return AllocationPlan.from_assignments(assignments)
+    return AllocationPlan(assignments)
 
 
 def solve_exact(
@@ -245,7 +240,7 @@ def solve_exact(
             "use solve_greedy for batches this size"
         )
     usable = _usable_capacity(batch, capacities, reserve_mbps)
-    client_ids = batch.client_ids()
+    client_ids = list(batch.entries)
     # Positive-gain candidates only: a zero or negative gain can never beat
     # leaving the client unassigned, and unassigned wins the tie-break.
     options: list[list[GainEntry]] = [
@@ -311,7 +306,7 @@ def solve_exact(
         for i, entry in enumerate(best_choices)
         if entry is not None
     }
-    return AllocationPlan.from_assignments(assignments)
+    return AllocationPlan(assignments)
 
 
 def random_policy(
@@ -329,8 +324,8 @@ def random_policy(
     usable = _usable_capacity(batch, capacities, reserve_mbps)
     rng = rng_for(seed, "random-policy")
     assignments: dict[str, Assignment] = {}
-    for client_id in batch.client_ids():
-        feasible = [e for e in batch.entries[client_id] if e.b_via_mbps <= usable[e.server_id]]
+    for client_id, group in batch.entries.items():
+        feasible = [e for e in group if e.b_via_mbps <= usable[e.server_id]]
         if not feasible:
             continue
         entry = feasible[rng.randrange(len(feasible))]
@@ -340,93 +335,74 @@ def random_policy(
             gain_mbps=entry.gain_mbps,
         )
         usable[entry.server_id] -= entry.b_via_mbps
-    return AllocationPlan.from_assignments(assignments)
+    return AllocationPlan(assignments)
 
 
 class AssignmentLedger:
-    """Active assignments plus the capacity bookkeeping derived from them.
+    """The assignments in force; remaining capacity and load derive from them.
 
-    Owns the mutable server set for a simulation. Remaining capacity is
-    never mutated incrementally: on every change it is recomputed from the
-    server's initial remaining value by subtracting the recorded demands in
-    application order. Releasing everything therefore restores the initial
-    capacity vector bit-for-bit, and the recorded demands always replay to
-    the current remaining value exactly.
+    `capacities` holds each server's remaining capacity when the run
+    starts, which is what every solve sees. `remaining()` replays the held
+    demands from it in application order, so releasing everything restores
+    the starting vector bit-for-bit. Servers are never written.
     """
 
     def __init__(self, servers: Iterable[AggregationServer], reserve_mbps: float) -> None:
         self.reserve_mbps = reserve_mbps
-        self.servers: dict[str, AggregationServer] = {}
-        self._initial_remaining: dict[str, float] = {}
-        self._per_server: dict[str, dict[str, float]] = {}
-        for server in servers:
-            self.servers[server.id] = server
-            self._initial_remaining[server.id] = server.remaining_capacity_mbps
-            self._per_server[server.id] = {}
+        self.servers = {server.id: server for server in servers}
+        self.capacities = {sid: s.remaining_capacity_mbps for sid, s in self.servers.items()}
         self._by_client: dict[str, Assignment] = {}
 
     def assignment_of(self, client_id: str) -> Assignment | None:
         return self._by_client.get(client_id)
 
-    def active_assignments(self) -> dict[str, Assignment]:
-        return dict(self._by_client)
+    def remaining(self) -> dict[str, float]:
+        """Each server's free capacity under the held assignments."""
+        remaining = dict(self.capacities)
+        for assignment in self._by_client.values():
+            remaining[assignment.server_id] -= assignment.demand_mbps
+        return remaining
 
-    def demands_on(self, server_id: str) -> list[float]:
-        """Recorded demands for one server, in application order."""
-        return list(self._per_server[server_id].values())
-
-    def initial_remaining(self, server_id: str) -> float:
-        return self._initial_remaining[server_id]
-
-    def _recompute(self, server_id: str) -> None:
-        remaining = self._initial_remaining[server_id]
-        for demand in self._per_server[server_id].values():
-            remaining -= demand
-        self.servers[server_id].remaining_capacity_mbps = remaining
+    def load_rates(self) -> dict[str, float]:
+        """Remaining over total capacity, by server id: 1.0 means idle."""
+        remaining = self.remaining()
+        return {
+            sid: remaining[sid] / self.servers[sid].total_capacity_mbps for sid in sorted(remaining)
+        }
 
     def apply(self, plan: AllocationPlan) -> None:
-        """Record a plan's assignments and update remaining capacities.
+        """Record a plan's assignments.
 
-        Validates the whole plan against current capacities first; a plan
-        that no longer fits (stale capacities, double assignment) raises
-        CapacityConflictError and nothing is applied.
+        Validates the whole plan against the remaining capacities first; a
+        plan that no longer fits (stale capacities, double assignment)
+        raises CapacityConflictError and nothing is applied.
         """
-        trial: dict[str, float] = {}
+        remaining = self.remaining()
         for client_id, assignment in plan.assignments.items():
             if client_id in self._by_client:
                 raise CapacityConflictError(
                     f"client {client_id!r} already holds an assignment; release it first"
                 )
-            if assignment.server_id not in self.servers:
-                raise ValidationError(f"plan references unknown server {assignment.server_id!r}")
             server_id = assignment.server_id
-            remaining = trial.get(server_id, self.servers[server_id].remaining_capacity_mbps)
+            if server_id not in remaining:
+                raise ValidationError(f"plan references unknown server {server_id!r}")
+            free = remaining[server_id]
             demand = assignment.demand_mbps
-            if demand > remaining - self.reserve_mbps + _FEAS_SLACK or demand > remaining:
+            if demand > free - self.reserve_mbps + _FEAS_SLACK or demand > free:
                 raise CapacityConflictError(
                     f"assignment of {demand!r} Mbit/s for client {client_id!r} does not fit "
-                    f"server {server_id!r} (remaining {remaining!r}, reserve {self.reserve_mbps!r})"
+                    f"server {server_id!r} (remaining {free!r}, reserve {self.reserve_mbps!r})"
                 )
-            trial[server_id] = remaining - demand
-        for client_id, assignment in plan.assignments.items():
-            self._by_client[client_id] = assignment
-            self._per_server[assignment.server_id][client_id] = assignment.demand_mbps
-        for server_id in {a.server_id for a in plan.assignments.values()}:
-            self._recompute(server_id)
+            remaining[server_id] = free - demand
+        self._by_client.update(plan.assignments)
 
     def release(self, client_id: str) -> Assignment:
         """Return a client's capacity. Releasing twice or an unassigned client errors."""
         assignment = self._by_client.pop(client_id, None)
         if assignment is None:
             raise ValidationError(f"client {client_id!r} has no active assignment to release")
-        del self._per_server[assignment.server_id][client_id]
-        self._recompute(assignment.server_id)
         return assignment
 
     def release_all(self) -> None:
-        """Return every client's capacity: each server is back at its initial value."""
+        """Return every client's capacity: each server is back at its starting value."""
         self._by_client.clear()
-        for server_id, demands in self._per_server.items():
-            demands.clear()
-            self.servers[server_id].remaining_capacity_mbps = self._initial_remaining[server_id]
-

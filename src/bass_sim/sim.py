@@ -19,7 +19,7 @@ every client with at least one candidate. Records are a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ValidationError
@@ -178,8 +178,9 @@ def _poisson(rng, lam: float) -> int:
 class SimState:
     """Mutable simulation state owned by the single-threaded loop.
 
-    `candidates` ranks the ledger's server objects, so a walk down a
-    client's ranking reads the loads the ledger left.
+    The scenario is never written. The only state carried from one epoch
+    to the next is the ledger's plan in force, minus departed clients;
+    each server's load is derived from it.
     """
 
     scenario: Scenario
@@ -195,7 +196,7 @@ class SimState:
 
 
 def new_state(scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork | None = None) -> SimState:
-    ledger = AssignmentLedger([replace(s) for s in scenario.agg_servers], config.reserve_mbps)
+    ledger = AssignmentLedger(scenario.agg_servers, config.reserve_mbps)
     if net is None:
         net = DistanceDecayNetwork.for_scenario(scenario)
     active = {c.id: c for c in scenario.clients}
@@ -204,7 +205,7 @@ def new_state(scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork |
         config=config,
         net=net,
         ledger=ledger,
-        candidates=CandidateIndex(ledger.servers.values()),
+        candidates=CandidateIndex(scenario.agg_servers),
         active=active,
         arrival_epoch={cid: 0 for cid in active},
         next_client_index=len(scenario.clients),
@@ -257,9 +258,11 @@ def run_epoch(state: SimState) -> EpochRecord:
 
     # 3. Candidate subsets against the load left by the previous epoch
     #    (the scheduler filters on current load when requests come in).
+    load_rates = state.ledger.load_rates()
     candidate_ids = {
         client_id: candidate_subset(
-            state.active[client_id], state.candidates, config.k_candidates, config.load_threshold
+            state.active[client_id], state.candidates, config.k_candidates,
+            config.load_threshold, load_rates,
         )
         for client_id in sorted(state.active)
     }
@@ -282,7 +285,7 @@ def run_epoch(state: SimState) -> EpochRecord:
     batch = RequestBatch.build(t, entries)
 
     # 6. Solve under the released capacities.
-    capacities = {sid: server.remaining_capacity_mbps for sid, server in state.ledger.servers.items()}
+    capacities = state.ledger.capacities
     if config.policy == "bass_greedy":
         plan = solve_greedy(batch, capacities, config.reserve_mbps)
     elif config.policy == "bass_exact":
@@ -340,9 +343,7 @@ def run_epoch(state: SimState) -> EpochRecord:
         objective_mbps=plan.objective_mbps,
         assignments=plan.assignments,
         clients=tuple(records),
-        server_load_rates={
-            sid: server.load_rate for sid, server in sorted(state.ledger.servers.items())
-        },
+        server_load_rates=state.ledger.load_rates(),
         n_active=len(state.active),
     )
     state.epoch += 1

@@ -143,7 +143,11 @@ class NetModelParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete experiment topology. Immutable after construction."""
+    """A complete experiment topology. Immutable after construction.
+
+    A simulation never writes it: relay loads are derived from the plan in
+    force, held by the run's `AssignmentLedger`.
+    """
 
     clients: tuple[BBoxClient, ...]
     agg_servers: tuple[AggregationServer, ...]
@@ -422,8 +426,8 @@ class CandidateIndex:
     """Each client's relays ranked nearest first by great-circle distance, ties by id.
 
     Positions never move, so a client's ranking is computed the first time
-    it is asked for and kept until `forget`. It holds the given server
-    objects, so a walk down it reads their current loads.
+    it is asked for and kept until `forget`. Loads change every epoch and
+    are passed to `candidate_subset`, not read from the servers.
     """
 
     def __init__(self, servers: Iterable[AggregationServer]) -> None:
@@ -447,18 +451,19 @@ class CandidateIndex:
 
 
 def candidate_subset(
-    client: BBoxClient, index: CandidateIndex, k: int, load_threshold: float
+    client: BBoxClient, index: CandidateIndex, k: int, load_threshold: float,
+    load_rates: Mapping[str, float],
 ) -> list[str]:
     """Candidate relay servers for one client: the k nearest, load-filtered.
 
     Walks the client's ranking in `index` and returns the ids of the first
-    k servers whose load rate (remaining/total) is at least
-    `load_threshold` (possibly fewer; an empty list means no aggregation is
-    available).
+    k servers whose load rate (remaining/total, from `load_rates`) is at
+    least `load_threshold` (possibly fewer; an empty list means no
+    aggregation is available).
     """
     chosen: list[str] = []
     for server in index.ranking(client):
-        if server.load_rate >= load_threshold:
+        if load_rates[server.id] >= load_threshold:
             chosen.append(server.id)
             if len(chosen) == k:
                 break

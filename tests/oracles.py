@@ -90,9 +90,10 @@ def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4, epoch_t: in
     return RequestBatch.build(epoch_t, entries), capacities, reserve
 
 
-def filtered_then_sorted_candidates(client, servers, k, load_threshold):
-    """Candidate ids by filtering and sorting every server: drop those below the
-    load threshold, sort the rest by (great-circle distance, id), keep k."""
-    eligible = [s for s in servers if s.load_rate >= load_threshold]
+def filtered_then_sorted_candidates(client, servers, k, load_threshold, load_rates):
+    """Candidate ids by filtering and sorting every server: drop those whose
+    load rate is below the threshold, sort the rest by (great-circle
+    distance, id), keep k."""
+    eligible = [s for s in servers if load_rates[s.id] >= load_threshold]
     eligible.sort(key=lambda s: (geo_distance_km(client.location, s.location), s.id))
     return [s.id for s in eligible[:k]]

@@ -91,6 +91,8 @@ def test_criterion_3_feasibility_and_conservation(capsys):
             epochs=0, policy="bass_greedy", seed=0xFE,
             arrival_rate=1.2, session_epochs_mean=6.0, reserve_mbps=3.0,
         )
+        capacities = {s.id: s.remaining_capacity_mbps for s in scenario.agg_servers}
+        totals = {s.id: s.total_capacity_mbps for s in scenario.agg_servers}
         state = new_state(scenario, config)
         for _ in range(10_000):
             record = run_epoch(state)
@@ -98,16 +100,19 @@ def test_criterion_3_feasibility_and_conservation(capsys):
             for a in record.assignments.values():
                 per_server.setdefault(a.server_id, []).append(a.demand_mbps)
             for sid, demands in per_server.items():
-                bound = state.ledger.initial_remaining(sid) - config.reserve_mbps
+                bound = capacities[sid] - config.reserve_mbps
                 assert math.fsum(demands) <= bound + 1e-9
-            # Conservation: replaying recorded demands from the initial
-            # capacity reproduces the live remaining value bit-for-bit.
-            for sid, server in state.ledger.servers.items():
-                expected = state.ledger.initial_remaining(sid)
-                for demand in state.ledger.demands_on(sid):
-                    expected -= demand
-                assert server.remaining_capacity_mbps == expected
-                assert 0.0 <= server.remaining_capacity_mbps <= server.total_capacity_mbps
+            # Conservation: replaying the epoch's demands from the starting
+            # capacity, in client-id order, reproduces each recorded load
+            # rate bit-for-bit.
+            remaining = dict(capacities)
+            for client_id in sorted(record.assignments):
+                assignment = record.assignments[client_id]
+                remaining[assignment.server_id] -= assignment.demand_mbps
+            assert record.server_load_rates.keys() == remaining.keys()
+            for sid, value in remaining.items():
+                assert record.server_load_rates[sid] == value / totals[sid]
+                assert 0.0 <= value <= totals[sid]
 
 
 def test_criterion_4_hit_rate_replication(capsys):

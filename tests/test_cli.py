@@ -352,14 +352,15 @@ def test_outputs_match_pinned_digests(case, tmp_path):
 
 def test_load_filter_binds_in_the_load_filter_case(tmp_path, monkeypatch):
     # Each candidate list the run asks for is compared with the list the
-    # same call gives at threshold 0 (the threshold is the last argument):
-    # the pinned case is only a test of the filter's skip path if they differ.
+    # same call gives at threshold 0 (the fourth argument, before the load
+    # map): the pinned case is only a test of the filter's skip path if they
+    # differ.
     original = sim.candidate_subset
     calls = []
 
-    def spy(*args):
-        got = original(*args)
-        calls.append(got != original(*args[:-1], 0.0))
+    def spy(client, index, k, load_threshold, load_rates):
+        got = original(client, index, k, load_threshold, load_rates)
+        calls.append(got != original(client, index, k, 0.0, load_rates))
         return got
 
     monkeypatch.setattr(sim, "candidate_subset", spy)

@@ -11,6 +11,7 @@ from bass_sim.model import (
     LinkKind,
     baseline_bandwidth,
 )
+from bass_sim.scheduler import AssignmentLedger
 
 bandwidths = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -20,6 +21,11 @@ def server(total, remaining):
         id="s", location=GeoPoint(0, 0),
         total_capacity_mbps=total, remaining_capacity_mbps=remaining,
     )
+
+
+def load_rate(total, remaining):
+    """A server's load rate as a ledger with no assignments derives it."""
+    return AssignmentLedger([server(total, remaining)], 0.0).load_rates()["s"]
 
 
 class TestAggregatedPathBandwidth:
@@ -89,16 +95,16 @@ class TestBandwidthGain:
 
 
 class TestLoadRate:
-    """AggregationServer.load_rate: remaining over total capacity."""
+    """AssignmentLedger.load_rates: remaining over total capacity."""
 
     def test_half(self):
-        assert server(10.0, 5.0).load_rate == 0.5
+        assert load_rate(10.0, 5.0) == 0.5
 
     def test_fully_loaded(self):
-        assert server(10.0, 0.0).load_rate == 0.0
+        assert load_rate(10.0, 0.0) == 0.0
 
     def test_idle(self):
-        assert server(10.0, 10.0).load_rate == 1.0
+        assert load_rate(10.0, 10.0) == 1.0
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError):
@@ -107,13 +113,13 @@ class TestLoadRate:
             server(-2.0, 1.0)
 
     def test_rejects_remaining_above_total(self):
-        # The property does not check; a rate above 1 cannot be built.
+        # The ledger does not check; a rate above 1 cannot be built.
         with pytest.raises(ValidationError):
             server(10.0, 11.0)
 
     @given(st.floats(min_value=1e-9, max_value=1e6, allow_nan=False), st.floats(0.0, 1.0))
     def test_in_unit_interval(self, total, share):
-        assert 0.0 <= server(total, min(total, total * share)).load_rate <= 1.0
+        assert 0.0 <= load_rate(total, min(total, total * share)) <= 1.0
 
 
 class TestGeoPoint:
@@ -160,11 +166,7 @@ class TestAggregationServer:
             )
 
     def test_load_rate_property(self):
-        server = AggregationServer(
-            id="s", location=GeoPoint(0, 0),
-            total_capacity_mbps=10.0, remaining_capacity_mbps=2.5,
-        )
-        assert server.load_rate == 0.25
+        assert load_rate(10.0, 2.5) == 0.25
 
 
 class TestGainEntry:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -19,6 +20,8 @@ from bass_sim.scheduler import (
     solve_exact,
     solve_greedy,
 )
+
+from bass_sim.topology import generate_scenario
 
 from oracles import brute_force_optimum, random_batch
 
@@ -326,57 +329,57 @@ class TestLedger:
     def test_apply_decrements(self):
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        plan = AllocationPlan.from_assignments({"c1": Assignment("s1", 8.0, 5.0)})
+        plan = AllocationPlan({"c1": Assignment("s1", 8.0, 5.0)})
         ledger.apply(plan)
-        assert server.remaining_capacity_mbps == 2.0
+        assert ledger.remaining()["s1"] == 2.0
 
     def test_empty_plan_no_change(self):
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        ledger.apply(AllocationPlan.from_assignments({}))
-        assert server.remaining_capacity_mbps == 10.0
+        ledger.apply(AllocationPlan({}))
+        assert ledger.remaining()["s1"] == 10.0
 
     def test_reserve_boundary_accepted_at_equality(self):
         # Two demands of 10 and 6 against remaining 20 with reserve 4:
         # 16 == 20 - 4 sits exactly on the boundary and is accepted.
         server = make_server("s1", total=20.0)
         ledger = AssignmentLedger([server], reserve_mbps=4.0)
-        plan = AllocationPlan.from_assignments({
+        plan = AllocationPlan({
             "c1": Assignment("s1", 10.0, 1.0),
             "c2": Assignment("s1", 6.0, 1.0),
         })
         ledger.apply(plan)
-        assert server.remaining_capacity_mbps == 4.0
+        assert ledger.remaining()["s1"] == 4.0
 
     def test_reserve_boundary_rejected_above(self):
         server = make_server("s1", total=20.0)
         ledger = AssignmentLedger([server], reserve_mbps=4.0)
-        plan = AllocationPlan.from_assignments({
+        plan = AllocationPlan({
             "c1": Assignment("s1", 10.0, 1.0),
             "c2": Assignment("s1", 7.0, 1.0),
         })
         with pytest.raises(CapacityConflictError):
             ledger.apply(plan)
         # No partial application.
-        assert server.remaining_capacity_mbps == 20.0
-        assert ledger.active_assignments() == {}
+        assert ledger.remaining()["s1"] == 20.0
+        assert ledger.assignment_of("c1") is None and ledger.assignment_of("c2") is None
 
     def test_release_restores_exactly(self):
         server = make_server("s1", total=10.0, remaining=9.3)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        plan = AllocationPlan.from_assignments({
+        plan = AllocationPlan({
             "c1": Assignment("s1", 3.7, 1.0),
             "c2": Assignment("s1", 2.2, 1.0),
         })
         ledger.apply(plan)
         ledger.release("c1")
         ledger.release("c2")
-        assert server.remaining_capacity_mbps == 9.3
+        assert ledger.remaining()["s1"] == 9.3
 
     def test_double_release_errors(self):
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        ledger.apply(AllocationPlan.from_assignments({"c1": Assignment("s1", 1.0, 1.0)}))
+        ledger.apply(AllocationPlan({"c1": Assignment("s1", 1.0, 1.0)}))
         ledger.release("c1")
         with pytest.raises(ValidationError):
             ledger.release("c1")
@@ -388,7 +391,7 @@ class TestLedger:
 
     def test_double_assignment_conflicts(self):
         ledger = AssignmentLedger([make_server("s1")], reserve_mbps=0.0)
-        plan = AllocationPlan.from_assignments({"c1": Assignment("s1", 1.0, 1.0)})
+        plan = AllocationPlan({"c1": Assignment("s1", 1.0, 1.0)})
         ledger.apply(plan)
         with pytest.raises(CapacityConflictError):
             ledger.apply(plan)
@@ -396,8 +399,8 @@ class TestLedger:
     def test_stale_plan_conflicts(self):
         server = make_server("s1", total=10.0)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)
-        ledger.apply(AllocationPlan.from_assignments({"c1": Assignment("s1", 9.0, 1.0)}))
-        stale = AllocationPlan.from_assignments({"c2": Assignment("s1", 5.0, 1.0)})
+        ledger.apply(AllocationPlan({"c1": Assignment("s1", 9.0, 1.0)}))
+        stale = AllocationPlan({"c2": Assignment("s1", 5.0, 1.0)})
         with pytest.raises(CapacityConflictError):
             ledger.apply(stale)
 
@@ -411,8 +414,22 @@ class TestLedger:
             ]
             initial = {s.id: s.remaining_capacity_mbps for s in servers}
             ledger = AssignmentLedger(servers, reserve)
-            plan = solve_greedy(batch, {s.id: s.remaining_capacity_mbps for s in servers}, reserve)
+            plan = solve_greedy(batch, ledger.capacities, reserve)
             ledger.apply(plan)
             for cid in sorted(plan.assignments):
                 ledger.release(cid)
-            assert {s.id: s.remaining_capacity_mbps for s in servers} == initial
+            assert ledger.remaining() == initial
+
+    def test_leaves_scenario_servers_unchanged(self):
+        # A run derives loads from its ledger; the scenario's relays keep
+        # their starting capacity.
+        scenario = generate_scenario(2, 2, 1, seed=0)
+        servers = scenario.agg_servers
+        ledger = AssignmentLedger(servers, reserve_mbps=0.0)
+        ledger.apply(AllocationPlan({"c0000": Assignment("s0000", 7.5, 1.0)}))
+        assert [s.remaining_capacity_mbps for s in servers] == [200.0, 200.0]
+        assert ledger.remaining() == {"s0000": 192.5, "s0001": 200.0}
+        ledger.release("c0000")
+        assert [s.remaining_capacity_mbps for s in servers] == [200.0, 200.0]
+        with pytest.raises(FrozenInstanceError):
+            scenario.agg_servers[0].remaining_capacity_mbps = 0.0

@@ -275,8 +275,8 @@ class TestRunEpoch:
         entries = {}
         for cid in sorted(state2.active):
             client = state2.active[cid]
-            cand = candidate_subset(client, state2.candidates,
-                                    config.k_candidates, config.load_threshold)
+            cand = candidate_subset(client, state2.candidates, config.k_candidates,
+                                    config.load_threshold, state2.ledger.load_rates())
             if cand:
                 baseline = baseline_bandwidth(state2.net.direct_link_bandwidths(client))
                 entries[cid] = measure_gains(
@@ -408,20 +408,26 @@ class TestRunSimulation:
             epochs=300, policy="bass_greedy", seed=14,
             arrival_rate=1.0, session_epochs_mean=5.0, reserve_mbps=4.0,
         )
+        capacities = {s.id: s.remaining_capacity_mbps for s in scenario.agg_servers}
+        totals = {s.id: s.total_capacity_mbps for s in scenario.agg_servers}
         state = new_state(scenario, config)
         for _ in range(config.epochs):
             record = run_epoch(state)
-            # Exact conservation: replaying the recorded demands from the
-            # initial capacity reproduces the live remaining value.
-            for sid, server in state.ledger.servers.items():
-                expected = state.ledger.initial_remaining(sid)
-                for demand in state.ledger.demands_on(sid):
-                    expected -= demand
-                assert server.remaining_capacity_mbps == expected
+            # Exact conservation: replaying the epoch's demands from the
+            # starting capacity, in client-id order, reproduces each recorded
+            # load rate bit-for-bit.
+            remaining = dict(capacities)
+            for client_id in sorted(record.assignments):
+                assignment = record.assignments[client_id]
+                remaining[assignment.server_id] -= assignment.demand_mbps
+            assert record.server_load_rates.keys() == remaining.keys()
+            for sid, value in remaining.items():
+                assert record.server_load_rates[sid] == value / totals[sid]
+                assert 0.0 <= value <= totals[sid]
             # Feasibility of the applied plan against solve-time capacity.
             per_server = {}
             for a in record.assignments.values():
                 per_server.setdefault(a.server_id, []).append(a.demand_mbps)
             for sid, demands in per_server.items():
-                bound = state.ledger.initial_remaining(sid) - config.reserve_mbps
+                bound = capacities[sid] - config.reserve_mbps
                 assert math.fsum(demands) <= bound + 1e-9

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bass_sim.codec import encode
 from bass_sim.errors import ScenarioFormatError, ValidationError
 from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GeoPoint
+from bass_sim.scheduler import AssignmentLedger
 from bass_sim.seeding import SeededStream, rng_for
 from bass_sim.topology import (
     EARTH_RADIUS_KM,
@@ -256,6 +257,11 @@ def _server(sid, lon, total=100.0, remaining=100.0):
     )
 
 
+def _load_rates(servers):
+    """Each server's load rate before any assignment."""
+    return AssignmentLedger(servers, 0.0).load_rates()
+
+
 class TestCandidateSubset:
     def setup_method(self):
         self.client = BBoxClient(
@@ -266,7 +272,9 @@ class TestCandidateSubset:
         )
 
     def pick(self, servers, k, load_threshold):
-        return candidate_subset(self.client, CandidateIndex(servers), k, load_threshold)
+        return candidate_subset(
+            self.client, CandidateIndex(servers), k, load_threshold, _load_rates(servers)
+        )
 
     def test_nearest_k(self):
         servers = [_server("far", 30), _server("near", 1), _server("mid", 10)]
@@ -323,9 +331,10 @@ class TestCandidateSubset:
         k = data.draw(st.integers(min_value=1, max_value=n + 1))
         threshold = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
         index = CandidateIndex(servers)
+        load_rates = _load_rates(servers)
         index.ranking(client)
         # Loads change between epochs while the ranking is kept.
         for server in data.draw(st.permutations(servers))[: n // 2]:
-            server.remaining_capacity_mbps = 0.0
-        got = candidate_subset(client, index, k, threshold)
-        assert got == filtered_then_sorted_candidates(client, servers, k, threshold)
+            load_rates[server.id] = 0.0
+        got = candidate_subset(client, index, k, threshold, load_rates)
+        assert got == filtered_then_sorted_candidates(client, servers, k, threshold, load_rates)
