@@ -1,10 +1,11 @@
 """Command-line front end: generate scenarios, run simulations, compare policies.
 
-Exit codes: 0 success; 2 a usage error (an unknown flag or policy, a value
-that does not parse); 1 any other failure, as one `error:` line (a flag
-value out of range, a bad input file, an I/O error). Model and sim flags
-are the fields of `NetModelParams` and `SimConfig` with `flag` metadata;
-`generate_scenario` and `Scenario.validate` check `generate`'s shape flags.
+Exit codes: 0 success; 2 a usage error (an unknown flag, an unknown or
+repeated policy, a value that does not parse); 1 any other failure, as one
+`error:` line (a flag value out of range, a bad input file, an I/O error).
+Model and sim flags are the fields of `NetModelParams` and `SimConfig` with
+`flag` metadata; `generate_scenario` and `Scenario.validate` check
+`generate`'s shape flags.
 argparse reads a negative value in exponent notation, such as `-1e3`, as an
 option, so write it as `--wifi-mu=-1e3`. All output files and stdout
 tables are byte-reproducible under fixed flags; set the BASS_SIM_LOG
@@ -30,7 +31,7 @@ from .metrics import (
     summarize,
     write_rows_csv,
 )
-from .sim import POLICY_NAMES, SimConfig, run_simulation
+from .sim import POLICIES, SimConfig, run_simulation
 from .topology import (
     DEFAULT_SERVER_CAPACITY_MBPS,
     NetModelParams,
@@ -44,10 +45,12 @@ log = logging.getLogger(__name__)
 
 def _policy_list(text: str) -> list[str]:
     policies = [p.strip() for p in text.split(",") if p.strip()]
-    if not policies or not set(policies) <= set(POLICY_NAMES):
+    if not policies or not set(policies) <= POLICIES.keys():
         raise argparse.ArgumentTypeError(
-            f"unknown policy in {text!r}; valid policies: {', '.join(POLICY_NAMES)}"
+            f"unknown policy in {text!r}; valid policies: {', '.join(POLICIES)}"
         )
+    if len(set(policies)) < len(policies):
+        raise argparse.ArgumentTypeError(f"repeated policy in {text!r}")
     return policies
 
 
@@ -204,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one policy on a scenario")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--policy", choices=POLICY_NAMES, default="bass_greedy")
+    p_run.add_argument("--policy", choices=POLICIES, default="bass_greedy")
     p_run.add_argument("--out", required=True, help="output directory")
     _add_field_flags(p_run, SimConfig)
     p_run.set_defaults(func=cmd_run)

@@ -17,7 +17,7 @@ from functools import cache, partial
 
 from .errors import ValidationError
 
-__all__ = ["encode", "decode", "load_json"]
+__all__ = ["encode", "decode", "load_json", "save_json"]
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 _PLAIN = frozenset((*_SCALARS, type(None)))
@@ -178,3 +178,10 @@ def load_json(cls: type, path, where: str, error: type[ValidationError]):
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise error(f"{path}: not readable as UTF-8 JSON ({exc})") from exc
     return decode(cls, data, where, error)
+
+
+def save_json(value, path) -> None:
+    """Write a dataclass as UTF-8 JSON, indented, keys sorted, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(encode(value), fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -11,13 +11,12 @@ record with a live direct path. Clients whose direct path is dead
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from statistics import median
 from typing import Iterable, Sequence
 
-from .codec import encode, load_json
+from .codec import encode, load_json, save_json
 from .errors import RecordsFormatError, ValidationError
 from .sim import ClientEpochRecord, EpochRecord
 
@@ -148,9 +147,7 @@ def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
 def emit_report(report: SummaryReport, format: str, path) -> None:
     """Write a report as JSON or CSV. Same report, same bytes."""
     if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(encode(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(report, path)
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -197,9 +194,7 @@ class _RecordsFile:
 
 
 def save_records(policy: str, records: Sequence[EpochRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(encode(_RecordsFile(policy, tuple(records))), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(_RecordsFile(policy, tuple(records)), path)
 
 
 def load_records(path) -> tuple[str, list[EpochRecord]]:

@@ -12,9 +12,12 @@ Two solvers are provided. `solve_exact` searches all assignments
 enumeration) and is capped at a small client count; `solve_greedy` scans
 candidate pairs in globally descending gain order and is the production
 path; `random_policy` is the uniform baseline both are compared against.
-Determinism contract: identical inputs produce identical plans,
-including tie-breaks (gain ties resolve by client id, then server id; equal
-objectives resolve to the lexicographically smallest assignment vector).
+Each solver picks at most one gain entry per client, and one builder turns
+the picks into the plan. `sim.POLICIES` is the one list of policies: it
+names each policy and the solver call that serves it. Determinism
+contract: identical inputs produce identical plans, including tie-breaks
+(gain ties resolve by client id, then server id; equal objectives resolve
+to the lexicographically smallest assignment vector).
 
 Objectives are floats; every objective in this module is computed as the
 running sum of chosen gains in client-id order, so equal plans always
@@ -182,6 +185,15 @@ def _usable_capacity(
     }
 
 
+def _plan(chosen: Iterable[GainEntry]) -> AllocationPlan:
+    """The plan that puts each chosen entry's client on its server; the
+    client's demand on the server is the entry's via-bandwidth."""
+    return AllocationPlan({
+        entry.client_id: Assignment(entry.server_id, entry.b_via_mbps, entry.gain_mbps)
+        for entry in chosen
+    })
+
+
 def solve_greedy(
     batch: RequestBatch,
     capacities: Mapping[str, float],
@@ -202,18 +214,14 @@ def solve_greedy(
         if entry.gain_mbps > 0.0
     ]
     pairs.sort(key=lambda e: (-e.gain_mbps, e.client_id, e.server_id))
-    assignments: dict[str, Assignment] = {}
+    chosen: dict[str, GainEntry] = {}
     for entry in pairs:
-        if entry.client_id in assignments:
+        if entry.client_id in chosen:
             continue
         if entry.b_via_mbps <= usable[entry.server_id]:
-            assignments[entry.client_id] = Assignment(
-                server_id=entry.server_id,
-                demand_mbps=entry.b_via_mbps,
-                gain_mbps=entry.gain_mbps,
-            )
+            chosen[entry.client_id] = entry
             usable[entry.server_id] -= entry.b_via_mbps
-    return AllocationPlan(assignments)
+    return _plan(chosen.values())
 
 
 def solve_exact(
@@ -297,16 +305,7 @@ def solve_exact(
         # The greedy plan is itself a leaf of this search and its path is
         # never pruned, so the search always adopts some plan.
         raise AssertionError("exact search finished without adopting a plan")
-    assignments = {
-        client_ids[i]: Assignment(
-            server_id=entry.server_id,
-            demand_mbps=entry.b_via_mbps,
-            gain_mbps=entry.gain_mbps,
-        )
-        for i, entry in enumerate(best_choices)
-        if entry is not None
-    }
-    return AllocationPlan(assignments)
+    return _plan(entry for entry in best_choices if entry is not None)
 
 
 def random_policy(
@@ -323,19 +322,15 @@ def random_policy(
     """
     usable = _usable_capacity(batch, capacities, reserve_mbps)
     rng = rng_for(seed, "random-policy")
-    assignments: dict[str, Assignment] = {}
-    for client_id, group in batch.entries.items():
+    chosen: list[GainEntry] = []
+    for group in batch.entries.values():
         feasible = [e for e in group if e.b_via_mbps <= usable[e.server_id]]
         if not feasible:
             continue
         entry = feasible[rng.randrange(len(feasible))]
-        assignments[client_id] = Assignment(
-            server_id=entry.server_id,
-            demand_mbps=entry.b_via_mbps,
-            gain_mbps=entry.gain_mbps,
-        )
+        chosen.append(entry)
         usable[entry.server_id] -= entry.b_via_mbps
-    return AllocationPlan(assignments)
+    return _plan(chosen)
 
 
 class AssignmentLedger:

@@ -5,7 +5,8 @@ departed clients release their capacity, seeded arrivals join, every active
 client re-requests (candidate filtering uses the load rates left by the
 previous epoch, after which all held capacity is returned and the whole
 allocation is rebuilt from scratch), the configured policy solves the joint
-batch, the plan is applied, and per-client metrics are recorded.
+batch, the plan is applied, and per-client metrics are recorded. `POLICIES`
+is the one list of policies: it maps each name to its solve step.
 
 Hit rate semantics: a client's achieved bandwidth is compared against the
 best bandwidth it could have obtained this epoch, where the always-available
@@ -20,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import ValidationError
 from .model import BBoxClient, baseline_bandwidth
 from .scheduler import (
+    AllocationPlan,
     Assignment,
     AssignmentLedger,
     DEFAULT_EXACT_CAP,
@@ -43,10 +45,20 @@ from .topology import (
     sample_client,
 )
 
-POLICY_NAMES = ("bass_exact", "bass_greedy", "random")
+# Each policy's solve step. The BASS entries look `solve_exact` and
+# `solve_greedy` up in this module's globals when they are called, so a
+# wrapper set on `sim.solve_*` sees every solve.
+POLICIES: dict[str, Callable[[RequestBatch, Mapping[str, float], SimConfig, int], AllocationPlan]] = {
+    "bass_exact": lambda batch, capacities, config, t: solve_exact(
+        batch, capacities, config.reserve_mbps, client_cap=config.exact_cap),
+    "bass_greedy": lambda batch, capacities, config, t: solve_greedy(
+        batch, capacities, config.reserve_mbps),
+    "random": lambda batch, capacities, config, t: random_policy(
+        batch, capacities, derive_seed(config.seed, "policy", t), config.reserve_mbps),
+}
 
 __all__ = [
-    "POLICY_NAMES",
+    "POLICIES",
     "SimConfig",
     "ClientEpochRecord",
     "EpochRecord",
@@ -89,9 +101,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.epochs, int) or self.epochs < 0:
             raise ValidationError(f"epochs must be a non-negative integer, got {self.epochs!r}")
-        if self.policy not in POLICY_NAMES:
+        if self.policy not in POLICIES:
             raise ValidationError(
-                f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICY_NAMES)}"
+                f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICIES)}"
             )
         if not (0 <= self.seed < 2**64):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -195,15 +207,13 @@ class SimState:
     epoch: int = 0
 
 
-def new_state(scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork | None = None) -> SimState:
+def new_state(scenario: Scenario, config: SimConfig) -> SimState:
     ledger = AssignmentLedger(scenario.agg_servers, config.reserve_mbps)
-    if net is None:
-        net = DistanceDecayNetwork.for_scenario(scenario)
     active = {c.id: c for c in scenario.clients}
     return SimState(
         scenario=scenario,
         config=config,
-        net=net,
+        net=DistanceDecayNetwork.for_scenario(scenario),
         ledger=ledger,
         candidates=CandidateIndex(scenario.agg_servers),
         active=active,
@@ -286,14 +296,7 @@ def run_epoch(state: SimState) -> EpochRecord:
 
     # 6. Solve under the released capacities.
     capacities = state.ledger.capacities
-    if config.policy == "bass_greedy":
-        plan = solve_greedy(batch, capacities, config.reserve_mbps)
-    elif config.policy == "bass_exact":
-        plan = solve_exact(batch, capacities, config.reserve_mbps, client_cap=config.exact_cap)
-    else:
-        plan = random_policy(
-            batch, capacities, derive_seed(config.seed, "policy", t), config.reserve_mbps
-        )
+    plan = POLICIES[config.policy](batch, capacities, config, t)
 
     # 7. Commit.
     state.ledger.apply(plan)
@@ -350,9 +353,7 @@ def run_epoch(state: SimState) -> EpochRecord:
     return record
 
 
-def run_simulation(
-    scenario: Scenario, config: SimConfig, net: DistanceDecayNetwork | None = None
-) -> list[EpochRecord]:
+def run_simulation(scenario: Scenario, config: SimConfig) -> list[EpochRecord]:
     """Fold run_epoch over the configured number of epochs."""
-    state = new_state(scenario, config, net)
+    state = new_state(scenario, config)
     return [run_epoch(state) for _ in range(config.epochs)]

@@ -12,14 +12,13 @@ what large-scale hotspot measurements report for metropolitan areas.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
-from .codec import encode, load_json
+from .codec import load_json, save_json
 from .errors import ScenarioFormatError, ValidationError
 from .model import (
     AggregationServer,
@@ -245,18 +244,14 @@ class DistanceDecayNetwork:
     Each path's noise-free decay is computed once per (source, destination)
     id pair and kept; its measured value, the decay times the noise factor,
     is cached by the same ids. The edge tag only labels the noise draw and
-    is built on a miss. With `noise_epoch` unset the whole network is
-    static, which is the reproducibility default. Setting a noise epoch
-    mixes it into the tag so each epoch re-measures fresh values. A
+    is built on a miss. Until `remeasure` sets a noise epoch the whole
+    network is static, which is the reproducibility default. A noise epoch
+    is mixed into the tag, so each epoch re-measures fresh values. A
     client's decays and paths are kept until `forget`.
     """
 
     def __init__(
-        self,
-        params: NetModelParams,
-        seed: int,
-        origins: Mapping[str, OriginServer],
-        noise_epoch: int | None = None,
+        self, params: NetModelParams, seed: int, origins: Mapping[str, OriginServer]
     ) -> None:
         self.params = params
         self._origins = dict(origins)
@@ -264,7 +259,7 @@ class DistanceDecayNetwork:
         self._clients: dict[str, _ClientPaths] = {}
         self._relay_decays: dict[tuple[str, str], float] = {}
         self._relay_paths: dict[tuple[str, str], float] = {}
-        self.remeasure(noise_epoch)
+        self.remeasure(None)
 
     def remeasure(self, noise_epoch: int | None) -> None:
         """Re-draw path noise; values measured under other epochs are dropped."""
@@ -472,9 +467,7 @@ def candidate_subset(
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as UTF-8 JSON. Deterministic byte output."""
-    payload = json.dumps(encode(scenario), indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    save_json(scenario, path)
 
 
 def load_scenario(path) -> Scenario:

@@ -132,6 +132,16 @@ class TestCompare:
         assert "oracle" in err
         assert "bass_exact" in err and "bass_greedy" in err and "random" in err
 
+    def test_repeated_policy_is_usage_error(self, tmp_path, capsys):
+        scenario = make_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scenario", str(scenario), "--policies",
+                  "bass_greedy,random, bass_greedy", "--epochs", "1"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "repeated policy in 'bass_greedy,random, bass_greedy'" in errors[0]
+
     def test_stdout_reproducible(self, tmp_path, capsys):
         scenario = make_scenario(tmp_path)
         capsys.readouterr()  # drop the generate line

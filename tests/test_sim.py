@@ -62,9 +62,8 @@ def _cached_values(net):
 def _assert_cache_is_fresh(state):
     """Every cached link tuple and relay path equals what a new network measures now."""
     scenario, net = state.scenario, state.net
-    fresh = DistanceDecayNetwork(
-        scenario.net_params, scenario.seed, {o.id: o for o in scenario.origins}, net.noise_epoch
-    )
+    fresh = DistanceDecayNetwork.for_scenario(scenario)
+    fresh.remeasure(net.noise_epoch)
     servers = state.ledger.servers
     for client_id, paths in net._clients.items():
         client = state.active[client_id]
