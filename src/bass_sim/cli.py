@@ -110,6 +110,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_records(args.policy, records, out_dir / "records.json")
     write_rows_csv(per_client_rows(args.policy, records), out_dir / "per_client.csv")
+    del records  # the run's trace is written; free it before the summary is encoded
     emit_report(report, "json", out_dir / "summary.json")
 
     print(

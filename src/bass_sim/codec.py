@@ -14,6 +14,7 @@ import typing
 from collections.abc import Mapping
 from enum import Enum
 from functools import cache, partial
+from itertools import islice
 
 from .errors import ValidationError
 
@@ -180,8 +181,33 @@ def load_json(cls: type, path, where: str, error: type[ValidationError]):
     return decode(cls, data, where, error)
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+class _EncodedOnRead(list):
+    """A top-level array of dataclasses whose items are encoded only as the
+    encoder reaches them, so one item's tree is alive at a time. It relies
+    on `JSONEncoder.iterencode`, which encodes in pure Python and walks
+    each array with `for`; any other reader would see the dataclasses and
+    fail loudly, never write other bytes."""
+
+    def __iter__(self):
+        return map(encode, super().__iter__())
+
+
 def save_json(value, path) -> None:
-    """Write a dataclass as UTF-8 JSON, indented, keys sorted, with a final newline."""
+    """Write a dataclass as the bytes of `json.dump(encode(value), fh,
+    indent=2, sort_keys=True)` plus "\\n", item by item: each item of a
+    top-level array of dataclasses (records' epochs, a scenario's clients)
+    is encoded on its own, and the text is written a batch of chunks at a
+    time, so neither the whole file's tree nor its text is ever held."""
+    data = {}
+    for name in _field_names(type(value)):
+        item = getattr(value, name)
+        by_item = type(item) is tuple and item and _field_names(type(item[0])) is not None
+        data[name] = _EncodedOnRead(item) if by_item else encode(item)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(encode(value), fh, indent=2, sort_keys=True)
+        chunks = _ENCODER.iterencode(data)
+        while text := "".join(islice(chunks, 1024)):
+            fh.write(text)
         fh.write("\n")

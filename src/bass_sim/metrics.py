@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codec import encode, load_json, save_json
 from .errors import RecordsFormatError, ValidationError
@@ -169,14 +169,15 @@ def load_report(path) -> SummaryReport:
     return load_json(SummaryReport, path, "report", ValidationError)
 
 
-def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> list[tuple]:
-    """Flat per-client rows, their values in `PER_CLIENT_COLUMNS` order."""
-    return [
+def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> Iterator[tuple]:
+    """Flat per-client rows, their values in `PER_CLIENT_COLUMNS` order, as a
+    generator (iterable once) that `write_rows_csv` consumes row by row."""
+    return (
         (policy, record.epoch_t, c.client_id, c.server_id, c.b_baseline_mbps,
          c.b_achieved_mbps, c.gain_mbps, c.gamma)
         for record in records
         for c in record.clients
-    ]
+    )
 
 
 def write_rows_csv(rows: Iterable[tuple], path) -> None:

@@ -109,7 +109,7 @@ class RequestBatch:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """One chosen client-to-server pairing with its capacity demand."""
 

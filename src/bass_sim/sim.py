@@ -127,7 +127,7 @@ class SimConfig:
             raise ValidationError(f"exact_cap must be >= 1, got {self.exact_cap!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientEpochRecord:
     """Per-client outcome of one epoch."""
 

@@ -1,15 +1,17 @@
 import copy
+import gc
 import json
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bass_sim.codec import decode, encode
+from bass_sim.codec import decode, encode, save_json
 from bass_sim.errors import RecordsFormatError, ScenarioFormatError, ValidationError
-from bass_sim.metrics import load_records, save_records
+from bass_sim.metrics import _RecordsFile, load_records, save_records, summarize
 from bass_sim.sim import SimConfig, run_simulation
 from bass_sim.topology import generate_scenario, load_scenario
 
@@ -120,3 +122,55 @@ def test_one_mutated_value_loads_or_raises_the_format_error(write, load, error, 
             pass
 
     check()
+
+
+# Any text, non-ASCII and lone surrogates included, that Scenario.validate accepts as an id.
+entity_ids = st.text(min_size=1, max_size=5).filter(lambda s: "/" not in s and "->" not in s)
+
+
+@st.composite
+def scenarios(draw):
+    n, m, k = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    scenario = generate_scenario(n, m, k, seed=draw(st.integers(0, 2**32)))
+    names = draw(st.lists(entity_ids, min_size=n + m + k, max_size=n + m + k, unique=True))
+    origins = {o.id: replace(o, id=name) for o, name in zip(scenario.origins, names[n + m:])}
+    return replace(
+        scenario,
+        clients=tuple(replace(c, id=name, origin_id=origins[c.origin_id].id)
+                      for c, name in zip(scenario.clients, names)),
+        agg_servers=tuple(replace(s, id=name) for s, name in zip(scenario.agg_servers, names[n:])),
+        origins=tuple(origins.values()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=scenarios(), epochs=st.integers(0, 4), rate=st.sampled_from([0.0, 1.5]),
+       policy=st.sampled_from(["bass_greedy", "random"]), label=st.text(max_size=4),
+       seed=st.integers(0, 99))
+def test_save_json_writes_the_bytes_of_one_json_dump(tmp_path_factory, scenario, epochs, rate,
+                                                     policy, label, seed):
+    records = run_simulation(scenario, SimConfig(epochs=epochs, policy=policy, seed=seed,
+                                                 arrival_rate=rate))
+    path = tmp_path_factory.mktemp("out") / "file.json"
+    for value in (scenario, _RecordsFile(label, tuple(records)), summarize(label, records)):
+        save_json(value, path)
+        expected = json.dumps(encode(value), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_records_writer_memory_does_not_grow_with_the_run(tmp_path):
+    # save_records encodes one epoch at a time: a run ten times longer must
+    # not need a traced peak anywhere near ten times higher. Both writes
+    # start from a full collection, so the collector runs at the same points.
+    scenario = generate_scenario(8, 3, 2, seed=5)
+    peaks = []
+    for epochs in (20, 200):
+        records = run_simulation(scenario, SimConfig(epochs=epochs, seed=5))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            save_records("bass_greedy", records, tmp_path / "records.json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -118,11 +118,18 @@ class TestPerClientRows:
         assert header == ",".join(PER_CLIENT_COLUMNS)
 
     def test_row_count(self, sample_run, tmp_path):
-        rows = per_client_rows("bass_greedy", sample_run)
+        rows = list(per_client_rows("bass_greedy", sample_run))
         path = tmp_path / "rows.csv"
         write_rows_csv(rows, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + len(rows)
+
+
+def test_run_records_hold_no_instance_dict(sample_run):
+    # A long run holds one of each per client-epoch; slots keep them compact.
+    record = next(r for r in sample_run if r.assignments)
+    for value in (record.clients[0], next(iter(record.assignments.values()))):
+        assert not hasattr(value, "__dict__")
 
 
 class TestRecordsRoundTrip:
