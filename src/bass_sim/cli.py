@@ -131,15 +131,22 @@ def _gamma_values(records) -> list[float]:
 def cmd_compare(args: argparse.Namespace) -> int:
     policies = args.policies
     scenario = load_scenario(args.scenario)
-    results = {}
+    reports, gamma_values = {}, {}
     for policy in policies:
         config = _from_flags(SimConfig, args, policy=policy)
         records = run_simulation(scenario, config)
-        results[policy] = (records, summarize(policy, records))
+        reports[policy] = summarize(policy, records)
+        gamma_values[policy] = _gamma_values(records)
+        if args.out is not None:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            save_records(policy, records, out_dir / f"records_{policy}.json")
+            emit_report(reports[policy], "json", out_dir / f"summary_{policy}.json")
+        del records  # written; free it before the next policy runs
 
     print("policy summaries:")
     for policy in policies:
-        report = results[policy][1]
+        report = reports[policy]
         print(
             f"  {policy}: mean_gamma={_fmt(report.gamma_mean)} "
             f"frac_gamma_one={_fmt(report.gamma_fraction_one)} "
@@ -153,7 +160,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         header.append(f"delta({policies[-1]}-{policies[0]})")
     print("hit-rate CDF:")
     print("  " + "\t".join(header))
-    gamma_values = {p: _gamma_values(results[p][0]) for p in policies}
     for g in _CDF_GRID:
         row = [f"{g:.2f}"]
         fractions = []
@@ -165,14 +171,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if with_delta:
             row.append(f"{fractions[-1] - fractions[0]:+.4f}")
         print("  " + "\t".join(row))
-
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for policy in policies:
-            records, report = results[policy]
-            save_records(policy, records, out_dir / f"records_{policy}.json")
-            emit_report(report, "json", out_dir / f"summary_{policy}.json")
     return 0
 
 

@@ -8,8 +8,13 @@ objective is the total bandwidth gain of the chosen assignments; leaving a
 client on its direct path is always allowed and contributes zero.
 
 Two solvers are provided. `solve_exact` searches all assignments
-(depth-first with an admissible bound, results identical to full
-enumeration) and is capped at a small client count; `solve_greedy` scans
+(depth-first, results identical to full enumeration) and is capped at a
+small client count. It prunes with two admissible bounds: each remaining
+client's best gain, and the Lagrangian relaxation of the relay capacities
+(Ross & Soland 1975; Fisher 1981), with relay prices from a few root
+subgradient steps (Held & Karp 1971). The bounds only decide what is
+pruned: both carry a float slack and never prune a tie, so the prices
+cannot change the plan. `solve_greedy` scans
 candidate pairs in globally descending gain order and is the production
 path; `random_policy` is the uniform baseline both are compared against.
 Each solver picks at most one gain entry per client, and one builder turns
@@ -34,6 +39,12 @@ from .model import AggregationServer, BBoxClient, GainEntry
 from .seeding import rng_for
 
 DEFAULT_EXACT_CAP = 12
+
+# Root subgradient steps that price relay capacity for the exact search,
+# and the step's decay. A few steps price a contended relay; many cost
+# more at the root than the prices prune on a small batch.
+_PRICE_STEPS = 16
+_PRICE_STEP_DECAY = 0.8
 
 # Absorbs summation-order ulps between a solver's internal bookkeeping and
 # later validation; genuine conflicts differ by whole demands, not 1e-9.
@@ -224,6 +235,59 @@ def solve_greedy(
     return _plan(chosen.values())
 
 
+def _capacity_prices(
+    options: Sequence[Sequence[GainEntry]],
+    usable: Mapping[str, float],
+    incumbent: float,
+) -> dict[str, float]:
+    """Relay capacity prices for the exact search's Lagrangian bound.
+
+    For prices λ_s ≥ 0, the Lagrangian relaxation of the capacity
+    constraints bounds every feasible plan's objective:
+    `UB(λ) = Σ_s λ_s·usable_s + Σ_c max(0, max_e (g_e − λ_s·d_e))`. A plan's
+    gains are its reduced gains `g_e − λ_s·d_e` plus `λ_s` times each
+    server's demand, and that demand is at most `usable_s`. A short
+    subgradient lowers UB (Held & Karp 1971): the step decays, is scaled by
+    the gap from UB to `incumbent` (a feasible objective) and moves each
+    price by its server's relative overload. The prices with the smallest
+    UB seen are returned.
+    """
+    prices = dict.fromkeys(sorted({e.server_id for group in options for e in group}), 0.0)
+    # A server with no room keeps price 0, so its bound term never counts.
+    servers = [sid for sid in prices if usable[sid] > 0.0]
+    best_prices, best_bound = prices, float("inf")
+    for step in range(_PRICE_STEPS):
+        bound = 0.0
+        for sid in servers:
+            bound += prices[sid] * usable[sid]
+        demand = dict.fromkeys(prices, 0.0)
+        for group in options:
+            best, pick = 0.0, None
+            for e in group:
+                reduced = e.gain_mbps - prices[e.server_id] * e.b_via_mbps
+                if reduced > best:
+                    best, pick = reduced, e
+            if pick is not None:
+                bound += best
+                demand[pick.server_id] += pick.b_via_mbps
+        if bound < best_bound:
+            best_prices, best_bound = prices, bound
+        # Relative overload per server; a free server at price 0 cannot move.
+        overload = {
+            sid: demand[sid] / usable[sid] - 1.0
+            for sid in servers
+            if prices[sid] > 0.0 or demand[sid] > usable[sid]
+        }
+        norm = sum(x * x for x in overload.values())
+        if norm == 0.0 or bound <= incumbent:
+            break
+        scale = _PRICE_STEP_DECAY**step * (bound - incumbent) / norm
+        prices = dict(prices)
+        for sid, x in overload.items():
+            prices[sid] = max(0.0, prices[sid] + scale * x / usable[sid])
+    return best_prices
+
+
 def solve_exact(
     batch: RequestBatch,
     capacities: Mapping[str, float],
@@ -233,13 +297,16 @@ def solve_exact(
 ) -> AllocationPlan:
     """Optimal assignment by exhaustive search over all feasible plans.
 
-    Depth-first over clients in id order with an admissible upper bound for
-    pruning; the bound carries a small slack so float rounding can never
-    prune a plan that ties or beats the incumbent, which keeps the result
-    identical to brute-force enumeration. Among equal-objective optima the
-    lexicographically smallest assignment vector (client id, then server id,
-    unassigned first) is returned. Raises BatchTooLargeError above
-    `client_cap` clients; use the greedy solver there.
+    Depth-first over clients in id order, pruned by two admissible upper
+    bounds on what a path can still reach: its objective plus each
+    remaining client's best gain, and its reduced objective plus the
+    Lagrangian bound of `_capacity_prices` over the remaining clients. Both
+    carry a slack so float rounding can never prune a plan that ties or
+    beats the incumbent, which keeps the result identical to brute-force
+    enumeration. Among equal-objective optima the lexicographically
+    smallest assignment vector (client id, then server id, unassigned
+    first) is returned. Raises BatchTooLargeError above `client_cap`
+    clients; use the greedy solver there.
     """
     n = batch.n
     if n > client_cap:
@@ -248,24 +315,36 @@ def solve_exact(
             "use solve_greedy for batches this size"
         )
     usable = _usable_capacity(batch, capacities, reserve_mbps)
-    client_ids = list(batch.entries)
     # Positive-gain candidates only: a zero or negative gain can never beat
     # leaving the client unassigned, and unassigned wins the tie-break.
-    options: list[list[GainEntry]] = [
-        [e for e in batch.entries[cid] if e.gain_mbps > 0.0] for cid in client_ids
-    ]
-
-    # Admissible remaining-gain bound per suffix, with slack so rounding
-    # errors cannot make it under-estimate.
-    suffix_bound = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        best = max((e.gain_mbps for e in options[i]), default=0.0)
-        suffix_bound[i] = suffix_bound[i + 1] + best
-    suffix_bound_safe = [b + 1e-9 + 1e-12 * abs(b) for b in suffix_bound]
-
+    options = [[e for e in group if e.gain_mbps > 0.0] for group in batch.entries.values()]
     # Seed the incumbent with the greedy objective; its plan is one of the
     # leaves below, so the search will recover a plan at least this good.
     best_objective = solve_greedy(batch, capacities, reserve_mbps).objective_mbps
+    prices = _capacity_prices(options, usable, best_objective)
+
+    # Each option as (entry, server, demand, gain, reduced gain); per suffix
+    # of clients, the sum of best gains and the sum of best reduced gains,
+    # each at least 0 because leaving a client unassigned is always allowed.
+    priced = [
+        [
+            (e, e.server_id, e.b_via_mbps, e.gain_mbps,
+             e.gain_mbps - prices[e.server_id] * e.b_via_mbps)
+            for e in group
+        ]
+        for group in options
+    ]
+    suffix_bound = [0.0] * (n + 1)
+    priced_bound = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_bound[i] = suffix_bound[i + 1] + max([0.0] + [o[3] for o in priced[i]])
+        priced_bound[i] = priced_bound[i + 1] + max([0.0] + [o[4] for o in priced[i]])
+    # Slack for rounding, scaled to the terms summed: ulps, not whole gains.
+    charged = sum(prices[sid] * usable[sid] for sid in prices)
+    slack = 1e-9 + 1e-12 * (charged + suffix_bound[0])
+    suffix_bound_safe = [b + 1e-9 + 1e-12 * abs(b) for b in suffix_bound]
+    priced_bound_safe = [b + charged + slack for b in priced_bound]
+
     best_choices: list[GainEntry | None] | None = None
     best_key: tuple[str, ...] | None = None
     choices: list[GainEntry | None] = [None] * n
@@ -273,9 +352,12 @@ def solve_exact(
     def key_of(current: list[GainEntry | None]) -> tuple[str, ...]:
         return tuple("" if e is None else e.server_id for e in current)
 
-    def dfs(i: int, objective: float) -> None:
+    def dfs(i: int, objective: float, reduced: float) -> None:
         nonlocal best_objective, best_choices, best_key
-        if objective + suffix_bound_safe[i] < best_objective:
+        if (
+            objective + suffix_bound_safe[i] < best_objective
+            or reduced + priced_bound_safe[i] < best_objective
+        ):
             return
         if i == n:
             if objective > best_objective:
@@ -288,19 +370,19 @@ def solve_exact(
                     best_choices = choices.copy()
                     best_key = key
             return
-        # Highest gain first makes the bound bite early; ties keep the
+        # Highest gain first makes the bounds bite early; ties keep the
         # batch's server-id order.
-        for entry in options[i]:
-            remaining = usable[entry.server_id]
-            if entry.b_via_mbps <= remaining:
-                usable[entry.server_id] = remaining - entry.b_via_mbps
+        for entry, server_id, demand, gain, entry_reduced in priced[i]:
+            remaining = usable[server_id]
+            if demand <= remaining:
+                usable[server_id] = remaining - demand
                 choices[i] = entry
-                dfs(i + 1, objective + entry.gain_mbps)
+                dfs(i + 1, objective + gain, reduced + entry_reduced)
                 choices[i] = None
-                usable[entry.server_id] = remaining
-        dfs(i + 1, objective)  # leave client i unassigned
+                usable[server_id] = remaining
+        dfs(i + 1, objective, reduced)  # leave client i unassigned
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, 0.0)
     if best_choices is None:
         # The greedy plan is itself a leaf of this search and its path is
         # never pruned, so the search always adopts some plan.

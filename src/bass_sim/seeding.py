@@ -18,6 +18,8 @@ _SEED_BYTES = 8
 
 def _label_bytes(labels) -> bytes:
     """What a label path adds to the hash: each label, UTF-8, after a 0x1f byte."""
+    if len(labels) == 1:  # most draws; skips the join
+        return ("\x1f" + str(labels[0])).encode("utf-8")
     return "".join(["\x1f" + str(label) for label in labels]).encode("utf-8")
 
 
@@ -47,16 +49,21 @@ class SeededStream:
     state, adds its labels and re-seeds one private generator in place. The
     generator never escapes, so no caller can advance it between draws.
     Generators that draw many values from one label path use :func:`rng_for`.
+
+    The re-seed calls the C base class's ``seed`` directly. For an int seed
+    it sets the same state; ``random.Random.seed`` only also clears
+    ``gauss_next``, which neither ``normalvariate`` nor ``random`` reads.
     """
 
     def __init__(self, master: int, *prefix: object) -> None:
         self._prefix = _master_hash(master, prefix)
         self._rng = random.Random()
+        self._reseed = super(random.Random, self._rng).seed
 
     def _seeded(self, labels) -> random.Random:
         h = self._prefix.copy()
         h.update(_label_bytes(labels))
-        self._rng.seed(int.from_bytes(h.digest(), "big"))
+        self._reseed(int.from_bytes(h.digest(), "big"))
         return self._rng
 
     def normal(self, *labels: object) -> float:

@@ -90,6 +90,39 @@ def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4, epoch_t: in
     return RequestBatch.build(epoch_t, entries), capacities, reserve
 
 
+def contended_batch(rng: random.Random, n: int):
+    """A batch shaped like a contended exact run: (batch, capacities, reserve).
+
+    Every client can use each of 3 relays of about 20 Mbit/s, reserve 0,
+    with demands of 2-14 Mbit/s, so two or three clients fill a relay and
+    the capacity prices of the exact search bind. Baselines up to 8 Mbit/s
+    leave some clients whose every reduced gain is negative at those prices.
+    """
+    server_ids = ["s0", "s1", "s2"]
+    capacities = {sid: rng.uniform(18.0, 22.0) for sid in server_ids}
+    entries = {}
+    for i in range(n):
+        client_id = f"c{i:02d}"
+        baseline = rng.uniform(1.0, 8.0)
+        entries[client_id] = [
+            GainEntry(client_id, sid, rng.uniform(2.0, 14.0), rng.uniform(4.0, 16.0), baseline)
+            for sid in server_ids
+        ]
+    return RequestBatch.build(0, entries), capacities, 0.0
+
+
+def lagrangian_bound(batch, capacities, reserve_mbps, prices):
+    """`Σ_s λ_s·usable_s + Σ_c max(0, max_e (g_e − λ_s·d_e))` for the given
+    prices, a server without a price counting as price 0."""
+    total = 0.0
+    for sid, price in prices.items():
+        total += price * (capacities[sid] - reserve_mbps)
+    for group in batch.entries.values():
+        total += max([0.0] + [e.gain_mbps - prices.get(e.server_id, 0.0) * e.b_via_mbps
+                              for e in group])
+    return total
+
+
 def filtered_then_sorted_candidates(client, servers, k, load_threshold, load_rates):
     """Candidate ids by filtering and sorting every server: drop those whose
     load rate is below the threshold, sort the rest by (great-circle

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bass_sim import sim
+from bass_sim import cli, sim
 from bass_sim.cli import main
 from bass_sim.codec import encode
 from bass_sim.metrics import load_report
@@ -141,6 +141,34 @@ class TestCompare:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert "repeated policy in 'bass_greedy,random, bass_greedy'" in errors[0]
+
+    def test_each_policy_is_written_before_the_next_runs(self, tmp_path, monkeypatch):
+        # Only one policy's records are alive at a time, and its files are
+        # the ones `run` writes for that policy and seed.
+        scenario = make_scenario(tmp_path)
+        out = tmp_path / "cmp"
+        written_at_start = []
+
+        def spy(scenario, config):
+            written_at_start.append((config.policy, sorted(p.name for p in out.glob("*"))))
+            return sim.run_simulation(scenario, config)
+
+        monkeypatch.setattr(cli, "run_simulation", spy)
+        assert main(
+            ["compare", "--scenario", str(scenario), "--policies", "bass_greedy,random",
+             "--epochs", "2", "--seed", "1", "--out", str(out)]
+        ) == 0
+        assert written_at_start == [
+            ("bass_greedy", []),
+            ("random", ["records_bass_greedy.json", "summary_bass_greedy.json"]),
+        ]
+        run_out = tmp_path / "run"
+        assert main(
+            ["run", "--scenario", str(scenario), "--policy", "random", "--epochs", "2",
+             "--seed", "1", "--out", str(run_out)]
+        ) == 0
+        assert (out / "records_random.json").read_bytes() == (run_out / "records.json").read_bytes()
+        assert (out / "summary_random.json").read_bytes() == (run_out / "summary.json").read_bytes()
 
     def test_stdout_reproducible(self, tmp_path, capsys):
         scenario = make_scenario(tmp_path)

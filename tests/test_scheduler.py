@@ -16,6 +16,8 @@ from bass_sim.scheduler import (
     Assignment,
     AssignmentLedger,
     RequestBatch,
+    _capacity_prices,
+    _usable_capacity,
     measure_gains,
     solve_exact,
     solve_greedy,
@@ -23,7 +25,7 @@ from bass_sim.scheduler import (
 
 from bass_sim.topology import generate_scenario
 
-from oracles import brute_force_optimum, random_batch
+from oracles import brute_force_optimum, contended_batch, lagrangian_bound, random_batch
 
 
 def entry(cid, sid, b_cs, b_so, baseline):
@@ -227,6 +229,79 @@ class TestSolveExact:
             bigger = RequestBatch.build(batch.epoch_t, extended)
             capacities2 = dict(capacities, s_extra=rng.uniform(1.0, 30.0))
             assert solve_exact(bigger, capacities2, reserve).objective_mbps >= base
+
+
+def root_prices(batch, capacities, reserve):
+    """The capacity prices that solve_exact computes."""
+    usable = _usable_capacity(batch, capacities, reserve)
+    options = [[e for e in group if e.gain_mbps > 0.0] for group in batch.entries.values()]
+    incumbent = solve_greedy(batch, capacities, reserve).objective_mbps
+    return _capacity_prices(options, usable, incumbent)
+
+
+def rounding(objective):
+    """What summing the same gains in another order can move an objective by."""
+    return 1e-9 * (1.0 + abs(objective))
+
+
+class TestCapacityPrices:
+    def test_exact_matches_brute_force_where_prices_bind(self):
+        # The acceptance batches have at most 4 clients, where prices rarely
+        # bite; these fill 3 relays of about 20 Mbit/s, so the Lagrangian
+        # bound does the pruning.
+        rng = random.Random(1981)
+        priced = 0
+        for _ in range(30):
+            batch, capacities, reserve = contended_batch(rng, rng.randint(6, 8))
+            prices = root_prices(batch, capacities, reserve)
+            priced += any(price > 0.0 for price in prices.values())
+            expected_obj, expected_assign = brute_force_optimum(batch, capacities, reserve)
+            plan = solve_exact(batch, capacities, reserve)
+            assert plan.objective_mbps == expected_obj
+            assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
+        assert priced >= 24  # 29 of 30 here: some relay is priced in most batches
+
+    def test_root_bound_is_an_upper_bound(self):
+        rng = random.Random(1975)
+        for k in range(200):
+            if k % 2:
+                batch, capacities, reserve = random_batch(rng, n_max=6, m_max=4)
+            else:
+                batch, capacities, reserve = contended_batch(rng, rng.randint(1, 10))
+            prices = root_prices(batch, capacities, reserve)
+            assert all(price >= 0.0 for price in prices.values())
+            bound = lagrangian_bound(batch, capacities, reserve, prices)
+            optimum = solve_exact(batch, capacities, reserve).objective_mbps
+            assert bound >= optimum - rounding(optimum)
+
+    def test_root_bound_is_above_the_milp_optimum(self):
+        np = pytest.importorskip("numpy")
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(1971)
+        for _ in range(8):
+            batch, capacities, reserve = contended_batch(rng, rng.randint(10, 14))
+            client_ids = list(batch.entries)
+            server_ids = sorted(capacities)
+            pairs = [e for group in batch.entries.values() for e in group]
+            rows = np.zeros((len(client_ids) + len(server_ids), len(pairs)))
+            for j, e in enumerate(pairs):
+                rows[client_ids.index(e.client_id), j] = 1.0
+                rows[len(client_ids) + server_ids.index(e.server_id), j] = e.b_via_mbps
+            upper = [1.0] * len(client_ids) + [capacities[s] - reserve for s in server_ids]
+            result = optimize.milp(
+                -np.array([e.gain_mbps for e in pairs]),
+                constraints=optimize.LinearConstraint(rows, -np.inf, upper),
+                integrality=np.ones(len(pairs)),
+                bounds=optimize.Bounds(0.0, 1.0),
+                options={"mip_rel_gap": 0.0},
+            )
+            assert result.status == 0
+            optimum = -result.fun
+            prices = root_prices(batch, capacities, reserve)
+            bound = lagrangian_bound(batch, capacities, reserve, prices)
+            assert bound >= optimum - rounding(optimum)
+            exact = solve_exact(batch, capacities, reserve, client_cap=14).objective_mbps
+            assert exact == pytest.approx(optimum, rel=1e-9, abs=1e-9)
 
 
 class TestSolveGreedy:
