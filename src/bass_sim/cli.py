@@ -15,6 +15,7 @@ environment variable (DEBUG, INFO, ...) for log verbosity.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import logging
 import os
@@ -124,19 +125,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 _CDF_GRID = [round(0.05 * i, 2) for i in range(21)]
 
 
-def _gamma_values(records) -> list[float]:
-    return [c.gamma for record in records for c in record.clients if c.gamma is not None]
+def _cdf_at(points, g: float) -> float:
+    """The fraction of an empirical CDF's values at or below `g` (0 if none are)."""
+    k = bisect.bisect_right([value for value, _ in points], g)
+    return points[k - 1][1] if k else 0.0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     policies = args.policies
     scenario = load_scenario(args.scenario)
-    reports, gamma_values = {}, {}
+    reports = {}
     for policy in policies:
         config = _from_flags(SimConfig, args, policy=policy)
         records = run_simulation(scenario, config)
         reports[policy] = summarize(policy, records)
-        gamma_values[policy] = _gamma_values(records)
         if args.out is not None:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,8 +166,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         row = [f"{g:.2f}"]
         fractions = []
         for policy in policies:
-            values = gamma_values[policy]
-            frac = sum(1 for v in values if v <= g) / len(values) if values else 0.0
+            frac = _cdf_at(reports[policy].gamma_cdf, g)
             fractions.append(frac)
             row.append(f"{frac:.4f}")
         if with_delta:

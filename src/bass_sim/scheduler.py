@@ -83,7 +83,6 @@ class RequestBatch:
     gain descending, ties by server id ascending.
     """
 
-    epoch_t: int
     entries: Mapping[str, tuple[GainEntry, ...]]
 
     def __post_init__(self) -> None:
@@ -111,8 +110,8 @@ class RequestBatch:
                 server_ids.add(entry.server_id)
 
     @classmethod
-    def build(cls, epoch_t: int, entries: Mapping[str, Iterable[GainEntry]]) -> "RequestBatch":
-        return cls(epoch_t=epoch_t, entries=entries)
+    def build(cls, entries: Mapping[str, Iterable[GainEntry]]) -> "RequestBatch":
+        return cls(entries=entries)
 
     @property
     def n(self) -> int:

@@ -19,9 +19,10 @@ every client with at least one candidate. Records are a pure function of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ValidationError
 from .model import BBoxClient, baseline_bandwidth
@@ -192,7 +193,8 @@ class SimState:
 
     The scenario is never written. The only state carried from one epoch
     to the next is the ledger's plan in force, minus departed clients;
-    each server's load is derived from it.
+    each server's load is derived from it. `active` holds the clients in
+    the system, and `arrivals` yields the clients that join next, in order.
     """
 
     scenario: Scenario
@@ -201,109 +203,98 @@ class SimState:
     ledger: AssignmentLedger
     candidates: CandidateIndex
     active: dict[str, BBoxClient]
-    arrival_epoch: dict[str, int]
-    next_client_index: int
-    used_ids: set[str] = field(default_factory=set)
+    arrivals: Iterator[BBoxClient]
     epoch: int = 0
 
 
+def _arrivals(scenario: Scenario) -> Iterator[BBoxClient]:
+    """Clients `len(scenario.clients)`, `+ 1`, ... of the scenario's population,
+    skipping any whose id a scenario client, relay or origin already has.
+    Each index's id is distinct, so no arrival's id repeats."""
+    taken = {e.id for e in (*scenario.clients, *scenario.agg_servers, *scenario.origins)}
+    origin_ids = [o.id for o in scenario.origins]
+    for index in itertools.count(len(scenario.clients)):
+        client = sample_client(scenario.seed, index, scenario.net_params, origin_ids)
+        if client.id not in taken:
+            yield client
+
+
 def new_state(scenario: Scenario, config: SimConfig) -> SimState:
-    ledger = AssignmentLedger(scenario.agg_servers, config.reserve_mbps)
-    active = {c.id: c for c in scenario.clients}
     return SimState(
         scenario=scenario,
         config=config,
         net=DistanceDecayNetwork.for_scenario(scenario),
-        ledger=ledger,
+        ledger=AssignmentLedger(scenario.agg_servers, config.reserve_mbps),
         candidates=CandidateIndex(scenario.agg_servers),
-        active=active,
-        arrival_epoch={cid: 0 for cid in active},
-        next_client_index=len(scenario.clients),
-        used_ids={*active, *ledger.servers, *(o.id for o in scenario.origins)},
+        active={c.id: c for c in scenario.clients},
+        arrivals=_arrivals(scenario),
     )
 
 
-def _spawn_client(state: SimState) -> BBoxClient:
-    while True:
-        index = state.next_client_index
-        state.next_client_index += 1
-        client = sample_client(
-            state.scenario.seed,
-            index,
-            state.scenario.net_params,
-            [o.id for o in state.scenario.origins],
-        )
-        if client.id not in state.used_ids:
-            return client
-
-
 def run_epoch(state: SimState) -> EpochRecord:
-    """Advance the simulation by one re-allocation round."""
+    """Advance the simulation by one re-allocation round.
+
+    The active clients are sorted once, after arrivals; candidates, gains
+    and records all walk them in id order.
+    """
     config = state.config
     t = state.epoch
 
     # 1. Departures return their capacity, and their ranking and paths go.
-    if config.session_epochs_mean is not None:
+    #    Arrivals join after departures, so from epoch 1 on every active
+    #    client joined in an earlier epoch, and none leaves in epoch 0. Each
+    #    draw is keyed by (client, epoch), so the walk needs no order.
+    if config.session_epochs_mean is not None and t > 0:
         p_depart = 1.0 / config.session_epochs_mean
         depart = SeededStream(config.seed, "depart")
-        for client_id in sorted(state.active):
-            if state.arrival_epoch[client_id] >= t:
-                continue
+        for client_id in list(state.active):
             if depart.random(client_id, t) < p_depart:
                 if state.ledger.assignment_of(client_id) is not None:
                     state.ledger.release(client_id)
                 del state.active[client_id]
-                del state.arrival_epoch[client_id]
                 state.candidates.forget(client_id)
                 state.net.forget(client_id)
 
     # 2. Seeded arrivals join the population.
     if config.arrival_rate > 0.0:
         n_new = _poisson(rng_for(config.seed, "arrivals", t), config.arrival_rate)
-        for _ in range(n_new):
-            client = _spawn_client(state)
+        for client in itertools.islice(state.arrivals, n_new):
             state.active[client.id] = client
-            state.arrival_epoch[client.id] = t
-            state.used_ids.add(client.id)
+    client_ids = sorted(state.active)
 
-    # 3. Candidate subsets against the load left by the previous epoch
-    #    (the scheduler filters on current load when requests come in).
+    # 3. Candidates are filtered on the load the previous epoch left (the
+    #    scheduler filters on current load when requests come in). Every
+    #    active client re-requests, so the whole allocation is rebuilt.
     load_rates = state.ledger.load_rates()
-    candidate_ids = {
-        client_id: candidate_subset(
-            state.active[client_id], state.candidates, config.k_candidates,
-            config.load_threshold, load_rates,
-        )
-        for client_id in sorted(state.active)
-    }
-
-    # 4. Every active client re-requests, so the whole allocation is rebuilt.
     state.ledger.release_all()
 
-    # 5. Measure gains against the (possibly re-drawn) network.
+    # 4. Candidates, baseline and gains against the (possibly re-drawn) network.
     if config.remeasure_noise:
         state.net.remeasure(t)
     baselines: dict[str, float] = {}
     entries = {}
-    for client_id in sorted(state.active):
+    for client_id in client_ids:
         client = state.active[client_id]
+        candidate_ids = candidate_subset(
+            client, state.candidates, config.k_candidates, config.load_threshold, load_rates,
+        )
         baseline = baseline_bandwidth(state.net.direct_link_bandwidths(client))
         baselines[client_id] = baseline
-        chosen_servers = [state.ledger.servers[sid] for sid in candidate_ids[client_id]]
-        if chosen_servers:
+        if candidate_ids:
+            chosen_servers = [state.ledger.servers[sid] for sid in candidate_ids]
             entries[client_id] = measure_gains(client, chosen_servers, state.net, baseline)
-    batch = RequestBatch.build(t, entries)
+    batch = RequestBatch.build(entries)
 
-    # 6. Solve under the released capacities.
+    # 5. Solve under the released capacities.
     capacities = state.ledger.capacities
     plan = POLICIES[config.policy](batch, capacities, config, t)
 
-    # 7. Commit.
+    # 6. Commit.
     state.ledger.apply(plan)
 
-    # 8. Per-client records.
+    # 7. Per-client records.
     records = []
-    for client_id in sorted(state.active):
+    for client_id in client_ids:
         baseline = baselines[client_id]
         group = batch.entries.get(client_id, ())
         feasible = [

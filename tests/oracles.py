@@ -59,7 +59,7 @@ def brute_force_optimum(batch, capacities, reserve_mbps):
     return best_objective, best_assignments
 
 
-def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4, epoch_t: int = 0):
+def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4):
     """A random small matching instance: (batch, capacities, reserve).
 
     Gains span negative to positive, demands and capacities are generic
@@ -87,7 +87,7 @@ def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4, epoch_t: in
             )
         if group:
             entries[client_id] = group
-    return RequestBatch.build(epoch_t, entries), capacities, reserve
+    return RequestBatch.build(entries), capacities, reserve
 
 
 def contended_batch(rng: random.Random, n: int):
@@ -108,7 +108,7 @@ def contended_batch(rng: random.Random, n: int):
             GainEntry(client_id, sid, rng.uniform(2.0, 14.0), rng.uniform(4.0, 16.0), baseline)
             for sid in server_ids
         ]
-    return RequestBatch.build(0, entries), capacities, 0.0
+    return RequestBatch.build(entries), capacities, 0.0
 
 
 def lagrangian_bound(batch, capacities, reserve_mbps, prices):

@@ -32,11 +32,11 @@ def entry(cid, sid, b_cs, b_so, baseline):
     return GainEntry(cid, sid, b_cs, b_so, baseline)
 
 
-def batch_of(*entries, epoch_t=0):
+def batch_of(*entries):
     grouped = {}
     for e in entries:
         grouped.setdefault(e.client_id, []).append(e)
-    return RequestBatch.build(epoch_t, grouped)
+    return RequestBatch.build(grouped)
 
 
 class FakeNet:
@@ -82,13 +82,13 @@ class TestRequestBatch:
             "c2": (entry("c2", "s1", 2, 50, 1),),
             "c1": (entry("c1", "s1", 2, 50, 1), entry("c1", "s2", 9, 50, 1)),
         }
-        batch = RequestBatch(epoch_t=0, entries=entries)
+        batch = RequestBatch(entries=entries)
         assert list(batch.entries) == ["c1", "c2"]
         assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
 
     def test_rejects_entry_filed_under_another_client(self):
         with pytest.raises(ValidationError, match="filed under"):
-            RequestBatch(epoch_t=0, entries={"c1": (entry("c2", "s1", 2, 50, 1),)})
+            RequestBatch(entries={"c1": (entry("c2", "s1", 2, 50, 1),)})
 
     def test_rejects_duplicate_server(self):
         with pytest.raises(ValidationError):
@@ -147,7 +147,7 @@ class TestMeasureGains:
             subflows={("c1", "s1"): [2.0, 3.0], ("c1", "s2"): [2.0, 3.0]},
             server_origin={("s1", "o1"): 4.0, ("s2", "o1"): 50.0},
         )
-        batch = RequestBatch.build(0, {"c1": measure_gains(client, servers, net, baseline=3.0)})
+        batch = RequestBatch.build({"c1": measure_gains(client, servers, net, baseline=3.0)})
         assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
 
     def test_unknown_origin_propagates(self):
@@ -226,7 +226,7 @@ class TestSolveExact:
             }
             if not extended:
                 continue
-            bigger = RequestBatch.build(batch.epoch_t, extended)
+            bigger = RequestBatch.build(extended)
             capacities2 = dict(capacities, s_extra=rng.uniform(1.0, 30.0))
             assert solve_exact(bigger, capacities2, reserve).objective_mbps >= base
 

@@ -131,7 +131,7 @@ def three_candidate_batch():
             for sid, b_cs in (("s1", 5.0), ("s2", 4.0), ("s3", 3.0))
         ]
     }
-    return RequestBatch.build(0, entries)
+    return RequestBatch.build(entries)
 
 
 class TestRandomPolicy:
@@ -147,7 +147,7 @@ class TestRandomPolicy:
             "c1": [GainEntry("c1", "s1", 5.0, 100.0, 1.0)],
             "c2": [GainEntry("c2", "s1", 4.0, 100.0, 1.0)],
         }
-        batch = RequestBatch.build(0, entries)
+        batch = RequestBatch.build(entries)
         caps = {"s1": 50.0}
         assert random_policy(batch, caps, seed=3, reserve_mbps=0.0) == solve_greedy(
             batch, caps, reserve_mbps=0.0
@@ -171,7 +171,7 @@ class TestRandomPolicy:
                 GainEntry("c1", "s2", 5.0, 100.0, 1.0),
             ]
         }
-        batch = RequestBatch.build(0, entries)
+        batch = RequestBatch.build(entries)
         caps = {"s1": 10.0, "s2": 10.0}
         for seed in range(50):
             plan = random_policy(batch, caps, seed=seed, reserve_mbps=0.0)
@@ -179,7 +179,7 @@ class TestRandomPolicy:
 
     def test_no_feasible_candidate_leaves_unassigned(self):
         entries = {"c1": [GainEntry("c1", "s1", 40.0, 100.0, 1.0)]}
-        batch = RequestBatch.build(0, entries)
+        batch = RequestBatch.build(entries)
         plan = random_policy(batch, {"s1": 10.0}, seed=0, reserve_mbps=0.0)
         assert plan.assignments == {}
 
@@ -281,7 +281,7 @@ class TestRunEpoch:
                 entries[cid] = measure_gains(
                     client, [state2.ledger.servers[s] for s in cand], state2.net, baseline
                 )
-        batch = RequestBatch.build(0, entries)
+        batch = RequestBatch.build(entries)
         capacities = {sid: s.total_capacity_mbps for sid, s in state2.ledger.servers.items()}
         expected_obj, expected_assign = brute_force_optimum(batch, capacities, config.reserve_mbps)
         assert record.objective_mbps == expected_obj
@@ -363,6 +363,35 @@ class TestRunSimulation:
             assert set(state.net._clients) == set(state.active)
             assert _cached_values(state.net) <= record.n_active * 3 * (1 + 3) + 3 * 2
         assert len(clients_seen) > 5 * len(state.active)
+
+    def test_state_holds_only_active_clients_and_the_scenario(self):
+        # Over a long churn run, no store in the state may grow with the
+        # number of clients that ever arrived.
+        scenario = generate_scenario(10, 3, 2, seed=8)
+        config = SimConfig(epochs=1000, seed=8, arrival_rate=0.5, session_epochs_mean=20.0)
+        state = new_state(scenario, config)
+        for _ in range(config.epochs):
+            run_epoch(state)
+        entities = len(scenario.clients) + len(scenario.agg_servers) + len(scenario.origins)
+        bound = len(state.active) + entities
+        sizes = {
+            name: len(value) for name, value in vars(state).items()
+            if isinstance(value, (dict, set, list))
+        }
+        assert "active" in sizes
+        assert all(size <= bound for size in sizes.values()), (sizes, bound)
+
+    def test_no_client_departs_in_the_epoch_it_joins(self):
+        # A mean session of one epoch makes every client leave at its first
+        # chance: the epoch after it joined. So the scenario's clients stay
+        # through epoch 0, and each epoch's clients are all new.
+        scenario = generate_scenario(6, 3, 2, seed=9)
+        config = SimConfig(epochs=40, seed=9, arrival_rate=2.0, session_epochs_mean=1.0)
+        seen = [{c.client_id for c in record.clients} for record in run_simulation(scenario, config)]
+        assert {c.id for c in scenario.clients} <= seen[0]
+        for before, now in zip(seen, seen[1:]):
+            assert not before & now
+        assert sum(1 for clients in seen[1:] if clients) >= 30
 
     def test_arrivals_get_the_scenario_link_mix(self):
         params = NetModelParams(wifi_links_per_client=1, cellular_links_per_client=0)
