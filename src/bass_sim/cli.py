@@ -104,11 +104,11 @@ def _fmt(value) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     config = _from_flags(SimConfig, args, policy=args.policy)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the run: a bad --out fails at once
     records = run_simulation(scenario, config)
     report = summarize(args.policy, records)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_records(args.policy, records, out_dir / "records.json")
     write_rows_csv(per_client_rows(args.policy, records), out_dir / "per_client.csv")
     del records  # the run's trace is written; free it before the summary is encoded
@@ -134,14 +134,15 @@ def _cdf_at(points, g: float) -> float:
 def cmd_compare(args: argparse.Namespace) -> int:
     policies = args.policies
     scenario = load_scenario(args.scenario)
+    configs = {policy: _from_flags(SimConfig, args, policy=policy) for policy in policies}
+    out_dir = None if args.out is None else Path(args.out)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)  # once, before any run
     reports = {}
-    for policy in policies:
-        config = _from_flags(SimConfig, args, policy=policy)
+    for policy, config in configs.items():
         records = run_simulation(scenario, config)
         reports[policy] = summarize(policy, records)
-        if args.out is not None:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        if out_dir is not None:
             save_records(policy, records, out_dir / f"records_{policy}.json")
             emit_report(reports[policy], "json", out_dir / f"summary_{policy}.json")
         del records  # written; free it before the next policy runs

@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import stat
 import types
 import typing
 from collections.abc import Mapping
+from contextlib import suppress
 from enum import Enum
 from functools import cache, partial
 from itertools import islice
 
 from .errors import ValidationError
 
-__all__ = ["encode", "decode", "load_json", "save_json"]
+__all__ = ["encode", "decode", "load_json", "open_output", "save_json"]
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 _PLAIN = frozenset((*_SCALARS, type(None)))
@@ -181,6 +184,18 @@ def load_json(cls: type, path, where: str, error: type[ValidationError]):
     return decode(cls, data, where, error)
 
 
+def open_output(path, newline: str | None = None):
+    """Open `path` to write UTF-8 text. An existing regular file (by
+    `os.lstat`: a symlink is not followed) is unlinked and created anew, as
+    truncating a written file in place costs about 50 ms on ext4 mounted
+    with `discard`; its permissions and hard links do not carry over. Any
+    other path, or a file that cannot be unlinked, is opened with "w"."""
+    with suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
@@ -206,7 +221,7 @@ def save_json(value, path) -> None:
         item = getattr(value, name)
         by_item = type(item) is tuple and item and _field_names(type(item[0])) is not None
         data[name] = _EncodedOnRead(item) if by_item else encode(item)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         chunks = _ENCODER.iterencode(data)
         while text := "".join(islice(chunks, 1024)):
             fh.write(text)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Iterable, Iterator, Sequence
 
-from .codec import encode, load_json, save_json
+from .codec import encode, load_json, open_output, save_json
 from .errors import RecordsFormatError, ValidationError
 from .sim import ClientEpochRecord, EpochRecord
 
@@ -149,7 +149,7 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
     if format == "json":
         save_json(report, path)
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["key", "value"])
             data = encode(report)
@@ -182,7 +182,7 @@ def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> Iterator[tup
 
 def write_rows_csv(rows: Iterable[tuple], path) -> None:
     """Write rows under the `PER_CLIENT_COLUMNS` header; csv writes None as an empty field."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PER_CLIENT_COLUMNS)
         writer.writerows(rows)

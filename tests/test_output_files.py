@@ -1,0 +1,193 @@
+"""How the CLI writes its output files.
+
+An existing regular output file is replaced by a new file, never truncated
+and rewritten in place: the bytes are those written into an empty
+directory, and a hard link to the old file keeps the old bytes. Symlinks,
+directories and other non-regular targets are opened as they are.
+"""
+
+import ast
+import os
+from pathlib import Path
+
+import pytest
+
+from bass_sim import cli
+from bass_sim.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bass_sim"
+RUN_FILES = ("records.json", "per_client.csv", "summary.json")
+
+
+def _scenario(tmp_path, seed="5"):
+    path = tmp_path / f"scenario_{seed}.json"
+    assert main(["generate", "--clients", "12", "--servers", "4", "--origins", "3",
+                 "--seed", seed, "--out", str(path)]) == 0
+    return path
+
+
+def _run(scenario, out, epochs):
+    assert main(["run", "--scenario", str(scenario), "--epochs", str(epochs),
+                 "--seed", "1", "--out", str(out)]) == 0
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_hard_linked_snapshot_keeps_the_first_runs_bytes(tmp_path):
+    scenario, out = _scenario(tmp_path), tmp_path / "out"
+    _run(scenario, out, 2)
+    first = (out / "records.json").read_bytes()
+    snap = tmp_path / "snap.json"
+    os.link(out / "records.json", snap)
+    _run(scenario, out, 3)
+    assert (out / "records.json").read_bytes() != first
+    assert snap.read_bytes() == first
+
+
+def _write_twice(tmp_path, write, names):
+    """Write with `write(d, old=True)` and then `write(d)` into one directory,
+    and with `write(d)` alone into an empty one. Each file of the second
+    write has the fresh bytes, and is a new file: hard links taken to the
+    old ones still hold the old bytes."""
+    fresh, reused, snaps = tmp_path / "fresh", tmp_path / "reused", tmp_path / "snaps"
+    for d in (fresh, reused, snaps):
+        d.mkdir()
+    write(fresh)
+    write(reused, old=True)
+    old = {}
+    for name in names:
+        old[name] = (reused / name).read_bytes()
+        assert old[name] != (fresh / name).read_bytes(), name
+        os.link(reused / name, snaps / name)
+    write(reused)
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert not (reused / name).samefile(snaps / name), name
+        assert (snaps / name).read_bytes() == old[name], name
+
+
+def test_run_over_older_outputs_writes_fresh_bytes_to_new_files(tmp_path):
+    scenario = _scenario(tmp_path)
+    _write_twice(tmp_path, lambda d, old=False: _run(scenario, d, 1 if old else 3), RUN_FILES)
+
+
+def test_compare_over_older_outputs_writes_fresh_bytes_to_new_files(tmp_path):
+    scenario = _scenario(tmp_path)
+
+    def write(d, old=False):
+        assert main(["compare", "--scenario", str(scenario), "--policies", "bass_greedy,random",
+                     "--epochs", "1" if old else "3", "--seed", "1", "--out", str(d)]) == 0
+
+    names = [f"{kind}_{policy}.json" for kind in ("records", "summary")
+             for policy in ("bass_greedy", "random")]
+    _write_twice(tmp_path, write, names)
+
+
+def test_generate_over_an_older_scenario_writes_fresh_bytes_to_a_new_file(tmp_path):
+    def write(d, old=False):
+        assert main(["generate", "--clients", "12", "--servers", "4", "--origins", "3",
+                     "--seed", "6" if old else "5", "--out", str(d / "scenario.json")]) == 0
+
+    _write_twice(tmp_path, write, ["scenario.json"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_over_an_older_report_writes_fresh_bytes_to_a_new_file(fmt, tmp_path):
+    scenario = _scenario(tmp_path)
+    records = {}
+    for epochs in (1, 3):
+        _run(scenario, tmp_path / f"run{epochs}", epochs)
+        records[epochs] = tmp_path / f"run{epochs}" / "records.json"
+
+    def write(d, old=False):
+        assert main(["report", "--records", str(records[1 if old else 3]), "--format", fmt,
+                     "--out", str(d / f"summary.{fmt}")]) == 0
+
+    _write_twice(tmp_path, write, [f"summary.{fmt}"])
+
+
+def test_a_symlinked_output_stays_a_symlink_and_its_target_is_written(tmp_path):
+    scenario = _scenario(tmp_path)
+    _run(scenario, tmp_path / "fresh", 3)
+    out, target = tmp_path / "out", tmp_path / "kept" / "summary.json"
+    target.parent.mkdir()
+    target.write_text("old\n", encoding="utf-8")
+    out.mkdir()
+    (out / "summary.json").symlink_to(target)
+    _run(scenario, out, 3)
+    assert (out / "summary.json").is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh" / "summary.json").read_bytes()
+
+
+def test_report_onto_an_existing_directory_is_one_error_line(tmp_path, capsys):
+    scenario = _scenario(tmp_path)
+    _run(scenario, tmp_path / "run", 1)
+    target = tmp_path / "taken"
+    target.mkdir()
+    (target / "keep.txt").write_text("kept\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--records", str(tmp_path / "run" / "records.json"),
+                 "--out", str(target)]) == 1
+    _assert_one_error_line(capsys)
+    assert (target / "keep.txt").read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["run"],
+    ["compare", "--policies", "bass_greedy,random"],
+])
+def test_an_out_that_is_a_file_fails_before_simulating(subcommand, tmp_path, capsys, monkeypatch):
+    scenario = _scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+
+    def never(scenario, config):
+        raise AssertionError("the simulation ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_simulation", never)
+    capsys.readouterr()
+    assert main([*subcommand, "--scenario", str(scenario), "--epochs", "2",
+                 "--out", str(taken)]) == 1
+    _assert_one_error_line(capsys)
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def _is_write_open(call: ast.Call) -> bool:
+    """A builtin `open(file, mode)` or `Path.open(mode)` call whose mode can
+    write: it contains w, a, x or +, or is not a literal at all."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[position] if len(call.args) > position else None)
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return any(flag in mode.value for flag in "wax+")
+
+
+def _writes(node, where, found):
+    """Collect (file, innermost enclosing function, line) for each write."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = (where[0], node.name)
+    if isinstance(node, ast.Call) and _is_write_open(node) or (
+            isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes")):
+        found.append((*where, node.lineno))
+    for child in ast.iter_child_nodes(node):
+        _writes(child, where, found)
+
+
+def test_outputs_are_opened_only_by_the_codec_opener():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        _writes(tree, (path.name, None), found)
+    assert {tuple(where) for *where, _ in found} == {("codec.py", "open_output")}, found
