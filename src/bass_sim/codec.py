@@ -1,8 +1,8 @@
 """The one JSON codec for the package's dataclasses.
 
-A file format is written down once, as dataclasses. `encode` turns an
-instance into plain dicts, lists and scalars, one key per field; `decode`
-rebuilds it from the field annotations and checks every value on the way.
+A file format is written down once, as dataclasses. `save_json` writes an
+instance as JSON text, one key per field; `decode` rebuilds it from the
+field annotations and checks every value on the way.
 """
 
 from __future__ import annotations
@@ -17,37 +17,19 @@ from collections.abc import Mapping
 from contextlib import suppress
 from enum import Enum
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 
-__all__ = ["encode", "decode", "load_json", "open_output", "save_json"]
+__all__ = ["decode", "load_json", "open_output", "save_json"]
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
-_PLAIN = frozenset((*_SCALARS, type(None)))
 
 
 @cache
 def _field_names(cls: type) -> tuple[str, ...] | None:
     return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
-
-
-def encode(value):
-    """Plain JSON data for a dataclass; enums become their value, tuples arrays."""
-    names = _field_names(type(value))
-    if names is not None:
-        data = {}
-        for name in names:
-            item = getattr(value, name)
-            data[name] = item if type(item) in _PLAIN else encode(item)  # scalars skip the call
-        return data
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
-        return [item if type(item) in _PLAIN else encode(item) for item in value]
-    if isinstance(value, Mapping):
-        return {key: item if type(item) in _PLAIN else encode(item) for key, item in value.items()}
-    return value
 
 
 class _Mismatch(Exception):
@@ -196,33 +178,87 @@ def open_output(path, newline: str | None = None):
     return open(path, "w", encoding="utf-8", newline=newline)
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _EncodedOnRead(list):
-    """A top-level array of dataclasses whose items are encoded only as the
-    encoder reaches them, so one item's tree is alive at a time. It relies
-    on `JSONEncoder.iterencode`, which encodes in pure Python and walks
-    each array with `for`; any other reader would see the dataclasses and
-    fail loudly, never write other bytes."""
+def _float_text(value) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
 
-    def __iter__(self):
-        return map(encode, super().__iter__())
+
+# The JSON text of each scalar type, as json's encoder writes it.
+_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+         bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__}
+
+
+@cache
+def _indents(level: int) -> tuple[str, str, str]:
+    """The text before the first item of a container at nesting `level`,
+    before each later item, and before its closing bracket."""
+    inner = "\n" + "  " * (level + 1)
+    return inner, "," + inner, "\n" + "  " * level
+
+
+def _key_heads(keys, level: int) -> list[str]:
+    """The text before each value of an object at nesting `level`, its key included."""
+    first, later, _ = _indents(level)
+    return [(later if i else first) + encode_basestring_ascii(key) + ": "
+            for i, key in enumerate(keys)]
+
+
+@cache
+def _field_layout(cls: type, level: int):
+    """A dataclass's field names in key order, the text before each value and
+    before its closing brace, at nesting `level`; None for other types."""
+    if _field_names(cls) is None:
+        return None
+    names = tuple(sorted(_field_names(cls)))
+    return names, tuple(_key_heads(names, level)), _indents(level)[2]
+
+
+def _emit(value, write, head: str, level: int):
+    """Write `head`, then `value` as indented, sorted-key JSON at nesting
+    `level`: a dataclass or a mapping (str keys) as an object, a tuple or
+    list as an array, an enum as its value, a str, int, float, bool or None
+    as itself; anything else is a TypeError. Each write is one container's
+    text up to its next item that is not a scalar, or about 4 kB."""
+    scalar = _TEXT.get(type(value))
+    if scalar is not None:
+        return write(head + scalar(value))
+    layout = _field_layout(type(value), level)
+    if layout is not None:
+        names, heads, close = layout
+        items, brackets = map(getattr, repeat(value), names), "{}"
+    elif isinstance(value, Enum):
+        return _emit(value.value, write, head, level)
+    elif isinstance(value, (tuple, list)):
+        first, later, close = _indents(level)
+        heads, items, brackets = chain((first,), repeat(later)), value, "[]"
+    elif isinstance(value, Mapping):
+        keys, close = sorted(value), _indents(level)[2]
+        heads, items, brackets = _key_heads(keys, level), map(value.__getitem__, keys), "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    text = head + brackets[0]
+    item_head = None
+    for item_head, item in zip(heads, items):
+        scalar = _TEXT.get(type(item))
+        if scalar is None:
+            _emit(item, write, text + item_head, level + 1)
+            text = ""
+        else:
+            text += item_head + scalar(item)
+            if len(text) > 4096:  # a long run of scalars goes out in pieces
+                write(text)
+                text = ""
+    write(text + (brackets[1] if item_head is None else close + brackets[1]))
 
 
 def save_json(value, path) -> None:
-    """Write a dataclass as the bytes of `json.dump(encode(value), fh,
-    indent=2, sort_keys=True)` plus "\\n", item by item: each item of a
-    top-level array of dataclasses (records' epochs, a scenario's clients)
-    is encoded on its own, and the text is written a batch of chunks at a
-    time, so neither the whole file's tree nor its text is ever held."""
-    data = {}
-    for name in _field_names(type(value)):
-        item = getattr(value, name)
-        by_item = type(item) is tuple and item and _field_names(type(item[0])) is not None
-        data[name] = _EncodedOnRead(item) if by_item else encode(item)
+    """Write a dataclass as the bytes of `json.dump(data, fh, indent=2,
+    sort_keys=True)` plus "\\n", `data` being its tree of plain dicts and
+    lists, in one pass through the file's buffer: neither that tree nor the
+    file's text is ever built."""
     with open_output(path) as fh:
-        chunks = _ENCODER.iterencode(data)
-        while text := "".join(islice(chunks, 1024)):
-            fh.write(text)
+        _emit(value, fh.write, "", 0)
         fh.write("\n")

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
 from typing import Iterable, Iterator, Sequence
 
-from .codec import encode, load_json, open_output, save_json
+from .codec import load_json, open_output, save_json
 from .errors import RecordsFormatError, ValidationError
 from .sim import ClientEpochRecord, EpochRecord
 
@@ -152,13 +152,12 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
         with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["key", "value"])
-            data = encode(report)
-            for key in sorted(data):
-                value = data[key]
+            for key in sorted(f.name for f in fields(report)):
+                value = getattr(report, key)
                 if key in ("gamma_cdf", "multiplier_cdf"):
                     value = ";".join(f"{v!r}:{f!r}" for v, f in value)
                 elif key == "objective_series":
-                    value = ";".join(repr(v) for v in value)
+                    value = ";".join(map(repr, value))
                 writer.writerow([key, value])
     else:
         raise ValidationError(f"unknown report format {format!r}; use 'csv' or 'json'")

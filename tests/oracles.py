@@ -5,17 +5,36 @@ the package: it walks the full cartesian product of per-client options
 (every candidate plus "unassigned") and keeps the best feasible plan.
 Feasibility uses sequential capacity subtraction in client-id order, the
 same arithmetic convention the solvers' canonical objective uses, so
-objectives compare exactly.
+objectives compare exactly. `encode` is the byte oracle of the JSON writer:
+`codec.save_json(value, path)` writes
+`json.dumps(encode(value), indent=2, sort_keys=True) + "\n"`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+from collections.abc import Mapping
+from enum import Enum
 
 from bass_sim.model import GainEntry
 from bass_sim.scheduler import RequestBatch
 from bass_sim.topology import geo_distance_km
+
+
+def encode(value):
+    """Plain JSON data: a dataclass becomes a dict with one key per field, an
+    enum its value, a tuple or list a list, a mapping a dict."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [encode(item) for item in value]
+    if isinstance(value, Mapping):
+        return {key: encode(item) for key, item in value.items()}
+    return value
 
 
 def brute_force_optimum(batch, capacities, reserve_mbps):

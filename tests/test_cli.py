@@ -5,9 +5,10 @@ import pytest
 
 from bass_sim import cli, sim
 from bass_sim.cli import main
-from bass_sim.codec import encode
 from bass_sim.metrics import load_report
 from bass_sim.topology import generate_scenario, load_scenario
+
+from oracles import encode
 
 
 def make_scenario(tmp_path, name="scenario.json", extra=()):

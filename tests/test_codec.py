@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import math
 import tracemalloc
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -9,11 +10,14 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bass_sim.codec import decode, encode, save_json
+from bass_sim.codec import decode, save_json
 from bass_sim.errors import RecordsFormatError, ScenarioFormatError, ValidationError
-from bass_sim.metrics import _RecordsFile, load_records, save_records, summarize
+from bass_sim.metrics import _RecordsFile, emit_report, load_records, save_records, summarize
+from bass_sim.model import LinkKind
 from bass_sim.sim import SimConfig, run_simulation
 from bass_sim.topology import generate_scenario, load_scenario
+
+from oracles import encode
 
 
 class Color(str, Enum):
@@ -174,3 +178,61 @@ def test_records_writer_memory_does_not_grow_with_the_run(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_summary_writer_memory_does_not_grow_with_the_run(tmp_path):
+    # The CDFs and the objective series grow with the run; they are written
+    # a piece at a time, never encoded whole.
+    scenario = generate_scenario(8, 3, 2, seed=5)
+    peaks = []
+    for epochs in (200, 2000):
+        config = SimConfig(epochs=epochs, seed=5, arrival_rate=1.0, session_epochs_mean=10.0,
+                           remeasure_noise=True)
+        report = summarize("bass_greedy", run_simulation(scenario, config))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            emit_report(report, "json", tmp_path / "summary.json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# Text json must escape: control characters, non-ASCII, lone surrogates.
+texts = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\"\\\u2028\ud800\udfff"),
+    max_size=6,
+)
+scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**100), 2**100) | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]) | texts
+    | st.sampled_from(LinkKind) | st.sampled_from(Color)
+)
+values = st.recursive(scalars, lambda inner: (
+    st.lists(inner, max_size=4).map(tuple) | st.dictionaries(texts, inner, max_size=4)
+    | st.builds(Leaf, id=inner, weight=inner)
+    | st.builds(Tree, leaves=st.lists(st.builds(Leaf, texts, st.floats()), max_size=2).map(tuple),
+                span=st.tuples(inner, inner), labels=st.dictionaries(texts, st.sampled_from(Color)),
+                note=inner, ok=inner)
+), max_leaves=20)
+
+
+def test_save_json_writes_the_oracle_bytes_for_any_value(tmp_path):
+    path = tmp_path / "file.json"
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=values)
+    def check(value):
+        save_json(value, path)
+        expected = json.dumps(encode(value), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    check()
+
+
+@pytest.mark.parametrize("mapping", [{1: "a"}, {None: 1.0}, {("a",): 1}, {"a": 1, 2: 2}],
+                         ids=["int", "none", "tuple", "mixed"])
+def test_a_mapping_key_that_is_not_a_string_is_a_type_error(mapping, tmp_path):
+    with pytest.raises(TypeError):
+        save_json(Leaf("a", mapping), tmp_path / "file.json")

@@ -191,3 +191,26 @@ def test_outputs_are_opened_only_by_the_codec_opener():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         _writes(tree, (path.name, None), found)
     assert {tuple(where) for *where, _ in found} == {("codec.py", "open_output")}, found
+
+
+def _json_writers(tree) -> list[int]:
+    """Lines that name `json.dump`, `json.dumps` or `JSONEncoder`, as an
+    attribute, a name or an import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (node.attr == "JSONEncoder" or (
+                node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name) and node.value.id == "json")):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "JSONEncoder":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder") and any(
+                alias.name in ("dump", "dumps", "JSONEncoder") for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_json_is_written_only_by_the_codec_emitter():
+    found = {path.name: _json_writers(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {name: lines for name, lines in found.items() if lines}

@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bass_sim.codec import encode
 from bass_sim.errors import ScenarioFormatError, ValidationError
 from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GeoPoint
 from bass_sim.scheduler import AssignmentLedger
@@ -28,7 +27,7 @@ from bass_sim.topology import (
     wifi_mu_for_sub_1mbps,
 )
 
-from oracles import filtered_then_sorted_candidates
+from oracles import encode, filtered_then_sorted_candidates
 
 geo_points = st.builds(
     GeoPoint,
