@@ -22,7 +22,8 @@ the picks into the plan. `sim.POLICIES` is the one list of policies: it
 names each policy and the solver call that serves it. Determinism
 contract: identical inputs produce identical plans, including tie-breaks
 (gain ties resolve by client id, then server id; equal objectives resolve
-to the lexicographically smallest assignment vector).
+to the lexicographically smallest assignment vector, the first optimum in
+the exact search's walk).
 
 Objectives are floats; every objective in this module is computed as the
 running sum of chosen gains in client-id order, so equal plans always
@@ -296,16 +297,18 @@ def solve_exact(
 ) -> AllocationPlan:
     """Optimal assignment by exhaustive search over all feasible plans.
 
-    Depth-first over clients in id order, pruned by two admissible upper
-    bounds on what a path can still reach: its objective plus each
-    remaining client's best gain, and its reduced objective plus the
-    Lagrangian bound of `_capacity_prices` over the remaining clients. Both
-    carry a slack so float rounding can never prune a plan that ties or
-    beats the incumbent, which keeps the result identical to brute-force
-    enumeration. Among equal-objective optima the lexicographically
-    smallest assignment vector (client id, then server id, unassigned
-    first) is returned. Raises BatchTooLargeError above `client_cap`
-    clients; use the greedy solver there.
+    Depth-first over clients in id order, each client's options walked as
+    full enumeration walks them: unassigned first, then by server id. The
+    search is pruned by two admissible upper bounds on what a path can
+    still reach: its objective plus each remaining client's best gain, and
+    its reduced objective plus the Lagrangian bound of `_capacity_prices`
+    over the remaining clients. Both carry a slack so float rounding can
+    never prune a plan that ties or beats the incumbent, which keeps the
+    result identical to brute-force enumeration. Leaves come in
+    lexicographic order of the assignment vector, so the first optimum
+    found, the one returned, is the smallest among equal-objective optima.
+    Raises BatchTooLargeError above `client_cap` clients; use the greedy
+    solver there.
     """
     n = batch.n
     if n > client_cap:
@@ -322,14 +325,15 @@ def solve_exact(
     best_objective = solve_greedy(batch, capacities, reserve_mbps).objective_mbps
     prices = _capacity_prices(options, usable, best_objective)
 
-    # Each option as (entry, server, demand, gain, reduced gain); per suffix
-    # of clients, the sum of best gains and the sum of best reduced gains,
-    # each at least 0 because leaving a client unassigned is always allowed.
+    # Each option as (entry, server, demand, gain, reduced gain), by server
+    # id; per suffix of clients, the sum of best gains and the sum of best
+    # reduced gains, each at least 0 because leaving a client unassigned is
+    # always allowed.
     priced = [
         [
             (e, e.server_id, e.b_via_mbps, e.gain_mbps,
              e.gain_mbps - prices[e.server_id] * e.b_via_mbps)
-            for e in group
+            for e in sorted(group, key=lambda e: e.server_id)
         ]
         for group in options
     ]
@@ -345,32 +349,25 @@ def solve_exact(
     priced_bound_safe = [b + charged + slack for b in priced_bound]
 
     best_choices: list[GainEntry | None] | None = None
-    best_key: tuple[str, ...] | None = None
     choices: list[GainEntry | None] = [None] * n
 
-    def key_of(current: list[GainEntry | None]) -> tuple[str, ...]:
-        return tuple("" if e is None else e.server_id for e in current)
-
     def dfs(i: int, objective: float, reduced: float) -> None:
-        nonlocal best_objective, best_choices, best_key
+        nonlocal best_objective, best_choices
         if (
             objective + suffix_bound_safe[i] < best_objective
             or reduced + priced_bound_safe[i] < best_objective
         ):
             return
         if i == n:
-            if objective > best_objective:
+            # The first leaf to reach the best objective is the smallest
+            # optimum; one only equal to the greedy incumbent counts until then.
+            if objective > best_objective or (
+                objective == best_objective and best_choices is None
+            ):
                 best_objective = objective
                 best_choices = choices.copy()
-                best_key = key_of(choices)
-            elif objective == best_objective:
-                key = key_of(choices)
-                if best_key is None or key < best_key:
-                    best_choices = choices.copy()
-                    best_key = key
             return
-        # Highest gain first makes the bounds bite early; ties keep the
-        # batch's server-id order.
+        dfs(i + 1, objective, reduced)  # leave client i unassigned
         for entry, server_id, demand, gain, entry_reduced in priced[i]:
             remaining = usable[server_id]
             if demand <= remaining:
@@ -379,7 +376,6 @@ def solve_exact(
                 dfs(i + 1, objective + gain, reduced + entry_reduced)
                 choices[i] = None
                 usable[server_id] = remaining
-        dfs(i + 1, objective, reduced)  # leave client i unassigned
 
     dfs(0, 0.0, 0.0)
     if best_choices is None:

@@ -38,13 +38,7 @@ from .scheduler import (
     solve_greedy,
 )
 from .seeding import SeededStream, derive_seed, rng_for
-from .topology import (
-    CandidateIndex,
-    DistanceDecayNetwork,
-    Scenario,
-    candidate_subset,
-    sample_client,
-)
+from .topology import DistanceDecayNetwork, Scenario, candidate_subset, sample_client
 
 # Each policy's solve step. The BASS entries look `solve_exact` and
 # `solve_greedy` up in this module's globals when they are called, so a
@@ -201,7 +195,6 @@ class SimState:
     config: SimConfig
     net: DistanceDecayNetwork
     ledger: AssignmentLedger
-    candidates: CandidateIndex
     active: dict[str, BBoxClient]
     arrivals: Iterator[BBoxClient]
     epoch: int = 0
@@ -223,9 +216,8 @@ def new_state(scenario: Scenario, config: SimConfig) -> SimState:
     return SimState(
         scenario=scenario,
         config=config,
-        net=DistanceDecayNetwork.for_scenario(scenario),
+        net=DistanceDecayNetwork(scenario),
         ledger=AssignmentLedger(scenario.agg_servers, config.reserve_mbps),
-        candidates=CandidateIndex(scenario.agg_servers),
         active={c.id: c for c in scenario.clients},
         arrivals=_arrivals(scenario),
     )
@@ -240,7 +232,7 @@ def run_epoch(state: SimState) -> EpochRecord:
     config = state.config
     t = state.epoch
 
-    # 1. Departures return their capacity, and their ranking and paths go.
+    # 1. Departures return their capacity, and the network forgets them.
     #    Arrivals join after departures, so from epoch 1 on every active
     #    client joined in an earlier epoch, and none leaves in epoch 0. Each
     #    draw is keyed by (client, epoch), so the walk needs no order.
@@ -252,7 +244,6 @@ def run_epoch(state: SimState) -> EpochRecord:
                 if state.ledger.assignment_of(client_id) is not None:
                     state.ledger.release(client_id)
                 del state.active[client_id]
-                state.candidates.forget(client_id)
                 state.net.forget(client_id)
 
     # 2. Seeded arrivals join the population.
@@ -275,14 +266,13 @@ def run_epoch(state: SimState) -> EpochRecord:
     entries = {}
     for client_id in client_ids:
         client = state.active[client_id]
-        candidate_ids = candidate_subset(
-            client, state.candidates, config.k_candidates, config.load_threshold, load_rates,
+        candidates = candidate_subset(
+            client, state.net, config.k_candidates, config.load_threshold, load_rates,
         )
         baseline = baseline_bandwidth(state.net.direct_link_bandwidths(client))
         baselines[client_id] = baseline
-        if candidate_ids:
-            chosen_servers = [state.ledger.servers[sid] for sid in candidate_ids]
-            entries[client_id] = measure_gains(client, chosen_servers, state.net, baseline)
+        if candidates:
+            entries[client_id] = measure_gains(client, candidates, state.net, baseline)
     batch = RequestBatch.build(entries)
 
     # 5. Solve under the released capacities.

@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .codec import load_json, save_json
 from .errors import ScenarioFormatError, ValidationError
@@ -53,7 +53,6 @@ __all__ = [
     "generate_scenario",
     "save_scenario",
     "load_scenario",
-    "CandidateIndex",
     "candidate_subset",
     "DEFAULT_SERVER_CAPACITY_MBPS",
 ]
@@ -228,12 +227,15 @@ def path_bandwidth(
 
 @dataclass(slots=True)
 class _ClientPaths:
-    """One client's paths, keyed by destination id (a relay or its origin).
+    """What one client's position fixes, kept for its lifetime.
 
-    `decays` holds each path's noise-free decay for the client's lifetime;
-    `links` holds its per-link values under the current noise epoch.
+    `ranking` holds the relays nearest first by great-circle distance, ties
+    by id. `decays` holds each path's noise-free decay and `links` its
+    per-link values under the current noise epoch, both keyed by
+    destination id (a relay or the client's origin).
     """
 
+    ranking: tuple[AggregationServer, ...]
     decays: dict[str, float] = field(default_factory=dict)
     links: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
@@ -247,15 +249,14 @@ class DistanceDecayNetwork:
     is built on a miss. Until `remeasure` sets a noise epoch the whole
     network is static, which is the reproducibility default. A noise epoch
     is mixed into the tag, so each epoch re-measures fresh values. A
-    client's decays and paths are kept until `forget`.
+    client's relay ranking, decays and paths are kept until `forget`.
     """
 
-    def __init__(
-        self, params: NetModelParams, seed: int, origins: Mapping[str, OriginServer]
-    ) -> None:
-        self.params = params
-        self._origins = dict(origins)
-        self._noise = SeededStream(seed, "path-noise")
+    def __init__(self, scenario: Scenario) -> None:
+        self.params = scenario.net_params
+        self._servers = scenario.agg_servers
+        self._origins = {o.id: o for o in scenario.origins}
+        self._noise = SeededStream(scenario.seed, "path-noise")
         self._clients: dict[str, _ClientPaths] = {}
         self._relay_decays: dict[tuple[str, str], float] = {}
         self._relay_paths: dict[tuple[str, str], float] = {}
@@ -270,20 +271,26 @@ class DistanceDecayNetwork:
         self._relay_paths.clear()
 
     def forget(self, client_id: str) -> None:
-        """Drop a departed client's decays and paths; its id is never measured again."""
+        """Drop a departed client's ranking, decays and paths; its id is never seen again."""
         self._clients.pop(client_id, None)
 
-    @classmethod
-    def for_scenario(cls, scenario: Scenario) -> "DistanceDecayNetwork":
-        return cls(scenario.net_params, scenario.seed, {o.id: o for o in scenario.origins})
+    def _add_client(self, client: BBoxClient) -> _ClientPaths:
+        """Rank the relays for a client seen for the first time and keep its entry."""
+        ranking = sorted(
+            self._servers, key=lambda s: (geo_distance_km(client.location, s.location), s.id)
+        )
+        entry = self._clients[client.id] = _ClientPaths(tuple(ranking))
+        return entry
+
+    def ranking(self, client: BBoxClient) -> tuple[AggregationServer, ...]:
+        """The relays nearest the client first; positions never move, so it is kept."""
+        return (self._clients.get(client.id) or self._add_client(client)).ranking
 
     def _link_bandwidths(
         self, client: BBoxClient, dest: AggregationServer | OriginServer, factor: float
     ) -> tuple[float, ...]:
         """Per link, min(uplink, factor × path) from the client to `dest`, measured on a miss."""
-        entry = self._clients.get(client.id)
-        if entry is None:
-            entry = self._clients[client.id] = _ClientPaths()
+        entry = self._clients.get(client.id) or self._add_client(client)
         values = entry.links.get(dest.id)
         if values is None:
             decay = entry.decays.get(dest.id)
@@ -417,49 +424,21 @@ def generate_scenario(
     return scenario
 
 
-class CandidateIndex:
-    """Each client's relays ranked nearest first by great-circle distance, ties by id.
-
-    Positions never move, so a client's ranking is computed the first time
-    it is asked for and kept until `forget`. Loads change every epoch and
-    are passed to `candidate_subset`, not read from the servers.
-    """
-
-    def __init__(self, servers: Iterable[AggregationServer]) -> None:
-        self._servers = tuple(servers)
-        self._rankings: dict[str, tuple[AggregationServer, ...]] = {}
-
-    def ranking(self, client: BBoxClient) -> tuple[AggregationServer, ...]:
-        ranking = self._rankings.get(client.id)
-        if ranking is None:
-            ranking = self._rankings[client.id] = tuple(
-                sorted(
-                    self._servers,
-                    key=lambda s: (geo_distance_km(client.location, s.location), s.id),
-                )
-            )
-        return ranking
-
-    def forget(self, client_id: str) -> None:
-        """Drop a departed client's ranking; its id is never ranked again."""
-        self._rankings.pop(client_id, None)
-
-
 def candidate_subset(
-    client: BBoxClient, index: CandidateIndex, k: int, load_threshold: float,
+    client: BBoxClient, net: DistanceDecayNetwork, k: int, load_threshold: float,
     load_rates: Mapping[str, float],
-) -> list[str]:
+) -> list[AggregationServer]:
     """Candidate relay servers for one client: the k nearest, load-filtered.
 
-    Walks the client's ranking in `index` and returns the ids of the first
-    k servers whose load rate (remaining/total, from `load_rates`) is at
-    least `load_threshold` (possibly fewer; an empty list means no
-    aggregation is available).
+    Walks the client's ranking in `net` and returns the first k servers
+    whose load rate (remaining/total, from `load_rates`) is at least
+    `load_threshold` (possibly fewer; an empty list means no aggregation is
+    available).
     """
-    chosen: list[str] = []
-    for server in index.ranking(client):
+    chosen: list[AggregationServer] = []
+    for server in net.ranking(client):
         if load_rates[server.id] >= load_threshold:
-            chosen.append(server.id)
+            chosen.append(server)
             if len(chosen) == k:
                 break
     return chosen

@@ -119,6 +119,8 @@ def test_one_mutated_value_loads_or_raises_the_format_error(write, load, error, 
         for key in position[:-1]:
             node = node[key]
         node[position[-1]] = value
+        # A new file each time: truncating one in place is slow on some file systems.
+        path.unlink()
         path.write_text(json.dumps(data), encoding="utf-8")
         try:
             load(path)

@@ -214,6 +214,27 @@ class TestSolveExact:
             assert plan.objective_mbps == expected_obj
             assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
 
+    def test_matches_brute_force_on_tie_heavy_batches(self):
+        # Small integer bandwidths make equal-objective optima common, so
+        # the smallest-vector tie-break is exercised across many clients.
+        for i in range(2000):
+            rng = random.Random(i)
+            server_ids = [f"s{j}" for j in range(rng.randint(2, 3))]
+            capacities = {sid: rng.randint(0, 12) for sid in server_ids}
+            entries = {}
+            for c in range(rng.randint(3, 8)):
+                cid = f"c{c}"
+                baseline = rng.randint(0, 3)
+                entries[cid] = [
+                    entry(cid, sid, rng.randint(0, 6), rng.randint(0, 6), baseline)
+                    for sid in rng.sample(server_ids, rng.randint(1, len(server_ids)))
+                ]
+            batch = RequestBatch.build(entries)
+            expected_obj, expected_assign = brute_force_optimum(batch, capacities, 0.0)
+            plan = solve_exact(batch, capacities, 0.0)
+            assert plan.objective_mbps == expected_obj
+            assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
+
     def test_adding_a_server_never_hurts(self):
         rng = random.Random(55)
         for _ in range(60):

@@ -62,7 +62,7 @@ def _cached_values(net):
 def _assert_cache_is_fresh(state):
     """Every cached link tuple and relay path equals what a new network measures now."""
     scenario, net = state.scenario, state.net
-    fresh = DistanceDecayNetwork.for_scenario(scenario)
+    fresh = DistanceDecayNetwork(scenario)
     fresh.remeasure(net.noise_epoch)
     servers = state.ledger.servers
     for client_id, paths in net._clients.items():
@@ -274,13 +274,11 @@ class TestRunEpoch:
         entries = {}
         for cid in sorted(state2.active):
             client = state2.active[cid]
-            cand = candidate_subset(client, state2.candidates, config.k_candidates,
+            cand = candidate_subset(client, state2.net, config.k_candidates,
                                     config.load_threshold, state2.ledger.load_rates())
             if cand:
                 baseline = baseline_bandwidth(state2.net.direct_link_bandwidths(client))
-                entries[cid] = measure_gains(
-                    client, [state2.ledger.servers[s] for s in cand], state2.net, baseline
-                )
+                entries[cid] = measure_gains(client, cand, state2.net, baseline)
         batch = RequestBatch.build(entries)
         capacities = {sid: s.total_capacity_mbps for sid, s in state2.ledger.servers.items()}
         expected_obj, expected_assign = brute_force_optimum(batch, capacities, config.reserve_mbps)
@@ -359,8 +357,9 @@ class TestRunSimulation:
         for _ in range(config.epochs):
             record = run_epoch(state)
             clients_seen |= set(state.active)
-            assert set(state.candidates._rankings) == set(state.active)
             assert set(state.net._clients) == set(state.active)
+            for entry in state.net._clients.values():
+                assert sorted(s.id for s in entry.ranking) == sorted(state.ledger.servers)
             assert _cached_values(state.net) <= record.n_active * 3 * (1 + 3) + 3 * 2
         assert len(clients_seen) > 5 * len(state.active)
 

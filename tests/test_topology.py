@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bass_sim.errors import ScenarioFormatError, ValidationError
-from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GeoPoint
+from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GeoPoint, OriginServer
 from bass_sim.scheduler import AssignmentLedger
 from bass_sim.seeding import SeededStream, rng_for
 from bass_sim.topology import (
     EARTH_RADIUS_KM,
     MAX_LINKS_PER_CLIENT,
     WIFI_SUB_1MBPS_TARGET,
-    CandidateIndex,
+    DistanceDecayNetwork,
     NetModelParams,
     Scenario,
     candidate_subset,
@@ -256,6 +256,12 @@ def _server(sid, lon, total=100.0, remaining=100.0):
     )
 
 
+def _network(servers):
+    """A network over `servers` and one origin, `o1`."""
+    origin = OriginServer(id="o1", location=GeoPoint(0, 0))
+    return DistanceDecayNetwork(Scenario((), servers, (origin,), NetModelParams(), 0))
+
+
 def _load_rates(servers):
     """Each server's load rate before any assignment."""
     return AssignmentLedger(servers, 0.0).load_rates()
@@ -271,9 +277,10 @@ class TestCandidateSubset:
         )
 
     def pick(self, servers, k, load_threshold):
-        return candidate_subset(
-            self.client, CandidateIndex(servers), k, load_threshold, _load_rates(servers)
+        chosen = candidate_subset(
+            self.client, _network(servers), k, load_threshold, _load_rates(servers)
         )
+        return [s.id for s in chosen]
 
     def test_nearest_k(self):
         servers = [_server("far", 30), _server("near", 1), _server("mid", 10)]
@@ -329,11 +336,11 @@ class TestCandidateSubset:
         )
         k = data.draw(st.integers(min_value=1, max_value=n + 1))
         threshold = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
-        index = CandidateIndex(servers)
+        net = _network(servers)
         load_rates = _load_rates(servers)
-        index.ranking(client)
+        net.ranking(client)
         # Loads change between epochs while the ranking is kept.
         for server in data.draw(st.permutations(servers))[: n // 2]:
             load_rates[server.id] = 0.0
-        got = candidate_subset(client, index, k, threshold, load_rates)
+        got = [s.id for s in candidate_subset(client, net, k, threshold, load_rates)]
         assert got == filtered_then_sorted_candidates(client, servers, k, threshold, load_rates)
