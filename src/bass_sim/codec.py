@@ -157,11 +157,13 @@ def decode(cls: type, data, where: str, error: type[ValidationError]):
 
 
 def load_json(cls: type, path, where: str, error: type[ValidationError]):
-    """Read a UTF-8 JSON file and decode it; undecodable content raises `error`."""
+    """Read a UTF-8 JSON file and decode it. Undecodable content raises
+    `error`: ValueError covers bad JSON, bad UTF-8 and an integer literal
+    past Python's digit limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not readable as UTF-8 JSON ({exc})") from exc
     return decode(cls, data, where, error)
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .codec import load_json, open_output, save_json
 from .errors import RecordsFormatError, ValidationError
-from .sim import ClientEpochRecord, EpochRecord
+from .sim import EpochRecord
 
 __all__ = [
     "SummaryReport",
@@ -107,30 +107,34 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
-    """Fold a record stream into one report."""
-    client_records: list[ClientEpochRecord] = [
-        c for record in records for c in record.clients
-    ]
-    gammas = [c.gamma for c in client_records if c.gamma is not None]
-    with_candidates = [c for c in client_records if c.candidate_count > 0]
-    hits = sum(1 for c in client_records if c.chose_best)
-    multipliers_filtered = [
-        gain_multiplier(c.b_achieved_mbps, c.b_baseline_mbps)
-        for c in with_candidates
-        if c.b_baseline_mbps > 0
-    ]
-    multipliers_all = [
-        gain_multiplier(c.b_achieved_mbps, c.b_baseline_mbps)
-        for c in client_records
-        if c.b_baseline_mbps > 0
-    ]
+    """Fold a record stream into one report, in one walk over its client records."""
+    gammas: list[float] = []
+    multipliers_filtered: list[float] = []
+    multipliers_all: list[float] = []
+    client_epochs = with_candidates = hits = dead_direct = 0
+    for record in records:
+        client_epochs += len(record.clients)
+        for c in record.clients:
+            if c.gamma is not None:
+                gammas.append(c.gamma)
+            if c.chose_best:
+                hits += 1
+            if c.candidate_count > 0:
+                with_candidates += 1
+            if c.b_baseline_mbps > 0:
+                multiplier = gain_multiplier(c.b_achieved_mbps, c.b_baseline_mbps)
+                multipliers_all.append(multiplier)
+                if c.candidate_count > 0:
+                    multipliers_filtered.append(multiplier)
+            elif c.b_baseline_mbps == 0:
+                dead_direct += 1
     return SummaryReport(
         policy=policy,
         epochs=len(records),
-        client_epochs=len(client_records),
-        records_with_candidates=len(with_candidates),
-        no_candidate_records=len(client_records) - len(with_candidates),
-        dead_direct_records=sum(1 for c in client_records if c.b_baseline_mbps == 0),
+        client_epochs=client_epochs,
+        records_with_candidates=with_candidates,
+        no_candidate_records=client_epochs - with_candidates,
+        dead_direct_records=dead_direct,
         gamma_mean=_mean(gammas) if gammas else None,
         gamma_median=median(gammas) if gammas else None,
         gamma_fraction_one=(hits / len(gammas)) if gammas else None,

@@ -3,9 +3,12 @@
 One scheduling round works on a request batch: every requesting client
 contributes its candidate relay servers with measured gains, and a solver
 picks at most one server per client so that the summed demands on each
-server stay within its remaining capacity minus a safety reserve. The
-objective is the total bandwidth gain of the chosen assignments; leaving a
-client on its direct path is always allowed and contributes zero.
+server stay within its usable capacity: its remaining capacity minus a
+safety reserve. `AssignmentLedger` works out that `usable` map once per
+run; each solver takes it and writes only to its own copy, so one map
+serves every epoch. The objective is the total bandwidth gain of the
+chosen assignments; leaving a client on its direct path is always allowed
+and contributes zero.
 
 Two solvers are provided. `solve_exact` searches all assignments
 (depth-first, results identical to full enumeration) and is capped at a
@@ -184,18 +187,6 @@ def measure_gains(
     return entries
 
 
-def _usable_capacity(
-    batch: RequestBatch,
-    capacities: Mapping[str, float],
-    reserve_mbps: float,
-) -> dict[str, float]:
-    return {
-        entry.server_id: capacities[entry.server_id] - reserve_mbps
-        for group in batch.entries.values()
-        for entry in group
-    }
-
-
 def _plan(chosen: Iterable[GainEntry]) -> AllocationPlan:
     """The plan that puts each chosen entry's client on its server; the
     client's demand on the server is the entry's via-bandwidth."""
@@ -205,19 +196,15 @@ def _plan(chosen: Iterable[GainEntry]) -> AllocationPlan:
     })
 
 
-def solve_greedy(
-    batch: RequestBatch,
-    capacities: Mapping[str, float],
-    reserve_mbps: float,
-) -> AllocationPlan:
+def solve_greedy(batch: RequestBatch, usable: Mapping[str, float]) -> AllocationPlan:
     """Greedy heuristic: take candidate pairs in global descending-gain order.
 
     A pair is taken iff its client is still unassigned, its gain is
-    positive, and its demand fits the server's remaining usable capacity
-    (remaining minus reserve, decremented as pairs are taken). Ties in gain
-    break by client id, then server id.
+    positive, and its demand fits what is left of the server's `usable`
+    capacity (a copy, decremented as pairs are taken). Ties in gain break
+    by client id, then server id.
     """
-    usable = _usable_capacity(batch, capacities, reserve_mbps)
+    usable = dict(usable)
     pairs = [
         entry
         for group in batch.entries.values()
@@ -290,12 +277,12 @@ def _capacity_prices(
 
 def solve_exact(
     batch: RequestBatch,
-    capacities: Mapping[str, float],
-    reserve_mbps: float,
+    usable: Mapping[str, float],
     *,
     client_cap: int = DEFAULT_EXACT_CAP,
 ) -> AllocationPlan:
-    """Optimal assignment by exhaustive search over all feasible plans.
+    """Optimal assignment under each server's `usable` capacity, by
+    exhaustive search over all feasible plans.
 
     Depth-first over clients in id order, each client's options walked as
     full enumeration walks them: unassigned first, then by server id. The
@@ -316,13 +303,12 @@ def solve_exact(
             f"batch has {n} clients, above the exact-solver cap of {client_cap}; "
             "use solve_greedy for batches this size"
         )
-    usable = _usable_capacity(batch, capacities, reserve_mbps)
     # Positive-gain candidates only: a zero or negative gain can never beat
     # leaving the client unassigned, and unassigned wins the tie-break.
     options = [[e for e in group if e.gain_mbps > 0.0] for group in batch.entries.values()]
     # Seed the incumbent with the greedy objective; its plan is one of the
     # leaves below, so the search will recover a plan at least this good.
-    best_objective = solve_greedy(batch, capacities, reserve_mbps).objective_mbps
+    best_objective = solve_greedy(batch, usable).objective_mbps
     prices = _capacity_prices(options, usable, best_objective)
 
     # Each option as (entry, server, demand, gain, reduced gain), by server
@@ -350,6 +336,7 @@ def solve_exact(
 
     best_choices: list[GainEntry | None] | None = None
     choices: list[GainEntry | None] = [None] * n
+    usable = dict(usable)  # what is left of each server; the search writes it
 
     def dfs(i: int, objective: float, reduced: float) -> None:
         nonlocal best_objective, best_choices
@@ -385,19 +372,15 @@ def solve_exact(
     return _plan(entry for entry in best_choices if entry is not None)
 
 
-def random_policy(
-    batch: RequestBatch,
-    capacities: Mapping[str, float],
-    seed: int,
-    reserve_mbps: float,
-) -> AllocationPlan:
+def random_policy(batch: RequestBatch, usable: Mapping[str, float], seed: int) -> AllocationPlan:
     """Baseline policy: assign each client a uniformly random candidate.
 
-    Candidates that no longer fit the remaining usable capacity are skipped;
-    the draw is uniform over the ones that fit at that moment, so every plan
-    is feasible by construction. Gains are ignored (they may be negative).
+    Candidates that no longer fit what is left of the server's `usable`
+    capacity (a copy, decremented as clients are placed) are skipped; the
+    draw is uniform over the ones that fit at that moment, so every plan is
+    feasible by construction. Gains are ignored (they may be negative).
     """
-    usable = _usable_capacity(batch, capacities, reserve_mbps)
+    usable = dict(usable)
     rng = rng_for(seed, "random-policy")
     chosen: list[GainEntry] = []
     for group in batch.entries.values():
@@ -413,16 +396,20 @@ def random_policy(
 class AssignmentLedger:
     """The assignments in force; remaining capacity and load derive from them.
 
-    `capacities` holds each server's remaining capacity when the run
-    starts, which is what every solve sees. `remaining()` replays the held
-    demands from it in application order, so releasing everything restores
-    the starting vector bit-for-bit. Servers are never written.
+    `usable` holds each server's remaining capacity when the run starts
+    minus the reserve, worked out once: every epoch releases all before it
+    solves, so this is what every solve sees. `remaining()` replays the
+    held demands from the servers' starting remaining capacity in
+    application order, so releasing everything restores the starting
+    vector bit-for-bit. Servers are never written.
     """
 
     def __init__(self, servers: Iterable[AggregationServer], reserve_mbps: float) -> None:
         self.reserve_mbps = reserve_mbps
         self.servers = {server.id: server for server in servers}
-        self.capacities = {sid: s.remaining_capacity_mbps for sid, s in self.servers.items()}
+        self.usable = {
+            sid: s.remaining_capacity_mbps - reserve_mbps for sid, s in self.servers.items()
+        }
         self._by_client: dict[str, Assignment] = {}
 
     def assignment_of(self, client_id: str) -> Assignment | None:
@@ -430,7 +417,7 @@ class AssignmentLedger:
 
     def remaining(self) -> dict[str, float]:
         """Each server's free capacity under the held assignments."""
-        remaining = dict(self.capacities)
+        remaining = {sid: s.remaining_capacity_mbps for sid, s in self.servers.items()}
         for assignment in self._by_client.values():
             remaining[assignment.server_id] -= assignment.demand_mbps
         return remaining

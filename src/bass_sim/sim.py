@@ -40,16 +40,16 @@ from .scheduler import (
 from .seeding import SeededStream, derive_seed, rng_for
 from .topology import DistanceDecayNetwork, Scenario, candidate_subset, sample_client
 
-# Each policy's solve step. The BASS entries look `solve_exact` and
-# `solve_greedy` up in this module's globals when they are called, so a
-# wrapper set on `sim.solve_*` sees every solve.
+# Each policy's solve step, given the batch and the ledger's usable
+# capacities. The BASS entries look `solve_exact` and `solve_greedy` up in
+# this module's globals when they are called, so a wrapper set on
+# `sim.solve_*` sees every solve.
 POLICIES: dict[str, Callable[[RequestBatch, Mapping[str, float], SimConfig, int], AllocationPlan]] = {
-    "bass_exact": lambda batch, capacities, config, t: solve_exact(
-        batch, capacities, config.reserve_mbps, client_cap=config.exact_cap),
-    "bass_greedy": lambda batch, capacities, config, t: solve_greedy(
-        batch, capacities, config.reserve_mbps),
-    "random": lambda batch, capacities, config, t: random_policy(
-        batch, capacities, derive_seed(config.seed, "policy", t), config.reserve_mbps),
+    "bass_exact": lambda batch, usable, config, t: solve_exact(
+        batch, usable, client_cap=config.exact_cap),
+    "bass_greedy": lambda batch, usable, config, t: solve_greedy(batch, usable),
+    "random": lambda batch, usable, config, t: random_policy(
+        batch, usable, derive_seed(config.seed, "policy", t)),
 }
 
 __all__ = [
@@ -275,9 +275,9 @@ def run_epoch(state: SimState) -> EpochRecord:
             entries[client_id] = measure_gains(client, candidates, state.net, baseline)
     batch = RequestBatch.build(entries)
 
-    # 5. Solve under the released capacities.
-    capacities = state.ledger.capacities
-    plan = POLICIES[config.policy](batch, capacities, config, t)
+    # 5. Solve under the released capacities, less the reserve.
+    usable = state.ledger.usable
+    plan = POLICIES[config.policy](batch, usable, config, t)
 
     # 6. Commit.
     state.ledger.apply(plan)
@@ -287,9 +287,7 @@ def run_epoch(state: SimState) -> EpochRecord:
     for client_id in client_ids:
         baseline = baselines[client_id]
         group = batch.entries.get(client_id, ())
-        feasible = [
-            e for e in group if e.b_via_mbps <= capacities[e.server_id] - config.reserve_mbps
-        ]
+        feasible = [e for e in group if e.b_via_mbps <= usable[e.server_id]]
         assignment = plan.assignments.get(client_id)
         if assignment is not None:
             achieved = assignment.demand_mbps

@@ -3,10 +3,11 @@
 The enumerator here is deliberately naive and shares no search code with
 the package: it walks the full cartesian product of per-client options
 (every candidate plus "unassigned") and keeps the best feasible plan.
-Feasibility uses sequential capacity subtraction in client-id order, the
-same arithmetic convention the solvers' canonical objective uses, so
-objectives compare exactly. `encode` is the byte oracle of the JSON writer:
-`codec.save_json(value, path)` writes
+Like the solvers, it takes each server's usable capacity (remaining
+capacity minus the reserve). Feasibility uses sequential subtraction from
+it in client-id order, the same arithmetic convention the solvers'
+canonical objective uses, so objectives compare exactly. `encode` is the
+byte oracle of the JSON writer: `codec.save_json(value, path)` writes
 `json.dumps(encode(value), indent=2, sort_keys=True) + "\n"`.
 """
 
@@ -37,8 +38,9 @@ def encode(value):
     return value
 
 
-def brute_force_optimum(batch, capacities, reserve_mbps):
-    """Optimal objective and assignment map by full enumeration.
+def brute_force_optimum(batch, usable):
+    """Optimal objective and assignment map under `usable` capacities, by
+    full enumeration.
 
     Among equal-objective plans the first one in product order wins, which
     (with "unassigned" first and candidates in server-id order) is the
@@ -49,19 +51,19 @@ def brute_force_optimum(batch, capacities, reserve_mbps):
         [None] + sorted(batch.entries[cid], key=lambda e: e.server_id) for cid in client_ids
     ]
     server_ids = {e.server_id for opts in option_lists for e in opts if e is not None}
-    base_usable = {sid: capacities[sid] - reserve_mbps for sid in server_ids}
+    base_usable = {sid: usable[sid] for sid in server_ids}
 
     best_objective = None
     best_assignments = None
     for combo in itertools.product(*option_lists):
-        usable = dict(base_usable)
+        left = dict(base_usable)
         objective = 0.0
         feasible = True
         for entry in combo:
             if entry is None:
                 continue
-            if entry.b_via_mbps <= usable[entry.server_id]:
-                usable[entry.server_id] -= entry.b_via_mbps
+            if entry.b_via_mbps <= left[entry.server_id]:
+                left[entry.server_id] -= entry.b_via_mbps
                 objective += entry.gain_mbps
             else:
                 feasible = False
@@ -78,7 +80,7 @@ def brute_force_optimum(batch, capacities, reserve_mbps):
     return best_objective, best_assignments
 
 
-def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4):
+def random_instance(rng: random.Random, n_max: int = 4, m_max: int = 4):
     """A random small matching instance: (batch, capacities, reserve).
 
     Gains span negative to positive, demands and capacities are generic
@@ -109,8 +111,15 @@ def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4):
     return RequestBatch.build(entries), capacities, reserve
 
 
+def random_batch(rng: random.Random, n_max: int = 4, m_max: int = 4):
+    """`random_instance`'s draws as the solvers take them: (batch, usable),
+    each server's usable capacity being its capacity minus the reserve."""
+    batch, capacities, reserve = random_instance(rng, n_max, m_max)
+    return batch, {sid: cap - reserve for sid, cap in capacities.items()}
+
+
 def contended_batch(rng: random.Random, n: int):
-    """A batch shaped like a contended exact run: (batch, capacities, reserve).
+    """A batch shaped like a contended exact run: (batch, usable).
 
     Every client can use each of 3 relays of about 20 Mbit/s, reserve 0,
     with demands of 2-14 Mbit/s, so two or three clients fill a relay and
@@ -118,7 +127,7 @@ def contended_batch(rng: random.Random, n: int):
     leave some clients whose every reduced gain is negative at those prices.
     """
     server_ids = ["s0", "s1", "s2"]
-    capacities = {sid: rng.uniform(18.0, 22.0) for sid in server_ids}
+    usable = {sid: rng.uniform(18.0, 22.0) for sid in server_ids}
     entries = {}
     for i in range(n):
         client_id = f"c{i:02d}"
@@ -127,15 +136,15 @@ def contended_batch(rng: random.Random, n: int):
             GainEntry(client_id, sid, rng.uniform(2.0, 14.0), rng.uniform(4.0, 16.0), baseline)
             for sid in server_ids
         ]
-    return RequestBatch.build(entries), capacities, 0.0
+    return RequestBatch.build(entries), usable
 
 
-def lagrangian_bound(batch, capacities, reserve_mbps, prices):
+def lagrangian_bound(batch, usable, prices):
     """`Σ_s λ_s·usable_s + Σ_c max(0, max_e (g_e − λ_s·d_e))` for the given
     prices, a server without a price counting as price 0."""
     total = 0.0
     for sid, price in prices.items():
-        total += price * (capacities[sid] - reserve_mbps)
+        total += price * usable[sid]
     for group in batch.entries.values():
         total += max([0.0] + [e.gain_mbps - prices.get(e.server_id, 0.0) * e.b_via_mbps
                               for e in group])

@@ -59,9 +59,9 @@ def test_criterion_1_oracle_equivalence(capsys):
         rng = random.Random(0xBA55)
         started = time.monotonic()
         for _ in range(1000):
-            batch, capacities, reserve = random_batch(rng)
-            expected_obj, expected_assign = brute_force_optimum(batch, capacities, reserve)
-            plan = solve_exact(batch, capacities, reserve)
+            batch, usable = random_batch(rng)
+            expected_obj, expected_assign = brute_force_optimum(batch, usable)
+            plan = solve_exact(batch, usable)
             assert plan.objective_mbps == expected_obj
             assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
         elapsed = time.monotonic() - started
@@ -73,9 +73,9 @@ def test_criterion_2_heuristic_dominance(capsys):
         rng = random.Random(0x6EED)
         ratios = []
         for _ in range(10_000):
-            batch, capacities, reserve = random_batch(rng)
-            greedy = solve_greedy(batch, capacities, reserve).objective_mbps
-            exact = solve_exact(batch, capacities, reserve).objective_mbps
+            batch, usable = random_batch(rng)
+            greedy = solve_greedy(batch, usable).objective_mbps
+            exact = solve_exact(batch, usable).objective_mbps
             assert greedy <= exact
             assert greedy >= 0.0
             ratios.append(greedy / exact if exact > 0 else 1.0)

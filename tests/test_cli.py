@@ -252,6 +252,8 @@ MALFORMED_SCENARIOS = {
     "non-utf8": (b'{"seed": "\xff"}', "not readable as UTF-8 JSON"),
     "nested-too-deep": (b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
                         "not readable as UTF-8 JSON"),
+    # Past Python's 4300-digit limit on parsing an integer literal.
+    "seed-5000-digits": (b'{"seed": ' + b"1" * 5000 + b"}", "not readable as UTF-8 JSON"),
 }
 
 MALFORMED_RECORDS = {
@@ -260,6 +262,8 @@ MALFORMED_RECORDS = {
     "epochs-null": (_set(["epochs"], None), "records.epochs: expected an array, got NoneType None"),
     "no-policy": (_drop(["policy"]), "records: missing field(s) ['policy']"),
     "non-utf8": (b'{"policy": "\xff"}', "not readable as UTF-8 JSON"),
+    "epoch-t-5000-digits": (b'{"epochs": [{"epoch_t": ' + b"1" * 5000 + b"}]}",
+                            "not readable as UTF-8 JSON"),
 }
 
 

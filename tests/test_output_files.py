@@ -214,3 +214,32 @@ def test_json_is_written_only_by_the_codec_emitter():
     found = {path.name: _json_writers(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(SRC.glob("*.py"))}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+# The relay reserve is decided in one place: `SimConfig` holds it, `new_state`
+# hands it to the ledger, and `AssignmentLedger` subtracts it once per run.
+RESERVE_READERS = {("sim.py", "SimConfig"), ("sim.py", "new_state"),
+                   ("scheduler.py", "AssignmentLedger")}
+
+
+def _reserve_readers(tree, filename):
+    """(file, top-level def or class, line) for each mention of `reserve_mbps`
+    as a name, attribute, parameter, keyword or string."""
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "reserve_mbps"
+                    or isinstance(node, ast.Attribute) and node.attr == "reserve_mbps"
+                    or isinstance(node, (ast.arg, ast.keyword)) and node.arg == "reserve_mbps"
+                    or isinstance(node, ast.Constant) and node.value == "reserve_mbps"):
+                found.append((filename, where, getattr(node, "lineno", top.lineno)))
+    return found
+
+
+def test_only_the_config_and_the_ledger_read_the_reserve():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _reserve_readers(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found
+    assert [f for f in found if f[:2] not in RESERVE_READERS] == []

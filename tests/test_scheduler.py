@@ -17,7 +17,6 @@ from bass_sim.scheduler import (
     AssignmentLedger,
     RequestBatch,
     _capacity_prices,
-    _usable_capacity,
     measure_gains,
     solve_exact,
     solve_greedy,
@@ -25,7 +24,13 @@ from bass_sim.scheduler import (
 
 from bass_sim.topology import generate_scenario
 
-from oracles import brute_force_optimum, contended_batch, lagrangian_bound, random_batch
+from oracles import (
+    brute_force_optimum,
+    contended_batch,
+    lagrangian_bound,
+    random_batch,
+    random_instance,
+)
 
 
 def entry(cid, sid, b_cs, b_so, baseline):
@@ -169,7 +174,7 @@ class TestSolveExact:
             entry("c1", "s1", 8, 50, 3),   # via 8, gain 5
             entry("c2", "s1", 6, 50, 2),   # via 6, gain 4
         )
-        plan = solve_exact(batch, {"s1": 10.0}, reserve_mbps=0.0)
+        plan = solve_exact(batch, {"s1": 10.0})
         assert plan.assignments == {"c1": Assignment("s1", 8.0, 5.0)}
         assert plan.objective_mbps == 5.0
 
@@ -180,13 +185,13 @@ class TestSolveExact:
             entry("c2", "s1", 8, 50, 4),   # gain 4
             entry("c2", "s2", 8, 50, 4),   # gain 4
         )
-        plan = solve_exact(batch, {"s1": 10.0, "s2": 10.0}, reserve_mbps=0.0)
+        plan = solve_exact(batch, {"s1": 10.0, "s2": 10.0})
         assert {c: a.server_id for c, a in plan.assignments.items()} == {"c1": "s1", "c2": "s2"}
         assert plan.objective_mbps == 9.0
 
     def test_negative_gain_left_unassigned(self):
         batch = batch_of(entry("c1", "s1", 4, 50, 5))
-        plan = solve_exact(batch, {"s1": 10.0}, reserve_mbps=0.0)
+        plan = solve_exact(batch, {"s1": 10.0})
         assert plan.assignments == {}
         assert plan.objective_mbps == 0.0
 
@@ -194,7 +199,7 @@ class TestSolveExact:
         entries = [entry(f"c{i:02d}", "s1", 2, 50, 1) for i in range(5)]
         batch = batch_of(*entries)
         with pytest.raises(BatchTooLargeError):
-            solve_exact(batch, {"s1": 100.0}, reserve_mbps=0.0, client_cap=4)
+            solve_exact(batch, {"s1": 100.0}, client_cap=4)
 
     def test_tie_breaks_prefer_smallest_vector(self):
         # Both servers give the same gain; s1 sorts first.
@@ -202,15 +207,15 @@ class TestSolveExact:
             entry("c1", "s2", 8, 50, 3),
             entry("c1", "s1", 8, 50, 3),
         )
-        plan = solve_exact(batch, {"s1": 100.0, "s2": 100.0}, reserve_mbps=0.0)
+        plan = solve_exact(batch, {"s1": 100.0, "s2": 100.0})
         assert plan.assignments["c1"].server_id == "s1"
 
     def test_matches_brute_force_on_seeded_batches(self):
         rng = random.Random(2024)
         for _ in range(150):
-            batch, capacities, reserve = random_batch(rng)
-            expected_obj, expected_assign = brute_force_optimum(batch, capacities, reserve)
-            plan = solve_exact(batch, capacities, reserve)
+            batch, usable = random_batch(rng)
+            expected_obj, expected_assign = brute_force_optimum(batch, usable)
+            plan = solve_exact(batch, usable)
             assert plan.objective_mbps == expected_obj
             assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
 
@@ -220,7 +225,7 @@ class TestSolveExact:
         for i in range(2000):
             rng = random.Random(i)
             server_ids = [f"s{j}" for j in range(rng.randint(2, 3))]
-            capacities = {sid: rng.randint(0, 12) for sid in server_ids}
+            usable = {sid: float(rng.randint(0, 12)) for sid in server_ids}
             entries = {}
             for c in range(rng.randint(3, 8)):
                 cid = f"c{c}"
@@ -230,16 +235,17 @@ class TestSolveExact:
                     for sid in rng.sample(server_ids, rng.randint(1, len(server_ids)))
                 ]
             batch = RequestBatch.build(entries)
-            expected_obj, expected_assign = brute_force_optimum(batch, capacities, 0.0)
-            plan = solve_exact(batch, capacities, 0.0)
+            expected_obj, expected_assign = brute_force_optimum(batch, usable)
+            plan = solve_exact(batch, usable)
             assert plan.objective_mbps == expected_obj
             assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
 
     def test_adding_a_server_never_hurts(self):
         rng = random.Random(55)
         for _ in range(60):
-            batch, capacities, reserve = random_batch(rng, n_max=3, m_max=3)
-            base = solve_exact(batch, capacities, reserve).objective_mbps
+            batch, capacities, reserve = random_instance(rng, n_max=3, m_max=3)
+            usable = {sid: cap - reserve for sid, cap in capacities.items()}
+            base = solve_exact(batch, usable).objective_mbps
             extended = {
                 cid: list(group) + [entry(cid, "s_extra", rng.uniform(0, 20), rng.uniform(0, 20),
                                           group[0].b_baseline_mbps)]
@@ -248,15 +254,14 @@ class TestSolveExact:
             if not extended:
                 continue
             bigger = RequestBatch.build(extended)
-            capacities2 = dict(capacities, s_extra=rng.uniform(1.0, 30.0))
-            assert solve_exact(bigger, capacities2, reserve).objective_mbps >= base
+            usable2 = dict(usable, s_extra=rng.uniform(1.0, 30.0) - reserve)
+            assert solve_exact(bigger, usable2).objective_mbps >= base
 
 
-def root_prices(batch, capacities, reserve):
+def root_prices(batch, usable):
     """The capacity prices that solve_exact computes."""
-    usable = _usable_capacity(batch, capacities, reserve)
     options = [[e for e in group if e.gain_mbps > 0.0] for group in batch.entries.values()]
-    incumbent = solve_greedy(batch, capacities, reserve).objective_mbps
+    incumbent = solve_greedy(batch, usable).objective_mbps
     return _capacity_prices(options, usable, incumbent)
 
 
@@ -273,11 +278,11 @@ class TestCapacityPrices:
         rng = random.Random(1981)
         priced = 0
         for _ in range(30):
-            batch, capacities, reserve = contended_batch(rng, rng.randint(6, 8))
-            prices = root_prices(batch, capacities, reserve)
+            batch, usable = contended_batch(rng, rng.randint(6, 8))
+            prices = root_prices(batch, usable)
             priced += any(price > 0.0 for price in prices.values())
-            expected_obj, expected_assign = brute_force_optimum(batch, capacities, reserve)
-            plan = solve_exact(batch, capacities, reserve)
+            expected_obj, expected_assign = brute_force_optimum(batch, usable)
+            plan = solve_exact(batch, usable)
             assert plan.objective_mbps == expected_obj
             assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
         assert priced >= 24  # 29 of 30 here: some relay is priced in most batches
@@ -286,13 +291,13 @@ class TestCapacityPrices:
         rng = random.Random(1975)
         for k in range(200):
             if k % 2:
-                batch, capacities, reserve = random_batch(rng, n_max=6, m_max=4)
+                batch, usable = random_batch(rng, n_max=6, m_max=4)
             else:
-                batch, capacities, reserve = contended_batch(rng, rng.randint(1, 10))
-            prices = root_prices(batch, capacities, reserve)
+                batch, usable = contended_batch(rng, rng.randint(1, 10))
+            prices = root_prices(batch, usable)
             assert all(price >= 0.0 for price in prices.values())
-            bound = lagrangian_bound(batch, capacities, reserve, prices)
-            optimum = solve_exact(batch, capacities, reserve).objective_mbps
+            bound = lagrangian_bound(batch, usable, prices)
+            optimum = solve_exact(batch, usable).objective_mbps
             assert bound >= optimum - rounding(optimum)
 
     def test_root_bound_is_above_the_milp_optimum(self):
@@ -300,15 +305,15 @@ class TestCapacityPrices:
         optimize = pytest.importorskip("scipy.optimize")
         rng = random.Random(1971)
         for _ in range(8):
-            batch, capacities, reserve = contended_batch(rng, rng.randint(10, 14))
+            batch, usable = contended_batch(rng, rng.randint(10, 14))
             client_ids = list(batch.entries)
-            server_ids = sorted(capacities)
+            server_ids = sorted(usable)
             pairs = [e for group in batch.entries.values() for e in group]
             rows = np.zeros((len(client_ids) + len(server_ids), len(pairs)))
             for j, e in enumerate(pairs):
                 rows[client_ids.index(e.client_id), j] = 1.0
                 rows[len(client_ids) + server_ids.index(e.server_id), j] = e.b_via_mbps
-            upper = [1.0] * len(client_ids) + [capacities[s] - reserve for s in server_ids]
+            upper = [1.0] * len(client_ids) + [usable[s] for s in server_ids]
             result = optimize.milp(
                 -np.array([e.gain_mbps for e in pairs]),
                 constraints=optimize.LinearConstraint(rows, -np.inf, upper),
@@ -318,10 +323,10 @@ class TestCapacityPrices:
             )
             assert result.status == 0
             optimum = -result.fun
-            prices = root_prices(batch, capacities, reserve)
-            bound = lagrangian_bound(batch, capacities, reserve, prices)
+            prices = root_prices(batch, usable)
+            bound = lagrangian_bound(batch, usable, prices)
             assert bound >= optimum - rounding(optimum)
-            exact = solve_exact(batch, capacities, reserve, client_cap=14).objective_mbps
+            exact = solve_exact(batch, usable, client_cap=14).objective_mbps
             assert exact == pytest.approx(optimum, rel=1e-9, abs=1e-9)
 
 
@@ -332,8 +337,8 @@ class TestSolveGreedy:
             entry("c1", "s1", 8, 50, 3),
             entry("c2", "s1", 6, 50, 2),
         )
-        plan = solve_greedy(batch, {"s1": 10.0}, reserve_mbps=0.0)
-        exact = solve_exact(batch, {"s1": 10.0}, reserve_mbps=0.0)
+        plan = solve_greedy(batch, {"s1": 10.0})
+        exact = solve_exact(batch, {"s1": 10.0})
         assert plan == exact
 
     def test_all_gains_nonpositive(self):
@@ -341,16 +346,16 @@ class TestSolveGreedy:
             entry("c1", "s1", 4, 50, 5),
             entry("c2", "s1", 3, 50, 3),
         )
-        plan = solve_greedy(batch, {"s1": 100.0}, reserve_mbps=0.0)
+        plan = solve_greedy(batch, {"s1": 100.0})
         assert plan.assignments == {}
         assert plan.objective_mbps == 0.0
 
     def test_never_beats_exact(self):
         rng = random.Random(77)
         for _ in range(200):
-            batch, capacities, reserve = random_batch(rng)
-            greedy = solve_greedy(batch, capacities, reserve)
-            exact = solve_exact(batch, capacities, reserve)
+            batch, usable = random_batch(rng)
+            greedy = solve_greedy(batch, usable)
+            exact = solve_exact(batch, usable)
             assert greedy.objective_mbps <= exact.objective_mbps
             assert greedy.objective_mbps >= 0.0
 
@@ -362,15 +367,15 @@ class TestSolveGreedy:
             entry("cB", "s1", 16, 50, 8),    # gain 8, demand 16
             entry("cC", "s1", 12, 50, 6),    # gain 6, demand 12
         )
-        greedy = solve_greedy(batch, {"s1": 30.0}, reserve_mbps=0.0)
-        exact = solve_exact(batch, {"s1": 30.0}, reserve_mbps=0.0)
+        greedy = solve_greedy(batch, {"s1": 30.0})
+        exact = solve_exact(batch, {"s1": 30.0})
         assert greedy.objective_mbps == 10.0
         assert exact.objective_mbps == 14.0
 
     def test_deterministic(self):
         rng = random.Random(31)
-        batch, capacities, reserve = random_batch(rng)
-        assert solve_greedy(batch, capacities, reserve) == solve_greedy(batch, capacities, reserve)
+        batch, usable = random_batch(rng)
+        assert solve_greedy(batch, usable) == solve_greedy(batch, usable)
 
     def test_gain_ties_break_by_client_then_server(self):
         # Identical gains; capacity fits one demand only.
@@ -378,7 +383,7 @@ class TestSolveGreedy:
             entry("c2", "s1", 8, 50, 3),
             entry("c1", "s1", 8, 50, 3),
         )
-        plan = solve_greedy(batch, {"s1": 8.0}, reserve_mbps=0.0)
+        plan = solve_greedy(batch, {"s1": 8.0})
         assert list(plan.assignments) == ["c1"]
 
 
@@ -386,8 +391,8 @@ class TestPlanInvariants:
     def test_objective_recomputable_from_batch(self):
         rng = random.Random(5)
         for _ in range(50):
-            batch, capacities, reserve = random_batch(rng)
-            plan = solve_greedy(batch, capacities, reserve)
+            batch, usable = random_batch(rng)
+            plan = solve_greedy(batch, usable)
             lookup = {
                 (e.client_id, e.server_id): e.gain_mbps
                 for group in batch.entries.values()
@@ -401,8 +406,8 @@ class TestPlanInvariants:
     def test_one_server_per_client(self):
         rng = random.Random(6)
         for _ in range(50):
-            batch, capacities, reserve = random_batch(rng)
-            plan = solve_exact(batch, capacities, reserve)
+            batch, usable = random_batch(rng)
+            plan = solve_exact(batch, usable)
             assert len(plan.assignments) == len(set(plan.assignments))
             for cid, assignment in plan.assignments.items():
                 candidate_servers = {e.server_id for e in batch.entries[cid]}
@@ -411,14 +416,14 @@ class TestPlanInvariants:
     def test_feasibility_of_both_solvers(self):
         rng = random.Random(7)
         for _ in range(100):
-            batch, capacities, reserve = random_batch(rng)
+            batch, usable = random_batch(rng)
             for solver in (solve_exact, solve_greedy):
-                plan = solver(batch, capacities, reserve)
+                plan = solver(batch, usable)
                 per_server = {}
                 for a in plan.assignments.values():
                     per_server.setdefault(a.server_id, []).append(a.demand_mbps)
                 for sid, demands in per_server.items():
-                    assert sum(demands) <= capacities[sid] - reserve + 1e-9
+                    assert sum(demands) <= usable[sid] + 1e-9
 
 
 class TestLedger:
@@ -503,14 +508,14 @@ class TestLedger:
     def test_random_apply_release_round_trips(self):
         rng = random.Random(404)
         for _ in range(50):
-            batch, capacities, reserve = random_batch(rng)
+            batch, capacities, reserve = random_instance(rng)
             servers = [
                 make_server(sid, total=max(cap, 1e-6), remaining=max(cap, 1e-6) if cap > 0 else 0.0)
                 for sid, cap in capacities.items()
             ]
             initial = {s.id: s.remaining_capacity_mbps for s in servers}
             ledger = AssignmentLedger(servers, reserve)
-            plan = solve_greedy(batch, ledger.capacities, reserve)
+            plan = solve_greedy(batch, ledger.usable)
             ledger.apply(plan)
             for cid in sorted(plan.assignments):
                 ledger.release(cid)

@@ -1,5 +1,7 @@
 import math
+import random
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
@@ -9,6 +11,7 @@ from bass_sim.scheduler import RequestBatch, random_policy, solve_greedy
 from bass_sim.seeding import rng_for
 from bass_sim.sim import (
     MAX_ARRIVAL_RATE,
+    POLICIES,
     SimConfig,
     _poisson,
     hit_rate,
@@ -18,7 +21,7 @@ from bass_sim.sim import (
 )
 from bass_sim.topology import DistanceDecayNetwork, NetModelParams, Scenario, generate_scenario
 
-from oracles import brute_force_optimum
+from oracles import brute_force_optimum, contended_batch
 
 
 def flat_params(base=100.0, direct_factor=1.0):
@@ -138,9 +141,7 @@ class TestRandomPolicy:
     def test_reproducible(self):
         batch = three_candidate_batch()
         caps = {"s1": 50.0, "s2": 50.0, "s3": 50.0}
-        assert random_policy(batch, caps, seed=5, reserve_mbps=0.0) == random_policy(
-            batch, caps, seed=5, reserve_mbps=0.0
-        )
+        assert random_policy(batch, caps, seed=5) == random_policy(batch, caps, seed=5)
 
     def test_single_candidate_matches_greedy(self):
         entries = {
@@ -149,9 +150,7 @@ class TestRandomPolicy:
         }
         batch = RequestBatch.build(entries)
         caps = {"s1": 50.0}
-        assert random_policy(batch, caps, seed=3, reserve_mbps=0.0) == solve_greedy(
-            batch, caps, reserve_mbps=0.0
-        )
+        assert random_policy(batch, caps, seed=3) == solve_greedy(batch, caps)
 
     def test_uniform_over_candidates(self):
         batch = three_candidate_batch()
@@ -159,7 +158,7 @@ class TestRandomPolicy:
         counts = {"s1": 0, "s2": 0, "s3": 0}
         trials = 10_000
         for seed in range(trials):
-            plan = random_policy(batch, caps, seed=seed, reserve_mbps=0.0)
+            plan = random_policy(batch, caps, seed=seed)
             counts[plan.assignments["c1"].server_id] += 1
         for sid in counts:
             assert abs(counts[sid] / trials - 1 / 3) < 0.05
@@ -174,14 +173,28 @@ class TestRandomPolicy:
         batch = RequestBatch.build(entries)
         caps = {"s1": 10.0, "s2": 10.0}
         for seed in range(50):
-            plan = random_policy(batch, caps, seed=seed, reserve_mbps=0.0)
+            plan = random_policy(batch, caps, seed=seed)
             assert plan.assignments["c1"].server_id == "s2"
 
     def test_no_feasible_candidate_leaves_unassigned(self):
         entries = {"c1": [GainEntry("c1", "s1", 40.0, 100.0, 1.0)]}
         batch = RequestBatch.build(entries)
-        plan = random_policy(batch, {"s1": 10.0}, seed=0, reserve_mbps=0.0)
+        plan = random_policy(batch, {"s1": 10.0}, seed=0)
         assert plan.assignments == {}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_policies_leave_the_usable_map_unchanged(policy):
+    # A run hands every epoch's solve the ledger's one usable map, so a
+    # solver that wrote into it would shrink the capacity of later epochs.
+    batch, usable = contended_batch(random.Random(16), 8)
+    before = dict(usable)
+    config = SimConfig(policy=policy, reserve_mbps=0.0)
+    plan = POLICIES[policy](batch, usable, config, 0)
+    assert plan.assignments
+    assert usable == before
+    # Nor is it written and restored on the way: a read-only view solves the same.
+    assert POLICIES[policy](batch, MappingProxyType(usable), config, 0) == plan
 
 
 class TestPoisson:
@@ -280,8 +293,11 @@ class TestRunEpoch:
                 baseline = baseline_bandwidth(state2.net.direct_link_bandwidths(client))
                 entries[cid] = measure_gains(client, cand, state2.net, baseline)
         batch = RequestBatch.build(entries)
-        capacities = {sid: s.total_capacity_mbps for sid, s in state2.ledger.servers.items()}
-        expected_obj, expected_assign = brute_force_optimum(batch, capacities, config.reserve_mbps)
+        usable = {
+            sid: s.total_capacity_mbps - config.reserve_mbps
+            for sid, s in state2.ledger.servers.items()
+        }
+        expected_obj, expected_assign = brute_force_optimum(batch, usable)
         assert record.objective_mbps == expected_obj
         assert {c: a.server_id for c, a in record.assignments.items()} == expected_assign
 
