@@ -8,7 +8,10 @@ safety reserve. `AssignmentLedger` works out that `usable` map once per
 run; each solver takes it and writes only to its own copy, so one map
 serves every epoch. The objective is the total bandwidth gain of the
 chosen assignments; leaving a client on its direct path is always allowed
-and contributes zero.
+and contributes zero. Neither BASS solver ever takes an entry with gain
+≤ 0, so for them `measure_gains` leaves out each candidate whose
+relay-to-origin leg already rules out a gain and fits the relay, without
+measuring its subflows; a requesting client's group can then be empty.
 
 Two solvers are provided. `solve_exact` searches all assignments
 (depth-first, results identical to full enumeration) and is capped at a
@@ -22,7 +25,8 @@ candidate pairs in globally descending gain order and is the production
 path; `random_policy` is the uniform baseline both are compared against.
 Each solver picks at most one gain entry per client, and one builder turns
 the picks into the plan. `sim.POLICIES` is the one list of policies: it
-names each policy and the solver call that serves it. Determinism
+names each policy, the solver call that serves it, and whether that
+solver reads entries that cannot gain. Determinism
 contract: identical inputs produce identical plans, including tie-breaks
 (gain ties resolve by client id, then server id; equal objectives resolve
 to the lexicographically smallest assignment vector, the first optimum in
@@ -84,7 +88,9 @@ class RequestBatch:
 
     `entries` maps each requesting client to its candidate gain entries.
     Construction orders the clients by id and each client's candidates by
-    gain descending, ties by server id ascending.
+    gain descending, ties by server id ascending. A client whose every
+    candidate `measure_gains` left out keeps its key with an empty group:
+    it still counts in `n`, and every solver leaves it unassigned.
     """
 
     entries: Mapping[str, tuple[GainEntry, ...]]
@@ -99,8 +105,6 @@ class RequestBatch:
             },
         )
         for client_id, group in self.entries.items():
-            if not group:
-                raise ValidationError(f"client {client_id!r} has an empty candidate list")
             server_ids = set()
             for entry in group:
                 if entry.client_id != client_id:
@@ -158,23 +162,36 @@ def measure_gains(
     candidates: Sequence[AggregationServer],
     net: PathOracle,
     baseline: float,
+    usable: Mapping[str, float] | None = None,
 ) -> list[GainEntry]:
-    """Measure one client's gain entry for every candidate server.
+    """Measure one client's gain entry for every candidate server that can matter.
 
     The client-to-server bandwidth is the sum of its per-link subflows (each
     capped by that link's uplink); GainEntry caps it by the server's own
     path to the client's origin and subtracts `baseline`, the client's best
     single link on the direct path. Results keep the candidates' order;
     RequestBatch sorts them.
+
+    Given `usable`, a candidate whose relay-to-origin leg is at most
+    `baseline` and at most `usable[server.id]` gets no entry, and its
+    subflows are not measured: the via-bandwidth is at most that leg, so
+    whatever the subflows are, the gain is ≤ 0 and the entry fits the
+    relay. Pass `usable` only for a policy that never takes such an entry.
     """
     if not candidates:
         raise ValidationError(f"client {client.id!r}: candidate list must not be empty")
     entries = []
     for server in candidates:
+        b_server_origin = net.server_origin_bandwidth(server, client.origin_id)
+        if (
+            usable is not None
+            and b_server_origin <= baseline
+            and b_server_origin <= usable[server.id]
+        ):
+            continue
         b_client_server = 0.0
         for subflow in net.subflow_bandwidths(client, server):
             b_client_server += subflow
-        b_server_origin = net.server_origin_bandwidth(server, client.origin_id)
         entries.append(
             GainEntry(
                 client_id=client.id,

@@ -6,7 +6,8 @@ client re-requests (candidate filtering uses the load rates left by the
 previous epoch, after which all held capacity is returned and the whole
 allocation is rebuilt from scratch), the configured policy solves the joint
 batch, the plan is applied, and per-client metrics are recorded. `POLICIES`
-is the one list of policies: it maps each name to its solve step.
+is the one list of policies: it maps each name to its solve step and says
+whether that step reads entries that cannot gain.
 
 Hit rate semantics: a client's achieved bandwidth is compared against the
 best bandwidth it could have obtained this epoch, where the always-available
@@ -40,20 +41,34 @@ from .scheduler import (
 from .seeding import SeededStream, derive_seed, rng_for
 from .topology import DistanceDecayNetwork, Scenario, candidate_subset, sample_client
 
-# Each policy's solve step, given the batch and the ledger's usable
-# capacities. The BASS entries look `solve_exact` and `solve_greedy` up in
-# this module's globals when they are called, so a wrapper set on
-# `sim.solve_*` sees every solve.
-POLICIES: dict[str, Callable[[RequestBatch, Mapping[str, float], SimConfig, int], AllocationPlan]] = {
-    "bass_exact": lambda batch, usable, config, t: solve_exact(
-        batch, usable, client_cap=config.exact_cap),
-    "bass_greedy": lambda batch, usable, config, t: solve_greedy(batch, usable),
-    "random": lambda batch, usable, config, t: random_policy(
-        batch, usable, derive_seed(config.seed, "policy", t)),
+@dataclass(frozen=True)
+class Policy:
+    """One policy's solve step, given the batch and the ledger's usable
+    capacities, and whether that step reads entries that cannot gain.
+
+    Only for a policy that does are such entries measured: the others get
+    a batch without the entries whose gain is ≤ 0 and that fit whatever
+    their subflows are (see `measure_gains`).
+    """
+
+    solve: Callable[[RequestBatch, Mapping[str, float], SimConfig, int], AllocationPlan]
+    reads_every_entry: bool = False
+
+
+# The BASS entries look `solve_exact` and `solve_greedy` up in this
+# module's globals when they are called, so a wrapper set on `sim.solve_*`
+# sees every solve. `random` draws among every entry that fits, gain or not.
+POLICIES: dict[str, Policy] = {
+    "bass_exact": Policy(lambda batch, usable, config, t: solve_exact(
+        batch, usable, client_cap=config.exact_cap)),
+    "bass_greedy": Policy(lambda batch, usable, config, t: solve_greedy(batch, usable)),
+    "random": Policy(lambda batch, usable, config, t: random_policy(
+        batch, usable, derive_seed(config.seed, "policy", t)), reads_every_entry=True),
 }
 
 __all__ = [
     "POLICIES",
+    "Policy",
     "SimConfig",
     "ClientEpochRecord",
     "EpochRecord",
@@ -259,10 +274,17 @@ def run_epoch(state: SimState) -> EpochRecord:
     load_rates = state.ledger.load_rates()
     state.ledger.release_all()
 
-    # 4. Candidates, baseline and gains against the (possibly re-drawn) network.
+    # 4. Candidates, baseline and gains against the (possibly re-drawn)
+    #    network. Unless the policy reads entries that cannot gain, those
+    #    that also fit are left out unmeasured; `offered` keeps each
+    #    requesting client's candidate count for its record.
     if config.remeasure_noise:
         state.net.remeasure(t)
+    policy = POLICIES[config.policy]
+    usable = state.ledger.usable
+    skip_within = None if policy.reads_every_entry else usable
     baselines: dict[str, float] = {}
+    offered: dict[str, int] = {}
     entries = {}
     for client_id in client_ids:
         client = state.active[client_id]
@@ -272,21 +294,25 @@ def run_epoch(state: SimState) -> EpochRecord:
         baseline = baseline_bandwidth(state.net.direct_link_bandwidths(client))
         baselines[client_id] = baseline
         if candidates:
-            entries[client_id] = measure_gains(client, candidates, state.net, baseline)
+            offered[client_id] = len(candidates)
+            entries[client_id] = measure_gains(
+                client, candidates, state.net, baseline, skip_within,
+            )
     batch = RequestBatch.build(entries)
 
     # 5. Solve under the released capacities, less the reserve.
-    usable = state.ledger.usable
-    plan = POLICIES[config.policy](batch, usable, config, t)
+    plan = policy.solve(batch, usable, config, t)
 
     # 6. Commit.
     state.ledger.apply(plan)
 
-    # 7. Per-client records.
+    # 7. Per-client records. A left-out entry is feasible and never beats
+    #    the baseline, so it counts as feasible and leaves `b_best` alone.
     records = []
     for client_id in client_ids:
         baseline = baselines[client_id]
         group = batch.entries.get(client_id, ())
+        candidate_count = offered.get(client_id, 0)
         feasible = [e for e in group if e.b_via_mbps <= usable[e.server_id]]
         assignment = plan.assignments.get(client_id)
         if assignment is not None:
@@ -299,7 +325,7 @@ def run_epoch(state: SimState) -> EpochRecord:
         for e in feasible:
             if e.b_via_mbps > b_best:
                 b_best = e.b_via_mbps
-        if group and b_best > 0 and achieved > 0:
+        if candidate_count and b_best > 0 and achieved > 0:
             gamma = hit_rate(achieved, b_best)
             chose_best = achieved == b_best
         else:
@@ -309,8 +335,8 @@ def run_epoch(state: SimState) -> EpochRecord:
             ClientEpochRecord(
                 client_id=client_id,
                 server_id=assignment.server_id if assignment is not None else None,
-                candidate_count=len(group),
-                feasible_count=len(feasible),
+                candidate_count=candidate_count,
+                feasible_count=len(feasible) + candidate_count - len(group),
                 b_baseline_mbps=baseline,
                 b_best_mbps=b_best,
                 b_achieved_mbps=achieved,

@@ -18,10 +18,12 @@ from bass_sim.scheduler import (
     RequestBatch,
     _capacity_prices,
     measure_gains,
+    random_policy,
     solve_exact,
     solve_greedy,
 )
 
+from bass_sim.sim import POLICIES, SimConfig
 from bass_sim.topology import generate_scenario
 
 from oracles import (
@@ -50,8 +52,10 @@ class FakeNet:
     def __init__(self, subflows, server_origin):
         self._subflows = subflows          # (client_id, server_id) -> list
         self._server_origin = server_origin  # (server_id, origin_id) -> value
+        self.subflow_calls = []              # (client_id, server_id) per call
 
     def subflow_bandwidths(self, client, server):
+        self.subflow_calls.append((client.id, server.id))
         return list(self._subflows[(client.id, server.id)])
 
     def server_origin_bandwidth(self, server, origin_id):
@@ -105,6 +109,12 @@ class TestRequestBatch:
             entry("c1", "s2", 2, 50, 1),
             entry("c2", "s2", 2, 50, 1),
         )
+        assert batch.n == 2
+
+    def test_empty_group_is_kept_and_counted(self):
+        # A client whose every candidate measure_gains left out still requested.
+        batch = RequestBatch(entries={"c2": (entry("c2", "s1", 2, 50, 1),), "c1": ()})
+        assert batch.entries == {"c1": (), "c2": (entry("c2", "s1", 2, 50, 1),)}
         assert batch.n == 2
 
 
@@ -165,6 +175,43 @@ class TestMeasureGains:
     def test_empty_candidates_invalid(self):
         with pytest.raises(ValidationError):
             measure_gains(make_client(), [], FakeNet({}, {}), baseline=1.0)
+
+    @staticmethod
+    def two_candidates(s1_origin_leg):
+        # s2's origin leg 50 beats the baseline 3; s1's leg is the parameter.
+        net = FakeNet(
+            subflows={("c1", "s1"): [2.0, 3.0], ("c1", "s2"): [2.0, 3.0]},
+            server_origin={("s1", "o1"): s1_origin_leg, ("s2", "o1"): 50.0},
+        )
+        return [make_server("s1"), make_server("s2")], net
+
+    @pytest.mark.parametrize("leg", [2.0, 3.0], ids=["below", "equal"])
+    def test_skips_a_candidate_whose_origin_leg_rules_out_a_gain(self, leg):
+        # Leg at most the baseline 3 and the usable 10: gain <= 0 and it fits,
+        # whatever the subflows, so they are never asked for.
+        servers, net = self.two_candidates(leg)
+        got = measure_gains(make_client(), servers, net, 3.0, {"s1": 10.0, "s2": 10.0})
+        assert [e.server_id for e in got] == ["s2"]
+        assert net.subflow_calls == [("c1", "s2")]
+
+    @pytest.mark.parametrize(
+        "leg, usable",
+        [(3.5, 10.0), (2.0, 1.5), (2.0, -5.0)],
+        ids=["leg-above-baseline", "leg-above-usable", "reserve-above-capacity"],
+    )
+    def test_keeps_a_candidate_that_can_gain_or_may_not_fit(self, leg, usable):
+        servers, net = self.two_candidates(leg)
+        got = measure_gains(make_client(), servers, net, 3.0, {"s1": usable, "s2": 10.0})
+        assert [e.server_id for e in got] == ["s1", "s2"]
+        assert got[0].b_via_mbps == leg
+        assert net.subflow_calls == [("c1", "s1"), ("c1", "s2")]
+
+    def test_without_usable_measures_every_candidate(self):
+        # How a run measures for a policy that reads entries that cannot gain.
+        servers, net = self.two_candidates(2.0)
+        got = measure_gains(make_client(), servers, net, 3.0)
+        assert [(e.server_id, e.gain_mbps) for e in got] == [("s1", -1.0), ("s2", 2.0)]
+        assert net.subflow_calls == [("c1", "s1"), ("c1", "s2")]
 
 
 class TestSolveExact:
@@ -424,6 +471,42 @@ class TestPlanInvariants:
                     per_server.setdefault(a.server_id, []).append(a.demand_mbps)
                 for sid, demands in per_server.items():
                     assert sum(demands) <= usable[sid] + 1e-9
+
+
+def without_entries_that_cannot_gain(batch, usable):
+    """The batch less every entry with gain <= 0 that fits its server."""
+    return RequestBatch({
+        cid: tuple(e for e in group if e.gain_mbps > 0.0 or e.b_via_mbps > usable[e.server_id])
+        for cid, group in batch.entries.items()
+    })
+
+
+class TestEntriesThatCannotGain:
+    """What measure_gains may leave out for the BASS solvers, and why not for random."""
+
+    def test_dropping_them_changes_no_bass_plan(self):
+        rng = random.Random(17)
+        instances = [random_batch(rng) for _ in range(300)]
+        instances += [contended_batch(rng, rng.randint(4, 9)) for _ in range(30)]
+        dropped = random_changed = 0
+        for batch, usable in instances:
+            smaller = without_entries_that_cannot_gain(batch, usable)
+            dropped += sum(map(len, batch.entries.values())) - sum(map(len, smaller.entries.values()))
+            assert solve_greedy(smaller, usable) == solve_greedy(batch, usable)
+            assert solve_exact(smaller, usable) == solve_exact(batch, usable)
+            random_changed += random_policy(smaller, usable, 3) != random_policy(batch, usable, 3)
+        assert dropped > 100
+        # random draws among every entry that fits, so it must see them all.
+        assert random_changed > 10
+
+    def test_only_random_reads_every_entry(self):
+        assert {name for name, p in POLICIES.items() if p.reads_every_entry} == {"random"}
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_every_solver_leaves_an_empty_group_unassigned(self, policy):
+        batch = RequestBatch({"c1": (), "c2": (entry("c2", "s1", 8, 50, 3),)})
+        plan = POLICIES[policy].solve(batch, {"s1": 10.0}, SimConfig(policy=policy), 0)
+        assert plan.assignments == {"c2": Assignment("s1", 8.0, 5.0)}
 
 
 class TestLedger:

@@ -1,17 +1,20 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import MappingProxyType
 
 import pytest
 
-from bass_sim.errors import ValidationError
+from bass_sim import sim
+from bass_sim.errors import BatchTooLargeError, ValidationError
 from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GainEntry, GeoPoint, OriginServer
-from bass_sim.scheduler import RequestBatch, random_policy, solve_greedy
+from bass_sim.metrics import save_records
+from bass_sim.scheduler import RequestBatch, measure_gains, random_policy, solve_greedy
 from bass_sim.seeding import rng_for
 from bass_sim.sim import (
     MAX_ARRIVAL_RATE,
     POLICIES,
+    EpochRecord,
     SimConfig,
     _poisson,
     hit_rate,
@@ -190,11 +193,11 @@ def test_policies_leave_the_usable_map_unchanged(policy):
     batch, usable = contended_batch(random.Random(16), 8)
     before = dict(usable)
     config = SimConfig(policy=policy, reserve_mbps=0.0)
-    plan = POLICIES[policy](batch, usable, config, 0)
+    plan = POLICIES[policy].solve(batch, usable, config, 0)
     assert plan.assignments
     assert usable == before
     # Nor is it written and restored on the way: a read-only view solves the same.
-    assert POLICIES[policy](batch, MappingProxyType(usable), config, 0) == plan
+    assert POLICIES[policy].solve(batch, MappingProxyType(usable), config, 0) == plan
 
 
 class TestPoisson:
@@ -474,3 +477,123 @@ class TestRunSimulation:
             for sid, demands in per_server.items():
                 bound = capacities[sid] - config.reserve_mbps
                 assert math.fsum(demands) <= bound + 1e-9
+
+
+def record_measurements(monkeypatch):
+    """Wrap `sim.measure_gains`; the list gets (candidates offered, entries
+    built) for each call."""
+    measured = []
+
+    def recording(client, candidates, net, baseline, usable=None):
+        entries = measure_gains(client, candidates, net, baseline, usable)
+        measured.append((len(candidates), len(entries)))
+        return entries
+
+    monkeypatch.setattr(sim, "measure_gains", recording)
+    return measured
+
+
+def fuzzed_run(rng):
+    """A small scenario and config, with capacities from tight to loose and
+    reserves up to above capacity, so that relay legs above the usable
+    capacity occur next to those below it."""
+    policy = rng.choice(["bass_greedy", "bass_exact"])
+    params = NetModelParams(
+        wifi_links_per_client=rng.randint(0, 3),
+        cellular_links_per_client=rng.randint(1, 2),
+        direct_path_factor=rng.choice([0.3, 1.0]),
+    )
+    capacity = rng.choice([rng.uniform(1.0, 10.0), rng.uniform(10.0, 60.0), rng.uniform(100.0, 400.0)])
+    scenario = generate_scenario(
+        rng.randint(1, 5 if policy == "bass_exact" else 12), rng.randint(1, 5), rng.randint(1, 3),
+        params, seed=rng.randrange(1000), server_capacity_mbps=capacity,
+    )
+    config = SimConfig(
+        epochs=rng.randint(1, 6),
+        policy=policy,
+        seed=rng.randrange(1000),
+        arrival_rate=rng.choice([0.0, 0.5, 1.0] if policy == "bass_exact" else [0.0, 1.0, 3.0]),
+        session_epochs_mean=rng.choice([None, rng.uniform(1.0, 5.0)]),
+        k_candidates=rng.randint(1, 4),
+        load_threshold=rng.choice([0.0, rng.uniform(0.0, 1.0)]),
+        reserve_mbps=rng.choice([0.0, rng.uniform(0.0, capacity), capacity + rng.uniform(0.0, 20.0)]),
+        remeasure_noise=rng.random() < 0.5,
+        exact_cap=8,
+    )
+    return scenario, config
+
+
+def run_outcome(scenario, config):
+    """The run's records, or the message of the BatchTooLargeError that ended it."""
+    try:
+        return run_simulation(scenario, config)
+    except BatchTooLargeError as error:
+        return str(error)
+
+
+class TestLeftOutEntries:
+    """For a BASS policy, `measure_gains` leaves out each candidate whose relay
+    leg rules out a gain and that fits; no record may tell."""
+
+    def test_records_match_measuring_every_candidate(self, monkeypatch, tmp_path):
+        counts = {"left out": 0, "kept for not fitting": 0, "runs": 0}
+
+        def measure_every_candidate(client, candidates, net, baseline, usable=None):
+            # As for a policy that reads every entry.
+            entries = measure_gains(client, candidates, net, baseline)
+            counts["kept for not fitting"] += sum(
+                e.b_server_origin_mbps <= baseline and e.b_via_mbps > usable[e.server_id]
+                for e in entries
+            )
+            return entries
+
+        rng = random.Random(20)
+        for case in range(400):
+            scenario, config = fuzzed_run(rng)
+            measured = record_measurements(monkeypatch)
+            left_out = run_outcome(scenario, config)
+            counts["left out"] += sum(offered - got for offered, got in measured)
+            monkeypatch.setattr(sim, "measure_gains", measure_every_candidate)
+            every = run_outcome(scenario, config)
+            if isinstance(left_out, str):
+                assert every == left_out, case
+                continue
+            counts["runs"] += 1
+            assert len(left_out) == len(every), case
+            for ours, theirs in zip(left_out, every):
+                for f in fields(EpochRecord):
+                    assert getattr(ours, f.name) == getattr(theirs, f.name), (case, f.name)
+            save_records(config.policy, left_out, tmp_path / "left_out.json")
+            save_records(config.policy, every, tmp_path / "every.json")
+            assert (tmp_path / "left_out.json").read_bytes() == (tmp_path / "every.json").read_bytes()
+        assert counts["runs"] > 350
+        assert counts["left out"] > 2000
+        assert counts["kept for not fitting"] > 1000
+
+    def test_random_measures_every_candidate(self, monkeypatch):
+        measured = record_measurements(monkeypatch)
+        scenario = generate_scenario(12, 4, 2, seed=5)
+        run_simulation(scenario, SimConfig(epochs=3, policy="random", seed=5))
+        assert measured and all(offered == got for offered, got in measured)
+        # Under greedy, the same run leaves some candidates out.
+        measured.clear()
+        run_simulation(scenario, SimConfig(epochs=3, policy="bass_greedy", seed=5))
+        assert any(offered > got for offered, got in measured)
+
+    def test_a_client_with_every_candidate_left_out(self, monkeypatch):
+        # Uplinks of 150 over flat 100 Mbit/s paths: the baseline is 100, the
+        # relay leg equals it and fits, so no subflow is measured.
+        clients = [client_with_links(f"c{i}", (150.0,)) for i in range(3)]
+        scenario = one_server_scenario(clients, total_mbps=500.0)
+        measured = record_measurements(monkeypatch)
+        config = SimConfig(epochs=1, policy="bass_greedy", reserve_mbps=0.0)
+        (record,) = run_simulation(scenario, config)
+        assert measured == [(1, 0)] * 3
+        assert record.assignments == {}
+        for client in record.clients:
+            assert (client.candidate_count, client.feasible_count) == (1, 1)
+            assert (client.b_best_mbps, client.gamma, client.chose_best) == (100.0, 1.0, True)
+        # The exact cap still counts each requesting client.
+        with pytest.raises(BatchTooLargeError, match="3 clients"):
+            run_simulation(scenario, replace(config, policy="bass_exact", exact_cap=2))
+        assert measured == [(1, 0)] * 6
