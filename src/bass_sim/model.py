@@ -1,12 +1,15 @@
-"""Core domain types and the closed-form bandwidth algebra.
+"""Core domain types and the single-link baseline.
 
 Bandwidths are real-valued Mbit/s throughout. A multipath connection
 through a relay delivers the smaller of (a) the sum of its subflow
-bandwidths and (b) the relay's own path to the destination; a client
-without aggregation uses its single best edge link. The gain of routing
-through a relay is the via-bandwidth minus that single-link baseline and
-may be negative, in which case staying on the direct path (gain 0) is
-always available to the schedulers.
+bandwidths and (b) the relay's own path to the destination, as
+`scheduler.measure_gains` measures it; a client without aggregation uses
+its single best edge link, `baseline_bandwidth`. Both read a client's
+links one at a time from the network and stop once the links not read yet
+cannot change the value, so a link is measured only when it can. The gain
+of routing through a relay is the via-bandwidth minus that single-link
+baseline and may be negative, in which case staying on the direct path
+(gain 0) is always available to the schedulers.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from .scheduler import PathOracle
 
 __all__ = [
     "LinkKind",
@@ -133,32 +139,41 @@ class OriginServer:
 class GainEntry:
     """One candidate pairing of a client with a relay server.
 
-    Built from the raw measurements; the via-bandwidth and the gain are
-    derived here and cannot be passed in, so an entry always agrees with
-    its inputs.
+    `b_via_mbps` is what the pairing delivers, as `scheduler.measure_gains`
+    measures it; the gain over the baseline is derived here and cannot be
+    passed in, so an entry always agrees with its inputs.
     """
 
     client_id: str
     server_id: str
-    b_client_server_mbps: float
-    b_server_origin_mbps: float
-    b_via_mbps: float = field(init=False)
+    b_via_mbps: float
     b_baseline_mbps: float
     gain_mbps: float = field(init=False)
 
     def __post_init__(self) -> None:
-        b_via = min(self.b_client_server_mbps, self.b_server_origin_mbps)
-        object.__setattr__(self, "b_via_mbps", b_via)
-        object.__setattr__(self, "gain_mbps", b_via - self.b_baseline_mbps)
+        object.__setattr__(self, "gain_mbps", self.b_via_mbps - self.b_baseline_mbps)
 
 
-def baseline_bandwidth(direct_link_mbps: Sequence[float]) -> float:
-    """Best single-link bandwidth to the origin (no aggregation).
+def baseline_bandwidth(client: BBoxClient, net: PathOracle) -> float:
+    """Best single-link bandwidth to the client's origin (no aggregation).
 
     Without a relay only one edge network can carry the stream, so the
-    baseline is the maximum over the client's links. An empty list is
-    invalid: a client with no links cannot exist.
+    baseline is the maximum over the client's links of each link's value on
+    its direct path. A value never exceeds its link's uplink, so the links
+    are visited by uplink descending and the walk stops once the best value
+    reaches the next uplink: the links left cannot raise it, and are not
+    measured. The result is `max` over every link in link order, bit for
+    bit: equal positive values are one float, and when every value is ±0,
+    `max` returns link 0's.
     """
-    if not direct_link_mbps:
-        raise ValidationError("baseline_bandwidth requires at least one link value")
-    return max(direct_link_mbps)
+    links = client.links
+    best = -1.0
+    for i in net.link_order(client):
+        if best >= links[i].uplink_mbps:
+            break
+        value = net.link_bandwidth(client, client.origin_id, i)
+        if value > best:
+            best = value
+    if best == 0.0:
+        return net.link_bandwidth(client, client.origin_id, 0)
+    return best

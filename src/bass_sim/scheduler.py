@@ -8,10 +8,12 @@ safety reserve. `AssignmentLedger` works out that `usable` map once per
 run; each solver takes it and writes only to its own copy, so one map
 serves every epoch. The objective is the total bandwidth gain of the
 chosen assignments; leaving a client on its direct path is always allowed
-and contributes zero. Neither BASS solver ever takes an entry with gain
-≤ 0, so for them `measure_gains` leaves out each candidate whose
-relay-to-origin leg already rules out a gain and fits the relay, without
-measuring its subflows; a requesting client's group can then be empty.
+and contributes zero. `measure_gains` draws a candidate's subflows by
+uplink descending and stops once the links not drawn yet cannot change
+its via-bandwidth. Neither BASS solver ever takes an entry with gain ≤ 0,
+so for them it also leaves out each candidate whose relay-to-origin leg
+and the subflows drawn so far already rule out a gain and that fits the
+relay; a requesting client's group can then be empty.
 
 Two solvers are provided. `solve_exact` searches all assignments
 (depth-first, results identical to full enumeration) and is capped at a
@@ -73,11 +75,13 @@ __all__ = [
 
 
 class PathOracle(Protocol):
-    """Bandwidth measurements the scheduler needs from the network layer."""
+    """Bandwidth measurements the model and the scheduler need from the
+    network layer: a client's links one at a time, in the order to read
+    them, and a relay's path to an origin."""
 
-    def subflow_bandwidths(
-        self, client: BBoxClient, server: AggregationServer
-    ) -> tuple[float, ...]: ...
+    def link_order(self, client: BBoxClient) -> Sequence[int]: ...
+
+    def link_bandwidth(self, client: BBoxClient, dest_id: str, i: int) -> float: ...
 
     def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float: ...
 
@@ -166,41 +170,43 @@ def measure_gains(
 ) -> list[GainEntry]:
     """Measure one client's gain entry for every candidate server that can matter.
 
-    The client-to-server bandwidth is the sum of its per-link subflows (each
-    capped by that link's uplink); GainEntry caps it by the server's own
-    path to the client's origin and subtracts `baseline`, the client's best
-    single link on the direct path. Results keep the candidates' order;
-    RequestBatch sorts them.
+    A candidate's via-bandwidth is min(S, leg): S the sum, in link order, of
+    the client's per-link subflows to the server (each capped by that
+    link's uplink), and leg the server's own path to the client's origin.
+    The entry's gain subtracts `baseline`, the client's best single link on
+    the direct path. Results keep the candidates' order; RequestBatch sorts
+    them.
 
-    Given `usable`, a candidate whose relay-to-origin leg is at most
-    `baseline` and at most `usable[server.id]` gets no entry, and its
-    subflows are not measured: the via-bandwidth is at most that leg, so
-    whatever the subflows are, the gain is ≤ 0 and the entry fits the
+    Subflows are drawn by uplink descending, and before each draw S is
+    bounded in link order: `lower` counts a link not drawn yet as 0,
+    `upper` as its uplink. Rounded addition is monotone, so
+    lower ≤ S ≤ upper. Once lower ≥ leg the via-bandwidth is leg, and no
+    more links are drawn. Given `usable`, once min(upper, leg) is at most
+    `baseline` and at most `usable[server.id]`, the candidate gets no
+    entry: whatever the links left are, its gain is ≤ 0 and it fits the
     relay. Pass `usable` only for a policy that never takes such an entry.
     """
     if not candidates:
         raise ValidationError(f"client {client.id!r}: candidate list must not be empty")
+    uplinks = [link.uplink_mbps for link in client.links]
+    order = net.link_order(client)
     entries = []
     for server in candidates:
-        b_server_origin = net.server_origin_bandwidth(server, client.origin_id)
-        if (
-            usable is not None
-            and b_server_origin <= baseline
-            and b_server_origin <= usable[server.id]
-        ):
-            continue
-        b_client_server = 0.0
-        for subflow in net.subflow_bandwidths(client, server):
-            b_client_server += subflow
-        entries.append(
-            GainEntry(
-                client_id=client.id,
-                server_id=server.id,
-                b_client_server_mbps=b_client_server,
-                b_server_origin_mbps=b_server_origin,
-                b_baseline_mbps=baseline,
-            )
-        )
+        leg = net.server_origin_bandwidth(server, client.origin_id)
+        cap = None if usable is None else min(baseline, usable[server.id])
+        lows = [0.0] * len(uplinks)
+        highs = list(uplinks)
+        for i in (*order, None):
+            lower = upper = 0.0
+            for low, high in zip(lows, highs):
+                lower += low
+                upper += high
+            if cap is not None and min(upper, leg) <= cap:
+                break
+            if lower >= leg or i is None:
+                entries.append(GainEntry(client.id, server.id, min(lower, leg), baseline))
+                break
+            lows[i] = highs[i] = net.link_bandwidth(client, server.id, i)
     return entries
 
 

@@ -48,7 +48,7 @@ class Policy:
 
     Only for a policy that does are such entries measured: the others get
     a batch without the entries whose gain is ≤ 0 and that fit whatever
-    their subflows are (see `measure_gains`).
+    their undrawn subflows are (see `measure_gains`).
     """
 
     solve: Callable[[RequestBatch, Mapping[str, float], SimConfig, int], AllocationPlan]
@@ -275,9 +275,10 @@ def run_epoch(state: SimState) -> EpochRecord:
     state.ledger.release_all()
 
     # 4. Candidates, baseline and gains against the (possibly re-drawn)
-    #    network. Unless the policy reads entries that cannot gain, those
-    #    that also fit are left out unmeasured; `offered` keeps each
-    #    requesting client's candidate count for its record.
+    #    network, each drawing only the links that can change it. Unless
+    #    the policy reads entries that cannot gain, those that also fit get
+    #    no entry; `offered` keeps each requesting client's candidate count
+    #    for its record.
     if config.remeasure_noise:
         state.net.remeasure(t)
     policy = POLICIES[config.policy]
@@ -291,7 +292,7 @@ def run_epoch(state: SimState) -> EpochRecord:
         candidates = candidate_subset(
             client, state.net, config.k_candidates, config.load_threshold, load_rates,
         )
-        baseline = baseline_bandwidth(state.net.direct_link_bandwidths(client))
+        baseline = baseline_bandwidth(client, state.net)
         baselines[client_id] = baseline
         if candidates:
             offered[client_id] = len(candidates)

@@ -3,7 +3,9 @@
 The wide-area path model is a multiplicative distance decay with per-edge
 lognormal noise, the simplest monotone form that still produces the spread
 seen in real uplink measurements. Every value is a pure function of
-(seed, edge tag), so scenarios and simulations replay bit-for-bit.
+(seed, edge tag), so scenarios and simulations replay bit-for-bit, and a
+network draws each link of a client only when it is read: leaving one
+undrawn moves no other value.
 
 Wi-Fi uplink capacities are sampled from a lognormal calibrated so that a
 configurable fraction of links (default 60%) falls below 1 Mbit/s, matching
@@ -40,6 +42,11 @@ DEFAULT_WIFI_SIGMA = 1.2
 
 DEFAULT_SERVER_CAPACITY_MBPS = 200.0
 MAX_LINKS_PER_CLIENT = 64
+
+# CPython's `normalvariate` never returns |z| > 2·sqrt(53·ln 2) ≈ 12.12, and
+# exp overflows above 709.78, so up to this sigma no noise factor
+# exp(noise_sigma · z) overflows, whichever paths a run draws.
+MAX_NOISE_SIGMA = 709.78 / 12.13
 
 __all__ = [
     "NetModelParams",
@@ -110,8 +117,10 @@ class NetModelParams:
             raise ValidationError(
                 f"distance_decay_per_1000km must be non-negative, got {self.distance_decay_per_1000km!r}"
             )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValidationError(f"noise_sigma must be non-negative, got {self.noise_sigma!r}")
+        if not (math.isfinite(self.noise_sigma) and 0 <= self.noise_sigma <= MAX_NOISE_SIGMA):
+            raise ValidationError(
+                f"noise_sigma must be in [0, {MAX_NOISE_SIGMA!r}], got {self.noise_sigma!r}"
+            )
         if not math.isfinite(self.wifi_lognormal_mu):
             raise ValidationError(f"wifi_lognormal_mu must be finite, got {self.wifi_lognormal_mu!r}")
         if not (math.isfinite(self.wifi_lognormal_sigma) and self.wifi_lognormal_sigma >= 0):
@@ -212,17 +221,11 @@ def path_bandwidth(
     The factor is exp(noise_sigma * z), with z the standard normal draw of
     `noise` for `edge_tag`; `noise` is a network's ``SeededStream(seed,
     "path-noise")``, so the same (seed, edge tag) always yields the same value.
+    `NetModelParams` bounds `noise_sigma` so that the factor never overflows.
     """
     if params.noise_sigma == 0.0:
         return decayed_mbps
-    z = noise.normal(edge_tag)
-    try:
-        return decayed_mbps * math.exp(params.noise_sigma * z)
-    except OverflowError:
-        raise ValidationError(
-            f"noise_sigma {params.noise_sigma!r} is too large: the noise factor "
-            f"exp(noise_sigma * {z!r}) of path {edge_tag!r} overflows"
-        ) from None
+    return decayed_mbps * math.exp(params.noise_sigma * noise.normal(edge_tag))
 
 
 @dataclass(slots=True)
@@ -230,32 +233,38 @@ class _ClientPaths:
     """What one client's position fixes, kept for its lifetime.
 
     `ranking` holds the relays nearest first by great-circle distance, ties
-    by id. `decays` holds each path's noise-free decay and `links` its
-    per-link values under the current noise epoch, both keyed by
-    destination id (a relay or the client's origin).
+    by id, and `order` the client's link indices by uplink descending, ties
+    by index. `decays` holds each path's noise-free decay and `links` its
+    per-link values under the current noise epoch (None for a link not
+    drawn yet), both keyed by destination id (a relay or the client's
+    origin).
     """
 
     ranking: tuple[AggregationServer, ...]
+    order: tuple[int, ...]
     decays: dict[str, float] = field(default_factory=dict)
-    links: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    links: dict[str, list[float | None]] = field(default_factory=dict)
 
 
 class DistanceDecayNetwork:
     """Path-bandwidth oracle over a scenario's geometry.
 
     Each path's noise-free decay is computed once per (source, destination)
-    id pair and kept; its measured value, the decay times the noise factor,
-    is cached by the same ids. The edge tag only labels the noise draw and
-    is built on a miss. Until `remeasure` sets a noise epoch the whole
-    network is static, which is the reproducibility default. A noise epoch
-    is mixed into the tag, so each epoch re-measures fresh values. A
-    client's relay ranking, decays and paths are kept until `forget`.
+    id pair and kept. A client's links are measured one at a time: link
+    `i`'s value to a destination, its uplink capped by the decay times the
+    noise factor, is drawn on a miss and cached by the same ids, so a
+    caller that stops early draws only the links it read. The edge tag
+    only labels the noise draw and is built on a miss. Until `remeasure`
+    sets a noise epoch the whole network is static, which is the
+    reproducibility default. A noise epoch is mixed into the tag, so each
+    epoch re-measures fresh values. A client's relay ranking, link order,
+    decays and link values are kept until `forget`.
     """
 
     def __init__(self, scenario: Scenario) -> None:
         self.params = scenario.net_params
         self._servers = scenario.agg_servers
-        self._origins = {o.id: o for o in scenario.origins}
+        self._locations = {e.id: e.location for e in (*scenario.agg_servers, *scenario.origins)}
         self._noise = SeededStream(scenario.seed, "path-noise")
         self._clients: dict[str, _ClientPaths] = {}
         self._relay_decays: dict[tuple[str, str], float] = {}
@@ -271,47 +280,56 @@ class DistanceDecayNetwork:
         self._relay_paths.clear()
 
     def forget(self, client_id: str) -> None:
-        """Drop a departed client's ranking, decays and paths; its id is never seen again."""
+        """Drop a departed client's entry with its paths; its id is never seen again."""
         self._clients.pop(client_id, None)
 
     def _add_client(self, client: BBoxClient) -> _ClientPaths:
-        """Rank the relays for a client seen for the first time and keep its entry."""
+        """Rank the relays and the links of a client seen for the first time
+        and keep its entry."""
         ranking = sorted(
             self._servers, key=lambda s: (geo_distance_km(client.location, s.location), s.id)
         )
-        entry = self._clients[client.id] = _ClientPaths(tuple(ranking))
+        links = client.links
+        order = sorted(range(len(links)), key=lambda i: (-links[i].uplink_mbps, i))
+        entry = self._clients[client.id] = _ClientPaths(tuple(ranking), tuple(order))
         return entry
 
     def ranking(self, client: BBoxClient) -> tuple[AggregationServer, ...]:
         """The relays nearest the client first; positions never move, so it is kept."""
         return (self._clients.get(client.id) or self._add_client(client)).ranking
 
-    def _link_bandwidths(
-        self, client: BBoxClient, dest: AggregationServer | OriginServer, factor: float
-    ) -> tuple[float, ...]:
-        """Per link, min(uplink, factor × path) from the client to `dest`, measured on a miss."""
-        entry = self._clients.get(client.id) or self._add_client(client)
-        values = entry.links.get(dest.id)
-        if values is None:
-            decay = entry.decays.get(dest.id)
-            if decay is None:
-                decay = decayed_bandwidth(client.location, dest.location, self.params)
-                entry.decays[dest.id] = decay
-            values = entry.links[dest.id] = tuple(
-                min(
-                    link.uplink_mbps,
-                    factor * path_bandwidth(
-                        decay, self.params, self._noise,
-                        f"{client.id}/{link.id}->{dest.id}{self._suffix}",
-                    ),
-                )
-                for link in client.links
-            )
-        return values
+    def link_order(self, client: BBoxClient) -> tuple[int, ...]:
+        """The client's link indices by uplink descending, ties by index."""
+        return (self._clients.get(client.id) or self._add_client(client)).order
 
-    def subflow_bandwidths(self, client: BBoxClient, server: AggregationServer) -> tuple[float, ...]:
-        """Per-link deliverable subflow bandwidth from client to server."""
-        return self._link_bandwidths(client, server, 1.0)
+    def link_bandwidth(self, client: BBoxClient, dest_id: str, i: int) -> float:
+        """Link `i`'s min(uplink, factor × path) from the client to `dest_id`,
+        drawn on a miss.
+
+        `dest_id` is a relay (factor 1) or the client's origin (factor
+        `direct_path_factor`).
+        """
+        entry = self._clients.get(client.id) or self._add_client(client)
+        values = entry.links.get(dest_id)
+        if values is None:
+            values = entry.links[dest_id] = [None] * len(client.links)
+        value = values[i]
+        if value is None:
+            decay = entry.decays.get(dest_id)
+            if decay is None:
+                decay = entry.decays[dest_id] = decayed_bandwidth(
+                    client.location, self._locations[dest_id], self.params
+                )
+            link = client.links[i]
+            factor = self.params.direct_path_factor if dest_id == client.origin_id else 1.0
+            value = values[i] = min(
+                link.uplink_mbps,
+                factor * path_bandwidth(
+                    decay, self.params, self._noise,
+                    f"{client.id}/{link.id}->{dest_id}{self._suffix}",
+                ),
+            )
+        return value
 
     def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float:
         key = (server.id, origin_id)
@@ -320,17 +338,12 @@ class DistanceDecayNetwork:
             decay = self._relay_decays.get(key)
             if decay is None:
                 decay = self._relay_decays[key] = decayed_bandwidth(
-                    server.location, self._origins[origin_id].location, self.params
+                    server.location, self._locations[origin_id], self.params
                 )
             value = self._relay_paths[key] = path_bandwidth(
                 decay, self.params, self._noise, f"{server.id}->{origin_id}{self._suffix}"
             )
         return value
-
-    def direct_link_bandwidths(self, client: BBoxClient) -> tuple[float, ...]:
-        """Per-link bandwidth on the client's own path to its origin."""
-        origin = self._origins[client.origin_id]
-        return self._link_bandwidths(client, origin, self.params.direct_path_factor)
 
 
 def _sample_point(rng) -> GeoPoint:

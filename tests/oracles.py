@@ -8,7 +8,11 @@ capacity minus the reserve). Feasibility uses sequential subtraction from
 it in client-id order, the same arithmetic convention the solvers'
 canonical objective uses, so objectives compare exactly. `encode` is the
 byte oracle of the JSON writer: `codec.save_json(value, path)` writes
-`json.dumps(encode(value), indent=2, sort_keys=True) + "\n"`.
+`json.dumps(encode(value), indent=2, sort_keys=True) + "\n"`. The
+`*_every_link` functions measure as the package did before it read links
+lazily: every link drawn, in link order. `FakeNet` is a path oracle with
+fixed per-link tables that records which links it is asked for, and
+`link_fuzz_scenario` builds the link mixes both are compared on.
 """
 
 from __future__ import annotations
@@ -19,9 +23,17 @@ import random
 from collections.abc import Mapping
 from enum import Enum
 
-from bass_sim.model import GainEntry
+from bass_sim.model import (
+    AggregationServer,
+    BBoxClient,
+    EdgeLink,
+    GainEntry,
+    GeoPoint,
+    LinkKind,
+    OriginServer,
+)
 from bass_sim.scheduler import RequestBatch
-from bass_sim.topology import geo_distance_km
+from bass_sim.topology import MAX_LINKS_PER_CLIENT, NetModelParams, Scenario, geo_distance_km
 
 
 def encode(value):
@@ -101,8 +113,7 @@ def random_instance(rng: random.Random, n_max: int = 4, m_max: int = 4):
                 GainEntry(
                     client_id=client_id,
                     server_id=sid,
-                    b_client_server_mbps=rng.uniform(0.0, 20.0),
-                    b_server_origin_mbps=rng.uniform(0.0, 20.0),
+                    b_via_mbps=min(rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)),
                     b_baseline_mbps=rng.uniform(0.0, 15.0),
                 )
             )
@@ -133,7 +144,7 @@ def contended_batch(rng: random.Random, n: int):
         client_id = f"c{i:02d}"
         baseline = rng.uniform(1.0, 8.0)
         entries[client_id] = [
-            GainEntry(client_id, sid, rng.uniform(2.0, 14.0), rng.uniform(4.0, 16.0), baseline)
+            GainEntry(client_id, sid, min(rng.uniform(2.0, 14.0), rng.uniform(4.0, 16.0)), baseline)
             for sid in server_ids
         ]
     return RequestBatch.build(entries), usable
@@ -158,3 +169,87 @@ def filtered_then_sorted_candidates(client, servers, k, load_threshold, load_rat
     eligible = [s for s in servers if load_rates[s.id] >= load_threshold]
     eligible.sort(key=lambda s: (geo_distance_km(client.location, s.location), s.id))
     return [s.id for s in eligible[:k]]
+
+
+def baseline_every_link(client, net):
+    """`max` over every link's value on the client's direct path, in link order."""
+    return max([net.link_bandwidth(client, client.origin_id, i) for i in range(len(client.links))])
+
+
+def via_every_link(client, server, net):
+    """min(sum of every subflow in link order, the relay's leg to the origin)."""
+    total = 0.0
+    for i in range(len(client.links)):
+        total += net.link_bandwidth(client, server.id, i)
+    return min(total, net.server_origin_bandwidth(server, client.origin_id))
+
+
+def measure_every_link(client, candidates, net, baseline, usable=None):
+    """One gain entry per candidate, every link drawn; `usable` is ignored."""
+    return [GainEntry(client.id, server.id, via_every_link(client, server, net), baseline)
+            for server in candidates]
+
+
+def links_drawn(net, client, dest_id):
+    """How many of the client's links a `DistanceDecayNetwork` has drawn to `dest_id`."""
+    values = net._clients[client.id].links.get(dest_id, ())
+    return sum(value is not None for value in values)
+
+
+def _point(rng):
+    return GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+
+
+def link_fuzz_scenario(rng: random.Random, many_links: bool = False):
+    """A small scenario whose clients have 1-8 links (the first one
+    `MAX_LINKS_PER_CLIENT` if `many_links`), with uplinks mixing ±0, ties
+    and spread values; noise off or on, and `direct_path_factor` below, at
+    and above 1, with wide-area paths both below and above the uplinks."""
+    params = NetModelParams(
+        base_path_mbps=rng.choice([2.0, 10.0, 40.0]),
+        distance_decay_per_1000km=rng.choice([0.0, 1.0]),
+        noise_sigma=rng.choice([0.0, 0.5, 1.5]),
+        direct_path_factor=rng.choice([0.3, 1.0, 2.5]),
+    )
+    tied = rng.uniform(0.5, 20.0)
+    origins = tuple(OriginServer(f"o{k}", _point(rng)) for k in range(rng.randint(1, 2)))
+    servers = tuple(
+        AggregationServer(f"s{j}", _point(rng), 100.0, 100.0) for j in range(rng.randint(1, 4))
+    )
+    clients = []
+    for i in range(rng.randint(1, 6)):
+        n = MAX_LINKS_PER_CLIENT if many_links and i == 0 else rng.randint(1, 8)
+        links = tuple(
+            EdgeLink(f"c{i}-l{k}", LinkKind.WIFI,
+                     rng.choice([0.0, -0.0, tied, tied, rng.uniform(0.0, 30.0)]))
+            for k in range(n)
+        )
+        clients.append(BBoxClient(f"c{i}", _point(rng), links, rng.choice(origins).id))
+    return Scenario(tuple(clients), servers, origins, params, seed=rng.randrange(1000))
+
+
+class FakeNet:
+    """Path oracle over fixed tables that records each link value it is
+    first asked for, as a caching network draws it once.
+
+    `links` maps (client id, destination id) to the per-link values, a
+    destination being a relay or the client's origin; `server_origin` maps
+    (relay id, origin id) to the relay's leg. Links are read by uplink
+    descending, ties by index, as the network orders them.
+    """
+
+    def __init__(self, links, server_origin=None):
+        self._links = links
+        self._server_origin = server_origin or {}
+        self.draws = []  # (client id, destination id, link index) per first read
+
+    def link_order(self, client):
+        return sorted(range(len(client.links)), key=lambda i: (-client.links[i].uplink_mbps, i))
+
+    def link_bandwidth(self, client, dest_id, i):
+        if (client.id, dest_id, i) not in self.draws:
+            self.draws.append((client.id, dest_id, i))
+        return self._links[(client.id, dest_id)][i]
+
+    def server_origin_bandwidth(self, server, origin_id):
+        return self._server_origin[(server.id, origin_id)]

@@ -47,5 +47,5 @@ def test_every_epoch_layer_records_spans(policy):
                      if span[spans.NAME] == "scheduler.solve")
     assert solves == {0: 1, 1: 1}
     layers = {"scheduler.measure_gains", "scheduler.batch_build", "scheduler.ledger",
-              "topology.candidate_subset"}
+              "topology.candidate_subset", "model.baseline_bandwidth"}
     assert layers - {span[spans.NAME] for span in tracer.spans} == set()

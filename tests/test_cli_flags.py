@@ -181,6 +181,8 @@ BAD_VALUES = [
     ("base_path_mbps", ["--base-path-mbps", "0"]),
     ("distance_decay_per_1000km", ["--distance-decay", "-1"]),
     ("noise_sigma", ["--noise-sigma", "nan"]),
+    # exp(100 * z) overflows for some draws z: rejected before any is drawn.
+    ("noise_sigma", ["--noise-sigma", "100"]),
     ("wifi_lognormal_mu", ["--wifi-mu", "inf"]),
     ("wifi_lognormal_sigma", ["--wifi-sigma", "-0.5"]),
     ("cellular_uplink_mbps_range", ["--cellular-range", "5", "1"]),

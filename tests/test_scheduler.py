@@ -24,19 +24,24 @@ from bass_sim.scheduler import (
 )
 
 from bass_sim.sim import POLICIES, SimConfig
-from bass_sim.topology import generate_scenario
+from bass_sim.topology import DistanceDecayNetwork, generate_scenario
 
 from oracles import (
+    FakeNet,
+    baseline_every_link,
     brute_force_optimum,
     contended_batch,
     lagrangian_bound,
+    link_fuzz_scenario,
+    links_drawn,
+    measure_every_link,
     random_batch,
     random_instance,
 )
 
 
-def entry(cid, sid, b_cs, b_so, baseline):
-    return GainEntry(cid, sid, b_cs, b_so, baseline)
+def entry(cid, sid, b_via, baseline):
+    return GainEntry(cid, sid, b_via, baseline)
 
 
 def batch_of(*entries):
@@ -44,22 +49,6 @@ def batch_of(*entries):
     for e in entries:
         grouped.setdefault(e.client_id, []).append(e)
     return RequestBatch.build(grouped)
-
-
-class FakeNet:
-    """Path oracle with fixed tables, for hand-computed cases."""
-
-    def __init__(self, subflows, server_origin):
-        self._subflows = subflows          # (client_id, server_id) -> list
-        self._server_origin = server_origin  # (server_id, origin_id) -> value
-        self.subflow_calls = []              # (client_id, server_id) per call
-
-    def subflow_bandwidths(self, client, server):
-        self.subflow_calls.append((client.id, server.id))
-        return list(self._subflows[(client.id, server.id)])
-
-    def server_origin_bandwidth(self, server, origin_id):
-        return self._server_origin[(server.id, origin_id)]
 
 
 def make_client(cid="c1", uplinks=(2.0, 3.0), origin_id="o1"):
@@ -80,16 +69,16 @@ def make_server(sid, total=100.0, remaining=None):
 class TestRequestBatch:
     def test_build_sorts_by_gain_then_server(self):
         batch = batch_of(
-            entry("c1", "s2", 6, 50, 1),   # gain 5
-            entry("c1", "s1", 9, 50, 1),   # gain 8
-            entry("c1", "s3", 9, 50, 1),   # gain 8, tie with s1
+            entry("c1", "s2", 6, 1),   # gain 5
+            entry("c1", "s1", 9, 1),   # gain 8
+            entry("c1", "s3", 9, 1),   # gain 8, tie with s1
         )
         assert [e.server_id for e in batch.entries["c1"]] == ["s1", "s3", "s2"]
 
     def test_constructor_sorts_clients_and_candidates(self):
         entries = {
-            "c2": (entry("c2", "s1", 2, 50, 1),),
-            "c1": (entry("c1", "s1", 2, 50, 1), entry("c1", "s2", 9, 50, 1)),
+            "c2": (entry("c2", "s1", 2, 1),),
+            "c1": (entry("c1", "s1", 2, 1), entry("c1", "s2", 9, 1)),
         }
         batch = RequestBatch(entries=entries)
         assert list(batch.entries) == ["c1", "c2"]
@@ -97,25 +86,31 @@ class TestRequestBatch:
 
     def test_rejects_entry_filed_under_another_client(self):
         with pytest.raises(ValidationError, match="filed under"):
-            RequestBatch(entries={"c1": (entry("c2", "s1", 2, 50, 1),)})
+            RequestBatch(entries={"c1": (entry("c2", "s1", 2, 1),)})
 
     def test_rejects_duplicate_server(self):
         with pytest.raises(ValidationError):
-            batch_of(entry("c1", "s1", 2, 50, 1), entry("c1", "s1", 3, 50, 1))
+            batch_of(entry("c1", "s1", 2, 1), entry("c1", "s1", 3, 1))
 
     def test_counts(self):
         batch = batch_of(
-            entry("c1", "s1", 2, 50, 1),
-            entry("c1", "s2", 2, 50, 1),
-            entry("c2", "s2", 2, 50, 1),
+            entry("c1", "s1", 2, 1),
+            entry("c1", "s2", 2, 1),
+            entry("c2", "s2", 2, 1),
         )
         assert batch.n == 2
 
     def test_empty_group_is_kept_and_counted(self):
         # A client whose every candidate measure_gains left out still requested.
-        batch = RequestBatch(entries={"c2": (entry("c2", "s1", 2, 50, 1),), "c1": ()})
-        assert batch.entries == {"c1": (), "c2": (entry("c2", "s1", 2, 50, 1),)}
+        batch = RequestBatch(entries={"c2": (entry("c2", "s1", 2, 1),), "c1": ()})
+        assert batch.entries == {"c1": (), "c2": (entry("c2", "s1", 2, 1),)}
         assert batch.n == 2
+
+
+def entry_bits(entries):
+    """Entries with every float as its exact bits."""
+    return [(e.client_id, e.server_id, e.b_via_mbps.hex(), e.b_baseline_mbps.hex(),
+             e.gain_mbps.hex()) for e in entries]
 
 
 class TestMeasureGains:
@@ -124,34 +119,34 @@ class TestMeasureGains:
         # best direct link 3: B = 5, via = 5, gain = 2. The subflow sum binds.
         client = make_client()
         server = make_server("s1")
-        net = FakeNet(
-            subflows={("c1", "s1"): [2.0, 3.0]},
-            server_origin={("s1", "o1"): 50.0},
-        )
+        net = FakeNet({("c1", "s1"): [2.0, 3.0]}, {("s1", "o1"): 50.0})
         (got,) = measure_gains(client, [server], net, baseline=3.0)
-        assert got.b_client_server_mbps == 5.0
         assert got.b_via_mbps == 5.0
         assert got.b_baseline_mbps == 3.0
         assert got.gain_mbps == 2.0
+        # Both links drawn, the larger uplink first.
+        assert net.draws == [("c1", "s1", 1), ("c1", "s1", 0)]
 
     def test_origin_leg_binds(self):
         client = make_client()
         server = make_server("s1")
-        net = FakeNet(
-            subflows={("c1", "s1"): [2.0, 3.0]},
-            server_origin={("s1", "o1"): 4.0},
-        )
+        net = FakeNet({("c1", "s1"): [2.0, 3.0]}, {("s1", "o1"): 4.0})
         (got,) = measure_gains(client, [server], net, baseline=3.0)
         assert got.b_via_mbps == 4.0
         assert got.gain_mbps == 1.0
 
+    def test_stops_drawing_once_the_drawn_links_reach_the_leg(self):
+        # Link 1 alone carries 3 >= the leg 2.5, so the via-bandwidth is
+        # the leg, whatever link 0 carries; it is never drawn.
+        net = FakeNet({("c1", "s1"): [2.0, 3.0]}, {("s1", "o1"): 2.5})
+        (got,) = measure_gains(make_client(), [make_server("s1")], net, baseline=1.0)
+        assert got.b_via_mbps == 2.5
+        assert net.draws == [("c1", "s1", 1)]
+
     def test_zero_gain_when_equal_to_direct(self):
         client = make_client(uplinks=(3.0,))
         server = make_server("s1")
-        net = FakeNet(
-            subflows={("c1", "s1"): [3.0]},
-            server_origin={("s1", "o1"): 50.0},
-        )
+        net = FakeNet({("c1", "s1"): [3.0]}, {("s1", "o1"): 50.0})
         (got,) = measure_gains(client, [server], net, baseline=3.0)
         assert got.gain_mbps == 0.0
 
@@ -159,8 +154,8 @@ class TestMeasureGains:
         client = make_client()
         servers = [make_server("s1"), make_server("s2")]
         net = FakeNet(
-            subflows={("c1", "s1"): [2.0, 3.0], ("c1", "s2"): [2.0, 3.0]},
-            server_origin={("s1", "o1"): 4.0, ("s2", "o1"): 50.0},
+            {("c1", "s1"): [2.0, 3.0], ("c1", "s2"): [2.0, 3.0]},
+            {("s1", "o1"): 4.0, ("s2", "o1"): 50.0},
         )
         batch = RequestBatch.build({"c1": measure_gains(client, servers, net, baseline=3.0)})
         assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
@@ -168,58 +163,117 @@ class TestMeasureGains:
     def test_unknown_origin_propagates(self):
         client = make_client(origin_id="nowhere")
         server = make_server("s1")
-        net = FakeNet(subflows={("c1", "s1"): [1.0]}, server_origin={})
+        net = FakeNet({("c1", "s1"): [1.0, 1.0]})
         with pytest.raises(KeyError):
             measure_gains(client, [server], net, baseline=1.0)
 
     def test_empty_candidates_invalid(self):
         with pytest.raises(ValidationError):
-            measure_gains(make_client(), [], FakeNet({}, {}), baseline=1.0)
+            measure_gains(make_client(), [], FakeNet({}), baseline=1.0)
 
     @staticmethod
-    def two_candidates(s1_origin_leg):
+    def two_candidates(s1_origin_leg, s1_links=(2.0, 3.0)):
         # s2's origin leg 50 beats the baseline 3; s1's leg is the parameter.
         net = FakeNet(
-            subflows={("c1", "s1"): [2.0, 3.0], ("c1", "s2"): [2.0, 3.0]},
-            server_origin={("s1", "o1"): s1_origin_leg, ("s2", "o1"): 50.0},
+            {("c1", "s1"): list(s1_links), ("c1", "s2"): [2.0, 3.0]},
+            {("s1", "o1"): s1_origin_leg, ("s2", "o1"): 50.0},
         )
         return [make_server("s1"), make_server("s2")], net
 
     @pytest.mark.parametrize("leg", [2.0, 3.0], ids=["below", "equal"])
     def test_skips_a_candidate_whose_origin_leg_rules_out_a_gain(self, leg):
         # Leg at most the baseline 3 and the usable 10: gain <= 0 and it fits,
-        # whatever the subflows, so they are never asked for.
+        # whatever the subflows, so none is drawn.
         servers, net = self.two_candidates(leg)
         got = measure_gains(make_client(), servers, net, 3.0, {"s1": 10.0, "s2": 10.0})
         assert [e.server_id for e in got] == ["s2"]
-        assert net.subflow_calls == [("c1", "s2")]
+        assert net.draws == [("c1", "s2", 1), ("c1", "s2", 0)]
+
+    def test_skips_once_the_drawn_links_rule_out_a_gain(self):
+        # Link 1 carries 0.5 of its uplink 3, so the sum is at most
+        # 2 + 0.5 <= the baseline 3, whatever link 0 carries.
+        servers, net = self.two_candidates(50.0, s1_links=(2.0, 0.5))
+        got = measure_gains(make_client(), servers, net, 3.0, {"s1": 10.0, "s2": 10.0})
+        assert [e.server_id for e in got] == ["s2"]
+        assert net.draws == [("c1", "s1", 1), ("c1", "s2", 1), ("c1", "s2", 0)]
 
     @pytest.mark.parametrize(
-        "leg, usable",
-        [(3.5, 10.0), (2.0, 1.5), (2.0, -5.0)],
+        "leg, usable, s1_draws",
+        [(3.5, 10.0, [1, 0]), (2.0, 1.5, [1]), (2.0, -5.0, [1])],
         ids=["leg-above-baseline", "leg-above-usable", "reserve-above-capacity"],
     )
-    def test_keeps_a_candidate_that_can_gain_or_may_not_fit(self, leg, usable):
+    def test_keeps_a_candidate_that_can_gain_or_may_not_fit(self, leg, usable, s1_draws):
         servers, net = self.two_candidates(leg)
         got = measure_gains(make_client(), servers, net, 3.0, {"s1": usable, "s2": 10.0})
         assert [e.server_id for e in got] == ["s1", "s2"]
         assert got[0].b_via_mbps == leg
-        assert net.subflow_calls == [("c1", "s1"), ("c1", "s2")]
+        assert net.draws == [("c1", "s1", i) for i in s1_draws] + [("c1", "s2", 1), ("c1", "s2", 0)]
 
     def test_without_usable_measures_every_candidate(self):
         # How a run measures for a policy that reads entries that cannot gain.
         servers, net = self.two_candidates(2.0)
         got = measure_gains(make_client(), servers, net, 3.0)
         assert [(e.server_id, e.gain_mbps) for e in got] == [("s1", -1.0), ("s2", 2.0)]
-        assert net.subflow_calls == [("c1", "s1"), ("c1", "s2")]
+        assert net.draws == [("c1", "s1", 1), ("c1", "s2", 1), ("c1", "s2", 0)]
+
+    @pytest.mark.parametrize(
+        "links, leg, baseline",
+        [
+            ((0.1, 0.2), 0.1 + 0.2, 0.0),
+            # Drawn largest first, 0.3 + 0.2 + 0.1 == 0.6 is below the leg;
+            # in link order the sum reaches it.
+            ((0.1, 0.2, 0.3), 0.1 + 0.2 + 0.3, 0.0),
+            ((0.3, 0.2, 0.1), 0.1 + 0.2 + 0.3, 0.0),
+            # The sum 0.1 + 0.2 is one ulp above the baseline 0.3: a gain.
+            ((0.1, 0.2), 1.0, 0.3),
+            ((0.1, 0.2), 1.0, 0.1 + 0.2),
+        ],
+    )
+    def test_float_boundaries_match_every_link(self, links, leg, baseline):
+        client = make_client(uplinks=links)
+        tables = {("c1", "s1"): list(links)}, {("s1", "o1"): leg}
+        expected = measure_every_link(client, [make_server("s1")], FakeNet(*tables), baseline)
+        got = measure_gains(client, [make_server("s1")], FakeNet(*tables), baseline)
+        assert entry_bits(got) == entry_bits(expected)
+        kept = [e for e in expected if e.gain_mbps > 0.0]
+        got = measure_gains(client, [make_server("s1")], FakeNet(*tables), baseline, {"s1": 10.0})
+        assert entry_bits(got) == entry_bits(kept)
+
+    def test_lazy_via_equals_every_link(self):
+        # Bit for bit over random link mixes, with and without `usable`;
+        # the lazy reads leave links undrawn.
+        rng = random.Random(62)
+        drawn = {"every": 0, "all entries": 0, "within usable": 0}
+        left_out = 0
+        for case in range(300):
+            scenario = link_fuzz_scenario(rng, many_links=case % 10 == 0)
+            full, lazy, lazy_usable = (DistanceDecayNetwork(scenario) for _ in range(3))
+            servers = scenario.agg_servers
+            for client in scenario.clients:
+                baseline = baseline_every_link(client, full)
+                expected = measure_every_link(client, servers, full, baseline)
+                got = measure_gains(client, servers, lazy, baseline)
+                assert entry_bits(got) == entry_bits(expected), case
+                usable = {s.id: rng.choice([-1.0, rng.uniform(0.0, 20.0), 1e9]) for s in servers}
+                kept = [e for e in expected
+                        if e.gain_mbps > 0.0 or e.b_via_mbps > usable[e.server_id]]
+                got = measure_gains(client, servers, lazy_usable, baseline, usable)
+                assert entry_bits(got) == entry_bits(kept), case
+                left_out += len(expected) - len(kept)
+                for name, net in (("every", full), ("all entries", lazy),
+                                  ("within usable", lazy_usable)):
+                    drawn[name] += sum(links_drawn(net, client, s.id) for s in servers)
+        assert drawn["all entries"] < 0.5 * drawn["every"]
+        assert drawn["within usable"] < 0.85 * drawn["all entries"]
+        assert left_out > 500
 
 
 class TestSolveExact:
     def test_capacity_forces_single_assignment(self):
         # Demands 8 and 6 against capacity 10: only the gain-5 client fits.
         batch = batch_of(
-            entry("c1", "s1", 8, 50, 3),   # via 8, gain 5
-            entry("c2", "s1", 6, 50, 2),   # via 6, gain 4
+            entry("c1", "s1", 8, 3),   # via 8, gain 5
+            entry("c2", "s1", 6, 2),   # via 6, gain 4
         )
         plan = solve_exact(batch, {"s1": 10.0})
         assert plan.assignments == {"c1": Assignment("s1", 8.0, 5.0)}
@@ -227,23 +281,23 @@ class TestSolveExact:
 
     def test_two_by_two(self):
         batch = batch_of(
-            entry("c1", "s1", 8, 50, 3),   # gain 5
-            entry("c1", "s2", 6, 50, 3),   # gain 3
-            entry("c2", "s1", 8, 50, 4),   # gain 4
-            entry("c2", "s2", 8, 50, 4),   # gain 4
+            entry("c1", "s1", 8, 3),   # gain 5
+            entry("c1", "s2", 6, 3),   # gain 3
+            entry("c2", "s1", 8, 4),   # gain 4
+            entry("c2", "s2", 8, 4),   # gain 4
         )
         plan = solve_exact(batch, {"s1": 10.0, "s2": 10.0})
         assert {c: a.server_id for c, a in plan.assignments.items()} == {"c1": "s1", "c2": "s2"}
         assert plan.objective_mbps == 9.0
 
     def test_negative_gain_left_unassigned(self):
-        batch = batch_of(entry("c1", "s1", 4, 50, 5))
+        batch = batch_of(entry("c1", "s1", 4, 5))
         plan = solve_exact(batch, {"s1": 10.0})
         assert plan.assignments == {}
         assert plan.objective_mbps == 0.0
 
     def test_cap_enforced(self):
-        entries = [entry(f"c{i:02d}", "s1", 2, 50, 1) for i in range(5)]
+        entries = [entry(f"c{i:02d}", "s1", 2, 1) for i in range(5)]
         batch = batch_of(*entries)
         with pytest.raises(BatchTooLargeError):
             solve_exact(batch, {"s1": 100.0}, client_cap=4)
@@ -251,8 +305,8 @@ class TestSolveExact:
     def test_tie_breaks_prefer_smallest_vector(self):
         # Both servers give the same gain; s1 sorts first.
         batch = batch_of(
-            entry("c1", "s2", 8, 50, 3),
-            entry("c1", "s1", 8, 50, 3),
+            entry("c1", "s2", 8, 3),
+            entry("c1", "s1", 8, 3),
         )
         plan = solve_exact(batch, {"s1": 100.0, "s2": 100.0})
         assert plan.assignments["c1"].server_id == "s1"
@@ -278,7 +332,7 @@ class TestSolveExact:
                 cid = f"c{c}"
                 baseline = rng.randint(0, 3)
                 entries[cid] = [
-                    entry(cid, sid, rng.randint(0, 6), rng.randint(0, 6), baseline)
+                    entry(cid, sid, min(rng.randint(0, 6), rng.randint(0, 6)), baseline)
                     for sid in rng.sample(server_ids, rng.randint(1, len(server_ids)))
                 ]
             batch = RequestBatch.build(entries)
@@ -294,7 +348,7 @@ class TestSolveExact:
             usable = {sid: cap - reserve for sid, cap in capacities.items()}
             base = solve_exact(batch, usable).objective_mbps
             extended = {
-                cid: list(group) + [entry(cid, "s_extra", rng.uniform(0, 20), rng.uniform(0, 20),
+                cid: list(group) + [entry(cid, "s_extra", min(rng.uniform(0, 20), rng.uniform(0, 20)),
                                           group[0].b_baseline_mbps)]
                 for cid, group in batch.entries.items()
             }
@@ -381,8 +435,8 @@ class TestSolveGreedy:
     def test_hand_trace_single_server(self):
         # Gain 5 (demand 8) is taken first; demand 6 no longer fits in 2.
         batch = batch_of(
-            entry("c1", "s1", 8, 50, 3),
-            entry("c2", "s1", 6, 50, 2),
+            entry("c1", "s1", 8, 3),
+            entry("c2", "s1", 6, 2),
         )
         plan = solve_greedy(batch, {"s1": 10.0})
         exact = solve_exact(batch, {"s1": 10.0})
@@ -390,8 +444,8 @@ class TestSolveGreedy:
 
     def test_all_gains_nonpositive(self):
         batch = batch_of(
-            entry("c1", "s1", 4, 50, 5),
-            entry("c2", "s1", 3, 50, 3),
+            entry("c1", "s1", 4, 5),
+            entry("c2", "s1", 3, 3),
         )
         plan = solve_greedy(batch, {"s1": 100.0})
         assert plan.assignments == {}
@@ -410,9 +464,9 @@ class TestSolveGreedy:
         # Greedy grabs the gain-10 client whose demand 20 blocks the pair
         # (16 + 12 = 28) worth 14 in total.
         batch = batch_of(
-            entry("cA", "s1", 20, 50, 10),   # gain 10, demand 20
-            entry("cB", "s1", 16, 50, 8),    # gain 8, demand 16
-            entry("cC", "s1", 12, 50, 6),    # gain 6, demand 12
+            entry("cA", "s1", 20, 10),   # gain 10, demand 20
+            entry("cB", "s1", 16, 8),    # gain 8, demand 16
+            entry("cC", "s1", 12, 6),    # gain 6, demand 12
         )
         greedy = solve_greedy(batch, {"s1": 30.0})
         exact = solve_exact(batch, {"s1": 30.0})
@@ -427,8 +481,8 @@ class TestSolveGreedy:
     def test_gain_ties_break_by_client_then_server(self):
         # Identical gains; capacity fits one demand only.
         batch = batch_of(
-            entry("c2", "s1", 8, 50, 3),
-            entry("c1", "s1", 8, 50, 3),
+            entry("c2", "s1", 8, 3),
+            entry("c1", "s1", 8, 3),
         )
         plan = solve_greedy(batch, {"s1": 8.0})
         assert list(plan.assignments) == ["c1"]
@@ -504,7 +558,7 @@ class TestEntriesThatCannotGain:
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_every_solver_leaves_an_empty_group_unassigned(self, policy):
-        batch = RequestBatch({"c1": (), "c2": (entry("c2", "s1", 8, 50, 3),)})
+        batch = RequestBatch({"c1": (), "c2": (entry("c2", "s1", 8, 3),)})
         plan = POLICIES[policy].solve(batch, {"s1": 10.0}, SimConfig(policy=policy), 0)
         assert plan.assignments == {"c2": Assignment("s1", 8.0, 5.0)}
 

@@ -1,13 +1,22 @@
 import math
 import random
+from collections import Counter
 from dataclasses import fields, replace
 from types import MappingProxyType
 
 import pytest
 
-from bass_sim import sim
+from bass_sim import sim, topology
 from bass_sim.errors import BatchTooLargeError, ValidationError
-from bass_sim.model import AggregationServer, BBoxClient, EdgeLink, GainEntry, GeoPoint, OriginServer
+from bass_sim.model import (
+    AggregationServer,
+    BBoxClient,
+    EdgeLink,
+    GainEntry,
+    GeoPoint,
+    OriginServer,
+    baseline_bandwidth,
+)
 from bass_sim.metrics import save_records
 from bass_sim.scheduler import RequestBatch, measure_gains, random_policy, solve_greedy
 from bass_sim.seeding import rng_for
@@ -22,9 +31,15 @@ from bass_sim.sim import (
     run_epoch,
     run_simulation,
 )
-from bass_sim.topology import DistanceDecayNetwork, NetModelParams, Scenario, generate_scenario
+from bass_sim.topology import (
+    DistanceDecayNetwork,
+    NetModelParams,
+    Scenario,
+    generate_scenario,
+    path_bandwidth,
+)
 
-from oracles import brute_force_optimum, contended_batch
+from oracles import baseline_every_link, brute_force_optimum, contended_batch, measure_every_link
 
 
 def flat_params(base=100.0, direct_factor=1.0):
@@ -60,13 +75,14 @@ def one_server_scenario(clients, total_mbps, params=None, seed=0):
 
 
 def _cached_values(net):
-    """How many measured values a network holds: each cached link value and relay path."""
-    links = sum(len(values) for client in net._clients.values() for values in client.links.values())
+    """How many measured values a network holds: each drawn link value and relay path."""
+    links = sum(value is not None for client in net._clients.values()
+                for values in client.links.values() for value in values)
     return links + len(net._relay_paths)
 
 
 def _assert_cache_is_fresh(state):
-    """Every cached link tuple and relay path equals what a new network measures now."""
+    """Every drawn link value and relay path equals what a new network measures now."""
     scenario, net = state.scenario, state.net
     fresh = DistanceDecayNetwork(scenario)
     fresh.remeasure(net.noise_epoch)
@@ -74,10 +90,11 @@ def _assert_cache_is_fresh(state):
     for client_id, paths in net._clients.items():
         client = state.active[client_id]
         for dest_id, values in paths.links.items():
-            if dest_id == client.origin_id:
-                assert values == fresh.direct_link_bandwidths(client)
-            else:
-                assert values == fresh.subflow_bandwidths(client, servers[dest_id])
+            assert dest_id == client.origin_id or dest_id in servers
+            assert len(values) == len(client.links)
+            for i, value in enumerate(values):
+                if value is not None:
+                    assert value == fresh.link_bandwidth(client, dest_id, i)
     for (server_id, origin_id), value in net._relay_paths.items():
         assert value == fresh.server_origin_bandwidth(servers[server_id], origin_id)
 
@@ -133,8 +150,8 @@ class TestHitRate:
 def three_candidate_batch():
     entries = {
         "c1": [
-            GainEntry("c1", sid, b_cs, 100.0, 1.0)
-            for sid, b_cs in (("s1", 5.0), ("s2", 4.0), ("s3", 3.0))
+            GainEntry("c1", sid, b_via, 1.0)
+            for sid, b_via in (("s1", 5.0), ("s2", 4.0), ("s3", 3.0))
         ]
     }
     return RequestBatch.build(entries)
@@ -148,8 +165,8 @@ class TestRandomPolicy:
 
     def test_single_candidate_matches_greedy(self):
         entries = {
-            "c1": [GainEntry("c1", "s1", 5.0, 100.0, 1.0)],
-            "c2": [GainEntry("c2", "s1", 4.0, 100.0, 1.0)],
+            "c1": [GainEntry("c1", "s1", 5.0, 1.0)],
+            "c2": [GainEntry("c2", "s1", 4.0, 1.0)],
         }
         batch = RequestBatch.build(entries)
         caps = {"s1": 50.0}
@@ -169,8 +186,8 @@ class TestRandomPolicy:
     def test_skips_choices_that_do_not_fit(self):
         entries = {
             "c1": [
-                GainEntry("c1", "s1", 40.0, 100.0, 1.0),
-                GainEntry("c1", "s2", 5.0, 100.0, 1.0),
+                GainEntry("c1", "s1", 40.0, 1.0),
+                GainEntry("c1", "s2", 5.0, 1.0),
             ]
         }
         batch = RequestBatch.build(entries)
@@ -180,7 +197,7 @@ class TestRandomPolicy:
             assert plan.assignments["c1"].server_id == "s2"
 
     def test_no_feasible_candidate_leaves_unassigned(self):
-        entries = {"c1": [GainEntry("c1", "s1", 40.0, 100.0, 1.0)]}
+        entries = {"c1": [GainEntry("c1", "s1", 40.0, 1.0)]}
         batch = RequestBatch.build(entries)
         plan = random_policy(batch, {"s1": 10.0}, seed=0)
         assert plan.assignments == {}
@@ -283,7 +300,6 @@ class TestRunEpoch:
         # Rebuild the same batch the epoch solved (static network, so the
         # measurements are reproducible).
         state2 = new_state(scenario, config)
-        from bass_sim.model import baseline_bandwidth
         from bass_sim.scheduler import measure_gains
         from bass_sim.topology import candidate_subset
 
@@ -293,7 +309,7 @@ class TestRunEpoch:
             cand = candidate_subset(client, state2.net, config.k_candidates,
                                     config.load_threshold, state2.ledger.load_rates())
             if cand:
-                baseline = baseline_bandwidth(state2.net.direct_link_bandwidths(client))
+                baseline = baseline_bandwidth(client, state2.net)
                 entries[cid] = measure_gains(client, cand, state2.net, baseline)
         batch = RequestBatch.build(entries)
         usable = {
@@ -494,14 +510,17 @@ def record_measurements(monkeypatch):
 
 
 def fuzzed_run(rng):
-    """A small scenario and config, with capacities from tight to loose and
-    reserves up to above capacity, so that relay legs above the usable
-    capacity occur next to those below it."""
-    policy = rng.choice(["bass_greedy", "bass_exact"])
+    """A small scenario and config under any policy, with 0-4 Wi-Fi and 0-3
+    cellular links per client (cellular uplinks possibly 0), capacities from
+    tight to loose and reserves up to above capacity, so that relay legs
+    above the usable capacity occur next to those below it."""
+    policy = rng.choice(sorted(POLICIES))
+    wifi = rng.randint(0, 4)
     params = NetModelParams(
-        wifi_links_per_client=rng.randint(0, 3),
-        cellular_links_per_client=rng.randint(1, 2),
-        direct_path_factor=rng.choice([0.3, 1.0]),
+        wifi_links_per_client=wifi,
+        cellular_links_per_client=rng.randint(0 if wifi else 1, 3),
+        cellular_uplink_mbps_range=rng.choice([(2.0, 8.0), (0.0, 4.0), (0.0, 0.0)]),
+        direct_path_factor=rng.choice([0.3, 1.0, 1.8]),
     )
     capacity = rng.choice([rng.uniform(1.0, 10.0), rng.uniform(10.0, 60.0), rng.uniform(100.0, 400.0)])
     scenario = generate_scenario(
@@ -532,29 +551,45 @@ def run_outcome(scenario, config):
 
 
 class TestLeftOutEntries:
-    """For a BASS policy, `measure_gains` leaves out each candidate whose relay
-    leg rules out a gain and that fits; no record may tell."""
+    """`baseline_bandwidth` and `measure_gains` draw only the links that can
+    change a value, and for a BASS policy `measure_gains` leaves out each
+    candidate that cannot gain and fits; no record may tell."""
 
     def test_records_match_measuring_every_candidate(self, monkeypatch, tmp_path):
-        counts = {"left out": 0, "kept for not fitting": 0, "runs": 0}
+        counts = Counter()
+        drawn = Counter()
+
+        def counting_path_bandwidth(decayed_mbps, params, noise, edge_tag):
+            drawn["/" in edge_tag] += 1
+            return path_bandwidth(decayed_mbps, params, noise, edge_tag)
 
         def measure_every_candidate(client, candidates, net, baseline, usable=None):
-            # As for a policy that reads every entry.
-            entries = measure_gains(client, candidates, net, baseline)
-            counts["kept for not fitting"] += sum(
-                e.b_server_origin_mbps <= baseline and e.b_via_mbps > usable[e.server_id]
-                for e in entries
-            )
+            # As for a policy that reads every entry, with every link drawn.
+            entries = measure_every_link(client, candidates, net, baseline)
+            if usable is not None:
+                counts["kept for not fitting"] += sum(
+                    net.server_origin_bandwidth(s, client.origin_id) <= baseline
+                    and e.b_via_mbps > usable[e.server_id]
+                    for s, e in zip(candidates, entries)
+                )
             return entries
 
+        monkeypatch.setattr(topology, "path_bandwidth", counting_path_bandwidth)
         rng = random.Random(20)
         for case in range(400):
             scenario, config = fuzzed_run(rng)
             measured = record_measurements(monkeypatch)
+            monkeypatch.setattr(sim, "baseline_bandwidth", baseline_bandwidth)
+            drawn.clear()
             left_out = run_outcome(scenario, config)
+            links_read = drawn[True]
             counts["left out"] += sum(offered - got for offered, got in measured)
             monkeypatch.setattr(sim, "measure_gains", measure_every_candidate)
+            monkeypatch.setattr(sim, "baseline_bandwidth", baseline_every_link)
+            drawn.clear()
             every = run_outcome(scenario, config)
+            assert links_read <= drawn[True], case
+            counts[f"links not drawn, {config.policy}"] += drawn[True] - links_read
             if isinstance(left_out, str):
                 assert every == left_out, case
                 continue
@@ -569,6 +604,8 @@ class TestLeftOutEntries:
         assert counts["runs"] > 350
         assert counts["left out"] > 2000
         assert counts["kept for not fitting"] > 1000
+        for policy in POLICIES:
+            assert counts[f"links not drawn, {policy}"] > 3000, policy
 
     def test_random_measures_every_candidate(self, monkeypatch):
         measured = record_measurements(monkeypatch)

@@ -13,6 +13,7 @@ from bass_sim.seeding import SeededStream, rng_for
 from bass_sim.topology import (
     EARTH_RADIUS_KM,
     MAX_LINKS_PER_CLIENT,
+    MAX_NOISE_SIGMA,
     WIFI_SUB_1MBPS_TARGET,
     DistanceDecayNetwork,
     NetModelParams,
@@ -105,6 +106,15 @@ class TestPathBandwidth:
         z = rng_for(9, "path-noise", "x@3").normalvariate(0.0, 1.0)
         expected = decayed_bandwidth(a, b, params) * math.exp(0.7 * z)
         assert measured(a, b, params, seed=9, edge_tag="x@3") == expected
+
+
+    def test_noise_sigma_is_capped_below_overflow(self):
+        # `normalvariate` never draws |z| above 2·sqrt(53·ln 2); at the cap
+        # the noise factor of such a draw is still finite.
+        assert math.isfinite(math.exp(MAX_NOISE_SIGMA * 2.0 * math.sqrt(53.0 * math.log(2.0))))
+        assert NetModelParams(noise_sigma=MAX_NOISE_SIGMA).noise_sigma == MAX_NOISE_SIGMA
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            NetModelParams(noise_sigma=math.nextafter(MAX_NOISE_SIGMA, math.inf))
 
 
 class TestWifiCalibration:
