@@ -13,7 +13,8 @@ uplink descending and stops once the links not drawn yet cannot change
 its via-bandwidth. Neither BASS solver ever takes an entry with gain ≤ 0,
 so for them it also leaves out each candidate whose relay-to-origin leg
 and the subflows drawn so far already rule out a gain and that fits the
-relay; a requesting client's group can then be empty.
+relay; a requesting client's group can then be empty. The batch orders
+only its clients, by id; each solver orders the entries it walks.
 
 Two solvers are provided. `solve_exact` searches all assignments
 (depth-first, results identical to full enumeration) and is capped at a
@@ -90,39 +91,22 @@ class PathOracle(Protocol):
 class RequestBatch:
     """All requests of one scheduling round.
 
-    `entries` maps each requesting client to its candidate gain entries.
-    Construction orders the clients by id and each client's candidates by
-    gain descending, ties by server id ascending. A client whose every
-    candidate `measure_gains` left out keeps its key with an empty group:
-    it still counts in `n`, and every solver leaves it unassigned.
+    `entries` maps each requesting client to its candidate gain entries,
+    filed under its own id with no relay twice, as `run_epoch` builds
+    them. Construction orders the clients by id; each group keeps the
+    order it was given, and each solver orders what it walks. A client
+    whose every candidate `measure_gains` left out keeps its key with an
+    empty group: it still counts in `n`, and every solver leaves it
+    unassigned.
     """
 
-    entries: Mapping[str, tuple[GainEntry, ...]]
+    entries: Mapping[str, Sequence[GainEntry]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "entries",
-            {
-                cid: tuple(sorted(group, key=lambda e: (-e.gain_mbps, e.server_id)))
-                for cid, group in sorted(self.entries.items())
-            },
-        )
-        for client_id, group in self.entries.items():
-            server_ids = set()
-            for entry in group:
-                if entry.client_id != client_id:
-                    raise ValidationError(
-                        f"entry for client {entry.client_id!r} filed under {client_id!r}"
-                    )
-                if entry.server_id in server_ids:
-                    raise ValidationError(
-                        f"client {client_id!r} lists server {entry.server_id!r} twice"
-                    )
-                server_ids.add(entry.server_id)
+        object.__setattr__(self, "entries", dict(sorted(self.entries.items())))
 
     @classmethod
-    def build(cls, entries: Mapping[str, Iterable[GainEntry]]) -> "RequestBatch":
+    def build(cls, entries: Mapping[str, Sequence[GainEntry]]) -> "RequestBatch":
         return cls(entries=entries)
 
     @property
@@ -174,8 +158,8 @@ def measure_gains(
     the client's per-link subflows to the server (each capped by that
     link's uplink), and leg the server's own path to the client's origin.
     The entry's gain subtracts `baseline`, the client's best single link on
-    the direct path. Results keep the candidates' order; RequestBatch sorts
-    them.
+    the direct path. Results keep the candidates' order; an empty candidate
+    list gives no entries.
 
     Subflows are drawn by uplink descending, and before each draw S is
     bounded in link order: `lower` counts a link not drawn yet as 0,
@@ -186,8 +170,6 @@ def measure_gains(
     entry: whatever the links left are, its gain is ≤ 0 and it fits the
     relay. Pass `usable` only for a policy that never takes such an entry.
     """
-    if not candidates:
-        raise ValidationError(f"client {client.id!r}: candidate list must not be empty")
     uplinks = [link.uplink_mbps for link in client.links]
     order = net.link_order(client)
     entries = []
@@ -308,17 +290,18 @@ def solve_exact(
     exhaustive search over all feasible plans.
 
     Depth-first over clients in id order, each client's options walked as
-    full enumeration walks them: unassigned first, then by server id. The
-    search is pruned by two admissible upper bounds on what a path can
-    still reach: its objective plus each remaining client's best gain, and
-    its reduced objective plus the Lagrangian bound of `_capacity_prices`
-    over the remaining clients. Both carry a slack so float rounding can
-    never prune a plan that ties or beats the incumbent, which keeps the
-    result identical to brute-force enumeration. Leaves come in
-    lexicographic order of the assignment vector, so the first optimum
-    found, the one returned, is the smallest among equal-objective optima.
-    Raises BatchTooLargeError above `client_cap` clients; use the greedy
-    solver there.
+    full enumeration walks them: unassigned first, then by server id. Each
+    client's positive-gain options are sorted by server id once, and the
+    capacity prices and the search both walk that list. The search is
+    pruned by two admissible upper bounds on what a path can still reach:
+    its objective plus each remaining client's best gain, and its reduced
+    objective plus the Lagrangian bound of `_capacity_prices` over the
+    remaining clients. Both carry a slack so float rounding can never prune
+    a plan that ties or beats the incumbent, which keeps the result
+    identical to brute-force enumeration. Leaves come in lexicographic order
+    of the assignment vector, so the first optimum found, the one returned,
+    is the smallest among equal-objective optima. Raises BatchTooLargeError
+    above `client_cap` clients; use the greedy solver there.
     """
     n = batch.n
     if n > client_cap:
@@ -326,23 +309,27 @@ def solve_exact(
             f"batch has {n} clients, above the exact-solver cap of {client_cap}; "
             "use solve_greedy for batches this size"
         )
-    # Positive-gain candidates only: a zero or negative gain can never beat
-    # leaving the client unassigned, and unassigned wins the tie-break.
-    options = [[e for e in group if e.gain_mbps > 0.0] for group in batch.entries.values()]
+    # Positive-gain candidates only, by server id: a zero or negative gain
+    # can never beat leaving the client unassigned, and unassigned wins the
+    # tie-break.
+    options = [
+        sorted((e for e in group if e.gain_mbps > 0.0), key=lambda e: e.server_id)
+        for group in batch.entries.values()
+    ]
     # Seed the incumbent with the greedy objective; its plan is one of the
     # leaves below, so the search will recover a plan at least this good.
     best_objective = solve_greedy(batch, usable).objective_mbps
     prices = _capacity_prices(options, usable, best_objective)
 
-    # Each option as (entry, server, demand, gain, reduced gain), by server
-    # id; per suffix of clients, the sum of best gains and the sum of best
+    # Each option as (entry, server, demand, gain, reduced gain); per
+    # suffix of clients, the sum of best gains and the sum of best
     # reduced gains, each at least 0 because leaving a client unassigned is
     # always allowed.
     priced = [
         [
             (e, e.server_id, e.b_via_mbps, e.gain_mbps,
              e.gain_mbps - prices[e.server_id] * e.b_via_mbps)
-            for e in sorted(group, key=lambda e: e.server_id)
+            for e in group
         ]
         for group in options
     ]
@@ -398,10 +385,12 @@ def solve_exact(
 def random_policy(batch: RequestBatch, usable: Mapping[str, float], seed: int) -> AllocationPlan:
     """Baseline policy: assign each client a uniformly random candidate.
 
-    Candidates that no longer fit what is left of the server's `usable`
-    capacity (a copy, decremented as clients are placed) are skipped; the
-    draw is uniform over the ones that fit at that moment, so every plan is
-    feasible by construction. Gains are ignored (they may be negative).
+    Clients draw in id order. Candidates that no longer fit what is left
+    of the server's `usable` capacity (a copy, decremented as clients are
+    placed) are skipped; the draw is uniform over the ones that fit at that
+    moment, so every plan is feasible by construction. Gains, which may be
+    negative, only order the draw: by gain descending, ties by server id,
+    so the plan does not depend on the order within a group.
     """
     usable = dict(usable)
     rng = rng_for(seed, "random-policy")
@@ -410,6 +399,7 @@ def random_policy(batch: RequestBatch, usable: Mapping[str, float], seed: int) -
         feasible = [e for e in group if e.b_via_mbps <= usable[e.server_id]]
         if not feasible:
             continue
+        feasible.sort(key=lambda e: (-e.gain_mbps, e.server_id))
         entry = feasible[rng.randrange(len(feasible))]
         chosen.append(entry)
         usable[entry.server_id] -= entry.b_via_mbps
@@ -449,7 +439,7 @@ class AssignmentLedger:
         """Remaining over total capacity, by server id: 1.0 means idle."""
         remaining = self.remaining()
         return {
-            sid: remaining[sid] / self.servers[sid].total_capacity_mbps for sid in sorted(remaining)
+            sid: free / self.servers[sid].total_capacity_mbps for sid, free in remaining.items()
         }
 
     def apply(self, plan: AllocationPlan) -> None:

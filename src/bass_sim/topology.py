@@ -44,9 +44,13 @@ DEFAULT_SERVER_CAPACITY_MBPS = 200.0
 MAX_LINKS_PER_CLIENT = 64
 
 # CPython's `normalvariate` never returns |z| > 2·sqrt(53·ln 2) ≈ 12.12, and
-# exp overflows above 709.78, so up to this sigma no noise factor
-# exp(noise_sigma · z) overflows, whichever paths a run draws.
-MAX_NOISE_SIGMA = 709.78 / 12.13
+# exp overflows above 709.78, so exp(mu + sigma · z) stays finite for every
+# draw when mu + _MAX_NORMAL_Z · sigma <= _MAX_EXP_ARG. With mu = 0 this caps
+# the path noise sigma, whichever paths a run draws; it also bounds the
+# Wi-Fi uplink lognormal, whichever clients arrive.
+_MAX_NORMAL_Z = 12.13
+_MAX_EXP_ARG = 709.78
+MAX_NOISE_SIGMA = _MAX_EXP_ARG / _MAX_NORMAL_Z
 
 __all__ = [
     "NetModelParams",
@@ -145,6 +149,12 @@ class NetModelParams:
             raise ValidationError(
                 "wifi_links_per_client and cellular_links_per_client must be non-negative "
                 f"integers with a sum in [1, {MAX_LINKS_PER_CLIENT}], got {wifi!r} and {cellular!r}"
+            )
+        mu, sigma = self.wifi_lognormal_mu, self.wifi_lognormal_sigma
+        if wifi > 0 and mu + _MAX_NORMAL_Z * sigma > _MAX_EXP_ARG:
+            raise ValidationError(
+                f"wifi_lognormal_mu + {_MAX_NORMAL_Z!r} * wifi_lognormal_sigma must be at most "
+                f"{_MAX_EXP_ARG!r}, or a Wi-Fi uplink draw can overflow, got {mu!r} and {sigma!r}"
             )
 
 
@@ -370,14 +380,7 @@ def sample_client(
     location = _sample_point(rng)
     links = []
     for w in range(params.wifi_links_per_client):
-        try:
-            uplink = rng.lognormvariate(params.wifi_lognormal_mu, params.wifi_lognormal_sigma)
-        except OverflowError:
-            raise ValidationError(
-                f"a Wi-Fi uplink of client {client_id!r} overflows: exp(normal draw) with "
-                f"wifi_lognormal_mu {params.wifi_lognormal_mu!r} and wifi_lognormal_sigma "
-                f"{params.wifi_lognormal_sigma!r} is too large"
-            ) from None
+        uplink = rng.lognormvariate(params.wifi_lognormal_mu, params.wifi_lognormal_sigma)
         links.append(EdgeLink(id=f"{client_id}-wifi{w}", kind=LinkKind.WIFI, uplink_mbps=uplink))
     low, high = params.cellular_uplink_mbps_range
     for c in range(params.cellular_links_per_client):

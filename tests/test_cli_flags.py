@@ -185,6 +185,8 @@ BAD_VALUES = [
     ("noise_sigma", ["--noise-sigma", "100"]),
     ("wifi_lognormal_mu", ["--wifi-mu", "inf"]),
     ("wifi_lognormal_sigma", ["--wifi-sigma", "-0.5"]),
+    # exp(mu + 100 * z) overflows for some draws z: rejected before any is drawn.
+    ("wifi_lognormal_sigma", ["--wifi-sigma", "100"]),
     ("cellular_uplink_mbps_range", ["--cellular-range", "5", "1"]),
     ("direct_path_factor", ["--direct-path-factor", "0"]),
     ("wifi_links_per_client", ["--wifi-links", "-1"]),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bass_sim import cli
+from bass_sim import cli, errors
 from bass_sim.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bass_sim"
@@ -243,3 +243,30 @@ def test_only_the_config_and_the_ledger_read_the_reserve():
         found += _reserve_readers(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert found
     assert [f for f in found if f[:2] not in RESERVE_READERS] == []
+
+
+# Inner layers trust the boundary: in the scheduler only the ledger's
+# capacity checks and the exact solver's client cap raise a package error,
+# as faults, not as checks of input that was checked where it entered.
+SCHEDULER_RAISERS = {"AssignmentLedger", "solve_exact"}
+BASS_ERRORS = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.BassError)}
+
+
+def _error_raisers(tree):
+    """(top-level def or class, line) for each `raise` of a package error."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name in BASS_ERRORS:
+                    found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_only_the_ledger_and_the_exact_cap_raise_in_the_scheduler():
+    found = _error_raisers(ast.parse((SRC / "scheduler.py").read_text(encoding="utf-8")))
+    assert {where for where, _ in found} >= SCHEDULER_RAISERS
+    assert [f for f in found if f[0] not in SCHEDULER_RAISERS] == []

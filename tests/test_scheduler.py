@@ -67,30 +67,15 @@ def make_server(sid, total=100.0, remaining=None):
 
 
 class TestRequestBatch:
-    def test_build_sorts_by_gain_then_server(self):
-        batch = batch_of(
-            entry("c1", "s2", 6, 1),   # gain 5
-            entry("c1", "s1", 9, 1),   # gain 8
-            entry("c1", "s3", 9, 1),   # gain 8, tie with s1
-        )
-        assert [e.server_id for e in batch.entries["c1"]] == ["s1", "s3", "s2"]
-
     def test_constructor_sorts_clients_and_candidates(self):
+        # Only the clients are sorted; each solver orders the candidates it walks.
         entries = {
             "c2": (entry("c2", "s1", 2, 1),),
             "c1": (entry("c1", "s1", 2, 1), entry("c1", "s2", 9, 1)),
         }
         batch = RequestBatch(entries=entries)
         assert list(batch.entries) == ["c1", "c2"]
-        assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
-
-    def test_rejects_entry_filed_under_another_client(self):
-        with pytest.raises(ValidationError, match="filed under"):
-            RequestBatch(entries={"c1": (entry("c2", "s1", 2, 1),)})
-
-    def test_rejects_duplicate_server(self):
-        with pytest.raises(ValidationError):
-            batch_of(entry("c1", "s1", 2, 1), entry("c1", "s1", 3, 1))
+        assert batch.entries["c1"] == entries["c1"]
 
     def test_counts(self):
         batch = batch_of(
@@ -150,15 +135,19 @@ class TestMeasureGains:
         (got,) = measure_gains(client, [server], net, baseline=3.0)
         assert got.gain_mbps == 0.0
 
-    def test_sorted_by_gain_descending(self):
+    def test_keeps_the_candidates_order(self):
+        # s1 gains 1 and s2 gains 2: the entries come in the order offered,
+        # not by gain.
         client = make_client()
         servers = [make_server("s1"), make_server("s2")]
         net = FakeNet(
             {("c1", "s1"): [2.0, 3.0], ("c1", "s2"): [2.0, 3.0]},
             {("s1", "o1"): 4.0, ("s2", "o1"): 50.0},
         )
-        batch = RequestBatch.build({"c1": measure_gains(client, servers, net, baseline=3.0)})
-        assert [e.server_id for e in batch.entries["c1"]] == ["s2", "s1"]
+        for offered in (servers, servers[::-1]):
+            got = measure_gains(client, offered, net, baseline=3.0)
+            assert [e.server_id for e in got] == [s.id for s in offered]
+        assert [e.gain_mbps for e in got] == [2.0, 1.0]
 
     def test_unknown_origin_propagates(self):
         client = make_client(origin_id="nowhere")
@@ -166,10 +155,6 @@ class TestMeasureGains:
         net = FakeNet({("c1", "s1"): [1.0, 1.0]})
         with pytest.raises(KeyError):
             measure_gains(client, [server], net, baseline=1.0)
-
-    def test_empty_candidates_invalid(self):
-        with pytest.raises(ValidationError):
-            measure_gains(make_client(), [], FakeNet({}), baseline=1.0)
 
     @staticmethod
     def two_candidates(s1_origin_leg, s1_links=(2.0, 3.0)):
@@ -525,6 +510,24 @@ class TestPlanInvariants:
                     per_server.setdefault(a.server_id, []).append(a.demand_mbps)
                 for sid, demands in per_server.items():
                     assert sum(demands) <= usable[sid] + 1e-9
+
+    def test_plans_do_not_depend_on_the_order_within_a_group(self):
+        # The batch keeps each group as given; each solver orders what it walks.
+        rng = random.Random(19)
+        instances = [random_batch(rng) for _ in range(300)]
+        instances += [contended_batch(rng, rng.randint(4, 9)) for _ in range(30)]
+        reordered = 0
+        for batch, usable in instances:
+            shuffled = {}
+            for cid, group in batch.entries.items():
+                shuffled[cid] = rng.sample(group, len(group))
+                reordered += shuffled[cid] != list(group)
+            other = RequestBatch.build(shuffled)
+            assert solve_greedy(other, usable) == solve_greedy(batch, usable)
+            assert solve_exact(other, usable) == solve_exact(batch, usable)
+            for seed in range(5):
+                assert random_policy(other, usable, seed) == random_policy(batch, usable, seed)
+        assert reordered > 300
 
 
 def without_entries_that_cannot_gain(batch, usable):

@@ -634,3 +634,38 @@ class TestLeftOutEntries:
         with pytest.raises(BatchTooLargeError, match="3 clients"):
             run_simulation(scenario, replace(config, policy="bass_exact", exact_cap=2))
         assert measured == [(1, 0)] * 6
+
+
+def test_run_epoch_hands_the_scheduler_values_it_need_not_check(monkeypatch):
+    """`measure_gains` and `RequestBatch` trust `run_epoch`: it never asks
+    for the gains of no candidates, and it files each client's entries
+    under its own id, clients in id order, with no relay twice."""
+    seen = Counter()
+
+    def measuring(client, candidates, net, baseline, usable=None):
+        assert candidates, client.id
+        seen["measured"] += 1
+        return measure_gains(client, candidates, net, baseline, usable)
+
+    def building(cls, entries):
+        assert list(entries) == sorted(entries)
+        for client_id, group in entries.items():
+            assert {e.client_id for e in group} <= {client_id}
+            assert len({e.server_id for e in group}) == len(group)
+            seen["groups of two or more"] += len(group) > 1
+        batch = build(entries)
+        assert list(batch.entries) == sorted(batch.entries)
+        return batch
+
+    build = RequestBatch.build
+    monkeypatch.setattr(sim, "measure_gains", measuring)
+    monkeypatch.setattr(RequestBatch, "build", classmethod(building))
+    rng = random.Random(21)
+    for _ in range(200):
+        scenario, config = fuzzed_run(rng)
+        run_outcome(scenario, config)
+        churn = config.arrival_rate > 0.0 or config.session_epochs_mean is not None
+        seen[config.policy, churn, config.remeasure_noise] += 1
+    assert all(seen[policy, churn, remeasure] > 0 for policy in POLICIES
+               for churn in (False, True) for remeasure in (False, True))
+    assert seen["measured"] > 3000 and seen["groups of two or more"] > 1000

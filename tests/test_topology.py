@@ -125,6 +125,23 @@ class TestWifiCalibration:
         frac = sum(1 for d in draws if d < 1.0) / len(draws)
         assert abs(frac - 0.6) < 0.03
 
+    def test_uplink_draw_is_capped_below_overflow(self):
+        # exp(mu + sigma·z) stays finite for every draw when
+        # mu + 12.13·sigma <= 709.78: accepted at that bound, rejected one
+        # float above it, whether mu or sigma reaches it.
+        for mu, sigma in [(709.78, 0.0), (0.0, MAX_NOISE_SIGMA)]:
+            params = NetModelParams(wifi_lognormal_mu=mu, wifi_lognormal_sigma=sigma)
+            assert (params.wifi_lognormal_mu, params.wifi_lognormal_sigma) == (mu, sigma)
+        for mu, sigma in [(math.nextafter(709.78, math.inf), 0.0),
+                          (0.0, math.nextafter(MAX_NOISE_SIGMA, math.inf))]:
+            with pytest.raises(ValidationError, match="wifi_lognormal_mu.*wifi_lognormal_sigma"):
+                NetModelParams(wifi_lognormal_mu=mu, wifi_lognormal_sigma=sigma)
+        # With no Wi-Fi links no uplink is drawn: any finite mu is accepted.
+        for mu in (1e308, -1e308):
+            params = NetModelParams(wifi_lognormal_mu=mu, wifi_lognormal_sigma=400.0,
+                                    wifi_links_per_client=0)
+            assert params.wifi_lognormal_mu == mu
+
     def test_default_target_is_60_percent(self):
         assert WIFI_SUB_1MBPS_TARGET == 0.60
 
