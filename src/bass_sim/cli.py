@@ -8,8 +8,7 @@ Model and sim flags are the fields of `NetModelParams` and `SimConfig` with
 `generate`'s shape flags.
 argparse reads a negative value in exponent notation, such as `-1e3`, as an
 option, so write it as `--wifi-mu=-1e3`. All output files and stdout
-tables are byte-reproducible under fixed flags; set the BASS_SIM_LOG
-environment variable (DEBUG, INFO, ...) for log verbosity.
+tables are byte-reproducible under fixed flags.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ from __future__ import annotations
 import argparse
 import bisect
 import dataclasses
-import logging
-import os
 import sys
 import typing
 from pathlib import Path
 
 from .errors import BassError
 from .metrics import (
+    _mean,
     emit_report,
     load_records,
     per_client_rows,
@@ -40,8 +38,6 @@ from .topology import (
     load_scenario,
     save_scenario,
 )
-
-log = logging.getLogger(__name__)
 
 
 def _policy_list(text: str) -> list[str]:
@@ -177,7 +173,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _mean_or_none(series):
-    return sum(series) / len(series) if series else None
+    return _mean(series) if series else None
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -231,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("BASS_SIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,8 +10,9 @@ and therefore unusable here; blake2b is stable.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from _blake2 import blake2b  # hashlib also loads OpenSSL; random.py takes _sha512 the same way
 
 _SEED_BYTES = 8
 
@@ -23,8 +24,8 @@ def _label_bytes(labels) -> bytes:
     return "".join(["\x1f" + str(label) for label in labels]).encode("utf-8")
 
 
-def _master_hash(master: int, labels) -> "hashlib.blake2b":
-    return hashlib.blake2b(
+def _master_hash(master: int, labels) -> blake2b:
+    return blake2b(
         str(int(master)).encode("utf-8") + _label_bytes(labels), digest_size=_SEED_BYTES
     )
 

@@ -14,7 +14,6 @@ what large-scale hotspot measurements report for metropolitan areas.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -31,8 +30,6 @@ from .model import (
     OriginServer,
 )
 from .seeding import SeededStream, rng_for
-
-log = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -430,14 +427,9 @@ def generate_scenario(
     )
     origin_ids = [origin.id for origin in origins]
     clients = tuple(sample_client(seed, i, params, origin_ids) for i in range(n_clients))
-    scenario = Scenario(
+    return Scenario(
         clients=clients, agg_servers=agg_servers, origins=origins, net_params=params, seed=seed
     )
-    log.info(
-        "generated scenario: %d clients, %d servers, %d origins, seed=%d",
-        n_clients, m_servers, k_origins, seed,
-    )
-    return scenario
 
 
 def candidate_subset(

@@ -181,6 +181,12 @@ class TestCompare:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_mean_objective_is_exactly_rounded(self):
+        # Builtin sum is compensated only from Python 3.12 on; fsum gives
+        # the same mean on every version.
+        assert cli._mean_or_none([1e16, 1.0, -1e16]) == 1.0 / 3
+        assert cli._mean_or_none([]) is None
+
 
 class TestReport:
     def test_report_matches_run_summary(self, tmp_path):

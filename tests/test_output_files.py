@@ -8,6 +8,8 @@ directories and other non-regular targets are opened as they are.
 
 import ast
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -270,3 +272,27 @@ def test_only_the_ledger_and_the_exact_cap_raise_in_the_scheduler():
     found = _error_raisers(ast.parse((SRC / "scheduler.py").read_text(encoding="utf-8")))
     assert {where for where, _ in found} >= SCHEDULER_RAISERS
     assert [f for f in found if f[0] not in SCHEDULER_RAISERS] == []
+
+
+# hashlib maps OpenSSL's libcrypto and logging is never used: a run that
+# imports either pays their memory for nothing.
+UNUSED_MODULES = ("hashlib", "_hashlib", "logging")
+_RUN_AND_LIST_MODULES = """
+import sys
+from bass_sim.cli import main
+scenario, out, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+assert main(["generate", "--clients", "12", "--servers", "4", "--origins", "3",
+             "--seed", "5", "--out", scenario]) == 0
+assert main(["run", "--scenario", scenario, "--epochs", "3", "--remeasure-noise",
+             "--arrival-rate", "2", "--session-mean", "3", "--out", out]) == 0
+print([name for name in names if name in sys.modules])
+"""
+
+
+def test_a_run_loads_neither_openssl_nor_logging(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, str(tmp_path / "s.json"),
+         str(tmp_path / "out"), *UNUSED_MODULES],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
