@@ -103,8 +103,8 @@ class BBoxClient:
 class AggregationServer:
     """Cloud relay with its total capacity and the part of it free when a run starts.
 
-    A run never writes a server: the load of the plan in force is derived
-    from the assignments an `AssignmentLedger` holds.
+    A run never writes a server: its load derives from the plan in force,
+    which the run's `AssignmentLedger` holds and checks against capacity.
     """
 
     id: str

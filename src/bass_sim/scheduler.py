@@ -1,20 +1,22 @@
 """Gain-matrix construction and the capacity-constrained matching solvers.
 
 One scheduling round works on a request batch: every requesting client
-contributes its candidate relay servers with measured gains, and a solver
-picks at most one server per client so that the summed demands on each
-server stay within its usable capacity: its remaining capacity minus a
-safety reserve. `AssignmentLedger` works out that `usable` map once per
-run; each solver takes it and writes only to its own copy, so one map
-serves every epoch. The objective is the total bandwidth gain of the
-chosen assignments; leaving a client on its direct path is always allowed
-and contributes zero. `measure_gains` draws a candidate's subflows by
-uplink descending and stops once the links not drawn yet cannot change
-its via-bandwidth. Neither BASS solver ever takes an entry with gain ≤ 0,
-so for them it also leaves out each candidate whose relay-to-origin leg
-and the subflows drawn so far already rule out a gain and that fits the
-relay; a requesting client's group can then be empty. The batch orders
-only its clients, by id; each solver orders the entries it walks.
+contributes its candidate relay servers with measured gains, and a
+solver picks at most one server per client so that the summed demands on
+each server stay within its usable capacity: its remaining capacity
+minus a safety reserve. `AssignmentLedger` works out that `usable` map
+once per run; each solver takes it and writes only to its own copy, so
+one map serves every epoch. The ledger holds only the plan in force,
+which it checks once against `usable` when it is applied. The objective
+is the total bandwidth gain of the chosen assignments; leaving a client
+on its direct path is always allowed and contributes zero.
+`measure_gains` draws a candidate's subflows by uplink descending and
+stops once the links not drawn yet cannot change its via-bandwidth.
+Neither BASS solver ever takes an entry with gain ≤ 0, so for them it
+also leaves out each candidate whose relay-to-origin leg and the
+subflows drawn so far already rule out a gain and that fits the relay; a
+requesting client's group can then be empty. The batch orders only its
+clients, by id; each solver orders the entries it walks.
 
 Two solvers are provided. `solve_exact` searches all assignments
 (depth-first, results identical to full enumeration) and is capped at a
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .errors import BatchTooLargeError, CapacityConflictError, ValidationError
+from .errors import BatchTooLargeError, CapacityConflictError
 from .model import AggregationServer, BBoxClient, GainEntry
 from .seeding import rng_for
 
@@ -407,74 +409,54 @@ def random_policy(batch: RequestBatch, usable: Mapping[str, float], seed: int) -
 
 
 class AssignmentLedger:
-    """The assignments in force; remaining capacity and load derive from them.
+    """The plan in force; each server's load derives from it.
 
     `usable` holds each server's remaining capacity when the run starts
     minus the reserve, worked out once: every epoch releases all before it
-    solves, so this is what every solve sees. `remaining()` replays the
-    held demands from the servers' starting remaining capacity in
-    application order, so releasing everything restores the starting
-    vector bit-for-bit. Servers are never written.
+    solves, so this is what every solve sees. `held` is the plan last
+    applied, minus the clients released since. Servers are never written.
     """
 
     def __init__(self, servers: Iterable[AggregationServer], reserve_mbps: float) -> None:
-        self.reserve_mbps = reserve_mbps
         self.servers = {server.id: server for server in servers}
         self.usable = {
             sid: s.remaining_capacity_mbps - reserve_mbps for sid, s in self.servers.items()
         }
-        self._by_client: dict[str, Assignment] = {}
-
-    def assignment_of(self, client_id: str) -> Assignment | None:
-        return self._by_client.get(client_id)
-
-    def remaining(self) -> dict[str, float]:
-        """Each server's free capacity under the held assignments."""
-        remaining = {sid: s.remaining_capacity_mbps for sid, s in self.servers.items()}
-        for assignment in self._by_client.values():
-            remaining[assignment.server_id] -= assignment.demand_mbps
-        return remaining
+        self.held: dict[str, Assignment] = {}
 
     def load_rates(self) -> dict[str, float]:
-        """Remaining over total capacity, by server id: 1.0 means idle."""
-        remaining = self.remaining()
+        """Remaining over total capacity, by server id: 1.0 means idle. The
+        held demands are subtracted from each server's starting remaining
+        capacity in `held`'s order."""
+        remaining = {sid: s.remaining_capacity_mbps for sid, s in self.servers.items()}
+        for assignment in self.held.values():
+            remaining[assignment.server_id] -= assignment.demand_mbps
         return {
             sid: free / self.servers[sid].total_capacity_mbps for sid, free in remaining.items()
         }
 
     def apply(self, plan: AllocationPlan) -> None:
-        """Record a plan's assignments.
+        """Hold `plan` as the plan in force.
 
-        Validates the whole plan against the remaining capacities first; a
-        plan that no longer fits (stale capacities, double assignment)
-        raises CapacityConflictError and nothing is applied.
+        Its demands, summed per server in client order, must stay within
+        `usable`; a plan that does not fit raises CapacityConflictError and
+        changes nothing.
         """
-        remaining = self.remaining()
+        load = dict.fromkeys(self.usable, 0.0)
         for client_id, assignment in plan.assignments.items():
-            if client_id in self._by_client:
-                raise CapacityConflictError(
-                    f"client {client_id!r} already holds an assignment; release it first"
-                )
             server_id = assignment.server_id
-            if server_id not in remaining:
-                raise ValidationError(f"plan references unknown server {server_id!r}")
-            free = remaining[server_id]
-            demand = assignment.demand_mbps
-            if demand > free - self.reserve_mbps + _FEAS_SLACK or demand > free:
+            load[server_id] += assignment.demand_mbps
+            if load[server_id] > self.usable[server_id] + _FEAS_SLACK:
                 raise CapacityConflictError(
-                    f"assignment of {demand!r} Mbit/s for client {client_id!r} does not fit "
-                    f"server {server_id!r} (remaining {free!r}, reserve {self.reserve_mbps!r})"
+                    f"plan puts {load[server_id]!r} Mbit/s on server {server_id!r} by client "
+                    f"{client_id!r}, above its usable {self.usable[server_id]!r}"
                 )
-            remaining[server_id] = free - demand
-        self._by_client.update(plan.assignments)
+        self.held = dict(plan.assignments)
 
-    def release(self, client_id: str) -> Assignment:
-        """Return a client's capacity. Releasing twice or an unassigned client errors."""
-        assignment = self._by_client.pop(client_id, None)
-        if assignment is None:
-            raise ValidationError(f"client {client_id!r} has no active assignment to release")
-        return assignment
+    def release(self, client_id: str) -> None:
+        """Return a client's capacity, if it holds any."""
+        self.held.pop(client_id, None)
 
     def release_all(self) -> None:
-        """Return every client's capacity: each server is back at its starting value."""
-        self._by_client.clear()
+        """Return every client's capacity."""
+        self.held.clear()

@@ -201,9 +201,10 @@ class SimState:
     """Mutable simulation state owned by the single-threaded loop.
 
     The scenario is never written. The only state carried from one epoch
-    to the next is the ledger's plan in force, minus departed clients;
-    each server's load is derived from it. `active` holds the clients in
-    the system, and `arrivals` yields the clients that join next, in order.
+    to the next is the plan in force, which the ledger holds, minus the
+    clients that departed; each server's load derives from it. `active`
+    holds the clients in the system, and `arrivals` yields the clients
+    that join next, in order.
     """
 
     scenario: Scenario
@@ -218,9 +219,10 @@ class SimState:
 def _arrivals(scenario: Scenario) -> Iterator[BBoxClient]:
     """Clients `len(scenario.clients)`, `+ 1`, ... of the scenario's population,
     skipping any whose id a scenario client, relay or origin already has.
-    Each index's id is distinct, so no arrival's id repeats."""
+    Each index's id is distinct, so no arrival's id repeats. Each draws its
+    origin among the origin ids in sorted order, whatever the file order."""
     taken = {e.id for e in (*scenario.clients, *scenario.agg_servers, *scenario.origins)}
-    origin_ids = [o.id for o in scenario.origins]
+    origin_ids = sorted(o.id for o in scenario.origins)
     for index in itertools.count(len(scenario.clients)):
         client = sample_client(scenario.seed, index, scenario.net_params, origin_ids)
         if client.id not in taken:
@@ -256,8 +258,7 @@ def run_epoch(state: SimState) -> EpochRecord:
         depart = SeededStream(config.seed, "depart")
         for client_id in list(state.active):
             if depart.random(client_id, t) < p_depart:
-                if state.ledger.assignment_of(client_id) is not None:
-                    state.ledger.release(client_id)
+                state.ledger.release(client_id)
                 del state.active[client_id]
                 state.net.forget(client_id)
 

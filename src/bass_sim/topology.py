@@ -159,8 +159,9 @@ class NetModelParams:
 class Scenario:
     """A complete experiment topology. Immutable after construction.
 
-    A simulation never writes it: relay loads are derived from the plan in
-    force, held by the run's `AssignmentLedger`.
+    A simulation never writes it: relay loads derive from the plan in
+    force, which the run's `AssignmentLedger` holds. The order of its
+    clients, relays and origins does not change a run's output.
     """
 
     clients: tuple[BBoxClient, ...]
