@@ -53,9 +53,8 @@ from .sim import (
     ClientEpochRecord,
     EpochRecord,
     SimConfig,
-    hit_rate,
     run_simulation,
 )
-from .metrics import SummaryReport, cdf, emit_report, gain_multiplier, summarize
+from .metrics import SummaryReport, cdf, emit_report, summarize
 
 __version__ = "0.1.0"

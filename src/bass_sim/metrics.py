@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from statistics import median
+from statistics import mean, median
 from typing import Iterable, Iterator, Sequence
 
 from .codec import load_json, open_output, save_json
@@ -22,11 +22,9 @@ from .sim import EpochRecord
 
 __all__ = [
     "SummaryReport",
-    "gain_multiplier",
     "cdf",
     "summarize",
     "emit_report",
-    "load_report",
     "per_client_rows",
     "write_rows_csv",
     "save_records",
@@ -46,22 +44,11 @@ PER_CLIENT_COLUMNS = (
 )
 
 
-def gain_multiplier(b_achieved: float, b_baseline: float) -> float:
-    """Achieved over baseline bandwidth. Undefined for a dead direct path."""
-    if not (isinstance(b_baseline, (int, float)) and math.isfinite(b_baseline) and b_baseline > 0):
-        raise ValidationError(f"b_baseline must be positive, got {b_baseline!r}")
-    if not (isinstance(b_achieved, (int, float)) and math.isfinite(b_achieved) and b_achieved >= 0):
-        raise ValidationError(f"b_achieved must be non-negative, got {b_achieved!r}")
-    return b_achieved / b_baseline
-
-
 def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     """Empirical CDF as (value, cumulative fraction) points.
 
     One point per distinct value, ascending; the last fraction is exactly 1.
     """
-    if not values:
-        raise ValidationError("cdf requires at least one value")
     ordered = sorted(values)
     n = len(ordered)
     points: list[tuple[float, float]] = []
@@ -93,17 +80,12 @@ class SummaryReport:
     multiplier_mean_all: float | None
     objective_series: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        for points in (self.gamma_cdf, self.multiplier_cdf):
-            for (v0, f0), (v1, f1) in zip(points, points[1:]):
-                if not (v1 > v0 and f1 >= f0):
-                    raise ValidationError("CDF points must be monotone non-decreasing")
-            if points and points[-1][1] != 1.0:
-                raise ValidationError("final CDF fraction must be exactly 1")
-
 
 def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:  # the sum of finite values overflowed, not their mean
+        return mean(values)
 
 
 def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
@@ -122,11 +104,11 @@ def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
             if c.candidate_count > 0:
                 with_candidates += 1
             if c.b_baseline_mbps > 0:
-                multiplier = gain_multiplier(c.b_achieved_mbps, c.b_baseline_mbps)
+                multiplier = c.b_achieved_mbps / c.b_baseline_mbps
                 multipliers_all.append(multiplier)
                 if c.candidate_count > 0:
                     multipliers_filtered.append(multiplier)
-            elif c.b_baseline_mbps == 0:
+            else:
                 dead_direct += 1
     return SummaryReport(
         policy=policy,
@@ -138,11 +120,11 @@ def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
         gamma_mean=_mean(gammas) if gammas else None,
         gamma_median=median(gammas) if gammas else None,
         gamma_fraction_one=(hits / len(gammas)) if gammas else None,
-        gamma_cdf=tuple(cdf(gammas)) if gammas else (),
+        gamma_cdf=tuple(cdf(gammas)),
         multiplier_min=min(multipliers_filtered) if multipliers_filtered else None,
         multiplier_mean=_mean(multipliers_filtered) if multipliers_filtered else None,
         multiplier_max=max(multipliers_filtered) if multipliers_filtered else None,
-        multiplier_cdf=tuple(cdf(multipliers_filtered)) if multipliers_filtered else (),
+        multiplier_cdf=tuple(cdf(multipliers_filtered)),
         multiplier_mean_all=_mean(multipliers_all) if multipliers_all else None,
         objective_series=tuple(record.objective_mbps for record in records),
     )
@@ -165,11 +147,6 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
                 writer.writerow([key, value])
     else:
         raise ValidationError(f"unknown report format {format!r}; use 'csv' or 'json'")
-
-
-def load_report(path) -> SummaryReport:
-    """Read back a JSON report; load(emit(r)) == r."""
-    return load_json(SummaryReport, path, "report", ValidationError)
 
 
 def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> Iterator[tuple]:

@@ -60,7 +60,8 @@ _PRICE_STEPS = 16
 _PRICE_STEP_DECAY = 0.8
 
 # Absorbs summation-order ulps between a solver's internal bookkeeping and
-# later validation; genuine conflicts differ by whole demands, not 1e-9.
+# later validation, relative to a capacity above 1 Mbit/s; genuine
+# conflicts differ by whole demands, not 1e-9 of the capacity.
 _FEAS_SLACK = 1e-9
 
 __all__ = [
@@ -439,17 +440,19 @@ class AssignmentLedger:
         """Hold `plan` as the plan in force.
 
         Its demands, summed per server in client order, must stay within
-        `usable`; a plan that does not fit raises CapacityConflictError and
-        changes nothing.
+        `usable`, give or take `_FEAS_SLACK` of a usable capacity above 1;
+        a plan that does not fit raises CapacityConflictError and changes
+        nothing.
         """
         load = dict.fromkeys(self.usable, 0.0)
         for client_id, assignment in plan.assignments.items():
             server_id = assignment.server_id
+            usable = self.usable[server_id]
             load[server_id] += assignment.demand_mbps
-            if load[server_id] > self.usable[server_id] + _FEAS_SLACK:
+            if load[server_id] > usable + _FEAS_SLACK * max(1.0, usable):
                 raise CapacityConflictError(
                     f"plan puts {load[server_id]!r} Mbit/s on server {server_id!r} by client "
-                    f"{client_id!r}, above its usable {self.usable[server_id]!r}"
+                    f"{client_id!r}, above its usable {usable!r}"
                 )
         self.held = dict(plan.assignments)
 

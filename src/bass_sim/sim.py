@@ -13,9 +13,9 @@ Hit rate semantics: a client's achieved bandwidth is compared against the
 best bandwidth it could have obtained this epoch, where the always-available
 direct path counts as one of the options next to the capacity-feasible
 candidate servers. A client that is correctly left on its direct path (no
-candidate beats it) therefore scores 1.0, and the rate stays in (0, 1] for
-every client with at least one candidate. Records are a pure function of
-(scenario, config): running twice yields identical record streams.
+candidate beats it) therefore scores 1.0. Rates lie in [0, 1]: one can
+underflow to 0.0 at an extreme `direct_path_factor`. Records are a pure
+function of (scenario, config): running twice yields identical records.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "ClientEpochRecord",
     "EpochRecord",
     "SimState",
-    "hit_rate",
     "run_epoch",
     "run_simulation",
 ]
@@ -139,7 +138,8 @@ class SimConfig:
 
 @dataclass(frozen=True, slots=True)
 class ClientEpochRecord:
-    """Per-client outcome of one epoch."""
+    """Per-client outcome of one epoch, checked alike when a run builds it
+    and when `metrics.load_records` reads it."""
 
     client_id: str
     server_id: str | None
@@ -152,11 +152,29 @@ class ClientEpochRecord:
     gamma: float | None
     chose_best: bool | None
 
+    def __post_init__(self) -> None:
+        best, gamma = self.b_best_mbps, self.gamma
+        if not 0 <= self.feasible_count <= self.candidate_count:
+            raise ValidationError(f"need 0 <= feasible_count <= candidate_count, got "
+                                  f"{self.feasible_count!r}, {self.candidate_count!r}")
+        if not 0 <= self.b_baseline_mbps <= best < math.inf:
+            raise ValidationError(f"need 0 <= b_baseline_mbps <= b_best_mbps < inf, got "
+                                  f"{self.b_baseline_mbps!r}, {best!r}")
+        if not 0 <= self.b_achieved_mbps <= best:
+            raise ValidationError(f"need 0 <= b_achieved_mbps <= b_best_mbps, got "
+                                  f"{self.b_achieved_mbps!r}, {best!r}")
+        if (gamma is None) is not (self.chose_best is None):
+            raise ValidationError(f"gamma and chose_best must be null together, got "
+                                  f"{gamma!r}, {self.chose_best!r}")
+        if gamma is not None and not 0 <= gamma <= 1:
+            raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
+
 
 @dataclass(frozen=True)
 class EpochRecord:
     """One epoch's outcome: the applied plan's objective and assignments, and
-    its per-client records. It is also one epoch of records.json."""
+    its per-client records, in strictly ascending client id order, as
+    `run_epoch` writes them. It is also one epoch of records.json."""
 
     epoch_t: int
     objective_mbps: float
@@ -165,16 +183,10 @@ class EpochRecord:
     server_load_rates: Mapping[str, float]
     n_active: int
 
-
-def hit_rate(b_achieved: float, b_best: float) -> float:
-    """Achieved over best-achievable bandwidth; 1.0 means the best option was taken."""
-    if not (isinstance(b_best, (int, float)) and math.isfinite(b_best) and b_best > 0):
-        raise ValidationError(f"b_best must be positive, got {b_best!r}")
-    if not (isinstance(b_achieved, (int, float)) and 0 < b_achieved <= b_best):
-        raise ValidationError(
-            f"b_achieved must satisfy 0 < b_achieved <= b_best, got {b_achieved!r} vs {b_best!r}"
-        )
-    return b_achieved / b_best
+    def __post_init__(self) -> None:
+        for prev, cur in itertools.pairwise(c.client_id for c in self.clients):
+            if not prev < cur:
+                raise ValidationError(f"client ids must ascend strictly: {cur!r} after {prev!r}")
 
 
 # Knuth's product method compares against exp(-rate), which underflows to 0
@@ -200,14 +212,12 @@ def _poisson(rng, lam: float) -> int:
 class SimState:
     """Mutable simulation state owned by the single-threaded loop.
 
-    The scenario is never written. The only state carried from one epoch
-    to the next is the plan in force, which the ledger holds, minus the
-    clients that departed; each server's load derives from it. `active`
-    holds the clients in the system, and `arrivals` yields the clients
-    that join next, in order.
+    The only state carried from one epoch to the next is the plan in
+    force, which the ledger holds, minus the clients that departed; each
+    server's load derives from it. `active` holds the clients in the
+    system, and `arrivals` yields the clients that join next, in order.
     """
 
-    scenario: Scenario
     config: SimConfig
     net: DistanceDecayNetwork
     ledger: AssignmentLedger
@@ -231,7 +241,6 @@ def _arrivals(scenario: Scenario) -> Iterator[BBoxClient]:
 
 def new_state(scenario: Scenario, config: SimConfig) -> SimState:
     return SimState(
-        scenario=scenario,
         config=config,
         net=DistanceDecayNetwork(scenario),
         ledger=AssignmentLedger(scenario.agg_servers, config.reserve_mbps),
@@ -328,7 +337,7 @@ def run_epoch(state: SimState) -> EpochRecord:
             if e.b_via_mbps > b_best:
                 b_best = e.b_via_mbps
         if candidate_count and b_best > 0 and achieved > 0:
-            gamma = hit_rate(achieved, b_best)
+            gamma = achieved / b_best
             chose_best = achieved == b_best
         else:
             gamma = None

@@ -1,14 +1,21 @@
 import hashlib
 import json
+import math
 
 import pytest
 
 from bass_sim import cli, sim
 from bass_sim.cli import main
-from bass_sim.metrics import load_report
+from bass_sim.codec import load_json
+from bass_sim.errors import ValidationError
+from bass_sim.metrics import SummaryReport
 from bass_sim.topology import generate_scenario, load_scenario
 
 from oracles import encode
+
+
+def read_summary(path):
+    return load_json(SummaryReport, path, "report", ValidationError)
 
 
 def make_scenario(tmp_path, name="scenario.json", extra=()):
@@ -56,7 +63,7 @@ class TestRun:
             assert (out / name).exists()
         stdout = capsys.readouterr().out
         assert "frac_gamma_one" in stdout
-        report = load_report(out / "summary.json")
+        report = read_summary(out / "summary.json")
         assert report.client_epochs == 24
         assert report.gamma_fraction_one is not None
 
@@ -79,7 +86,7 @@ class TestRun:
         assert main(
             ["run", "--scenario", str(scenario), "--epochs", "0", "--out", str(out)]
         ) == 0
-        report = load_report(out / "summary.json")
+        report = read_summary(out / "summary.json")
         assert report.epochs == 0
         assert report.client_epochs == 0
         assert report.gamma_mean is None
@@ -99,6 +106,17 @@ class TestRun:
         assert code == 1
         assert "missing field" in capsys.readouterr().err
 
+    def test_mean_of_multipliers_whose_sum_overflows(self, tmp_path, capsys):
+        # A direct path scaled to the smallest normal float: each client's
+        # multiplier is about 6e307, and two of them sum past the largest float.
+        scenario = make_scenario(
+            tmp_path, extra=["--direct-path-factor", "2.2250738585072014e-308"])
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        report = read_summary(out / "summary.json")
+        assert report.multiplier_min > 1e307
+        assert report.multiplier_min <= report.multiplier_mean <= report.multiplier_max < math.inf
+
 
 class TestCompare:
     def test_direction_and_delta_column(self, tmp_path, capsys):
@@ -111,8 +129,8 @@ class TestCompare:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "delta(random-bass_greedy)" in stdout
-        bass = load_report(out / "summary_bass_greedy.json")
-        rand = load_report(out / "summary_random.json")
+        bass = read_summary(out / "summary_bass_greedy.json")
+        rand = read_summary(out / "summary_random.json")
         assert bass.gamma_mean >= rand.gamma_mean
         assert bass.gamma_fraction_one > rand.gamma_fraction_one
 
@@ -270,6 +288,29 @@ MALFORMED_RECORDS = {
     "non-utf8": (b'{"policy": "\xff"}', "not readable as UTF-8 JSON"),
     "epoch-t-5000-digits": (b'{"epochs": [{"epoch_t": ' + b"1" * 5000 + b"}]}",
                             "not readable as UTF-8 JSON"),
+    # Well-typed values that break a record's invariants.
+    "gamma-above-one": (_set(["epochs", 0, "clients", 0, "gamma"], 5.0),
+                        "records.epochs[0].clients[0]: gamma must be in [0, 1], got 5.0"),
+    "gamma-negative": (_set(["epochs", 0, "clients", 0, "gamma"], -1.0),
+                       "records.epochs[0].clients[0]: gamma must be in [0, 1], got -1.0"),
+    "gamma-nan": (_set(["epochs", 0, "clients", 1, "gamma"], math.nan),
+                  "records.epochs[0].clients[1]: gamma must be in [0, 1], got nan"),
+    "gamma-without-chose-best": (
+        _set(["epochs", 1, "clients", 0, "chose_best"], None),
+        "records.epochs[1].clients[0]: gamma and chose_best must be null together"),
+    "baseline-negative": (_set(["epochs", 0, "clients", 0, "b_baseline_mbps"], -1),
+                          "records.epochs[0].clients[0]: need 0 <= b_baseline_mbps"),
+    "baseline-nan": (_set(["epochs", 1, "clients", 2, "b_baseline_mbps"], math.nan),
+                     "records.epochs[1].clients[2]: need 0 <= b_baseline_mbps"),
+    "best-infinite": (_set(["epochs", 0, "clients", 0, "b_best_mbps"], math.inf),
+                      "records.epochs[0].clients[0]: need 0 <= b_baseline_mbps"),
+    "achieved-above-best": (_set(["epochs", 0, "clients", 0, "b_achieved_mbps"], 1e6),
+                            "records.epochs[0].clients[0]: need 0 <= b_achieved_mbps"),
+    "candidate-count-negative": (_set(["epochs", 0, "clients", 0, "candidate_count"], -5),
+                                 "records.epochs[0].clients[0]: need 0 <= feasible_count"),
+    "client-recorded-twice": (
+        lambda data: data["epochs"][1]["clients"].insert(1, data["epochs"][1]["clients"][0]),
+        "records.epochs[1]: client ids must ascend strictly: 'c0000' after 'c0000'"),
 }
 
 
@@ -327,6 +368,7 @@ def test_malformed_records_is_one_error_line(case, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--records", str(path), "--out", str(tmp_path / "s.json")]) == 1
     _assert_one_error_line(capsys, expected)
+    assert not (tmp_path / "s.json").exists()
 
 
 # Output digests of four small generate + run invocations. They were

@@ -8,7 +8,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bass_sim import cli
 from bass_sim.cli import main
@@ -305,6 +305,9 @@ def _exit_code_and_stderr(argv):
     policy=st.sampled_from(["bass_greedy", "random"]),
     sim_flags=_fuzzed_flags(SimConfig),
 )
+# Multipliers of about 6e307, whose sum overflows a float.
+@example(shape=(1, 1, 1), model_flags=["--direct-path-factor", "2.2250738585072014e-308"],
+         policy="bass_greedy", sim_flags=[])
 def test_fuzzed_flags_exit_cleanly(shape, model_flags, policy, sim_flags):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"

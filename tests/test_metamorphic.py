@@ -1,5 +1,6 @@
 """Whole-run relations: two runs whose inputs differ in a way that must not
-matter, or that differ only in length, and what their outputs must share.
+matter (entity order; re-drawing noise of zero spread), or that differ only
+in length, and what their outputs must share.
 
 Unlike the pinned digests these check values, not fixed bytes, so they hold
 for any scenario and config they are given.
@@ -20,22 +21,24 @@ from bass_sim.topology import generate_scenario
 OUTPUTS = ("records.json", "per_client.csv", "summary.json")
 
 
-def _scenario_file(tmp_path, seed):
+def _scenario_file(tmp_path, seed, *flags):
     """A small contended scenario, with two relays at one location so that
     the relay ranking has distance ties to break."""
     path = tmp_path / f"scenario{seed}.json"
     assert main(["generate", "--clients", "8", "--servers", "4", "--origins", "4",
-                 "--server-capacity-mbps", "30", "--seed", str(seed), "--out", str(path)]) == 0
+                 "--server-capacity-mbps", "30", "--seed", str(seed), "--out", str(path),
+                 *flags]) == 0
     data = json.loads(path.read_text(encoding="utf-8"))
     data["agg_servers"][1]["location"] = data["agg_servers"][0]["location"]
     path.write_text(json.dumps(data), encoding="utf-8")
     return path, data
 
 
-def _run(scenario, out, policy):
+def _run(scenario, out, policy, remeasure=True):
     assert main(["run", "--scenario", str(scenario), "--policy", policy, "--epochs", "8",
                  "--seed", "2", "--arrival-rate", "2", "--session-mean", "4",
-                 "--remeasure-noise", "--reserve-mbps", "0", "--exact-cap", "40",
+                 *(["--remeasure-noise"] if remeasure else []), "--reserve-mbps", "0",
+                 "--exact-cap", "40",
                  "--out", str(out)]) == 0
     return [(out / name).read_bytes() for name in OUTPUTS]
 
@@ -53,6 +56,16 @@ def test_entity_order_leaves_every_output_byte(tmp_path, policy, array):
         moved = tmp_path / f"moved{seed}.json"
         moved.write_text(json.dumps({**data, array: shuffled}), encoding="utf-8")
         assert _run(moved, tmp_path / "b", policy) == _run(path, tmp_path / "a", policy)
+
+
+@pytest.mark.parametrize("policy", list(POLICIES))
+def test_remeasuring_without_noise_leaves_every_output_byte(tmp_path, policy):
+    for seed in range(2):
+        path, _ = _scenario_file(tmp_path, seed, "--noise-sigma", "0")
+        assert _run(path, tmp_path / "b", policy) == _run(path, tmp_path / "a", policy, False)
+    # With noise, the same flag re-draws it: the relation above is not vacuous.
+    path, _ = _scenario_file(tmp_path, 0)
+    assert _run(path, tmp_path / "b", policy) != _run(path, tmp_path / "a", policy, False)
 
 
 @pytest.mark.parametrize("policy", list(POLICIES))

@@ -1,13 +1,13 @@
 import pytest
 
+from bass_sim.codec import load_json
 from bass_sim.errors import ValidationError
 from bass_sim.metrics import (
     PER_CLIENT_COLUMNS,
+    SummaryReport,
     cdf,
     emit_report,
-    gain_multiplier,
     load_records,
-    load_report,
     per_client_rows,
     save_records,
     summarize,
@@ -15,18 +15,6 @@ from bass_sim.metrics import (
 )
 from bass_sim.sim import SimConfig, run_simulation
 from bass_sim.topology import generate_scenario
-
-
-class TestGainMultiplier:
-    def test_no_improvement(self):
-        assert gain_multiplier(8, 8) == 1.0
-
-    def test_doubling(self):
-        assert gain_multiplier(16, 8) == 2.0
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValidationError):
-            gain_multiplier(5, 0)
 
 
 class TestCdf:
@@ -39,9 +27,8 @@ class TestCdf:
     def test_order_invariant(self):
         assert cdf([3, 1, 2]) == cdf([1, 2, 3])
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            cdf([])
+    def test_empty_has_no_points(self):
+        assert cdf([]) == []
 
     def test_monotone_and_ends_at_one(self):
         points = cdf([0.3, 0.1, 0.9, 0.1, 0.5])
@@ -90,7 +77,7 @@ class TestEmitReport:
         report = summarize("bass_greedy", sample_run)
         path = tmp_path / "report.json"
         emit_report(report, "json", path)
-        assert load_report(path) == report
+        assert load_json(SummaryReport, path, "report", ValidationError) == report
 
     def test_same_bytes_twice(self, sample_run, tmp_path):
         report = summarize("bass_greedy", sample_run)

@@ -274,6 +274,19 @@ def test_only_the_ledger_and_the_exact_cap_raise_in_the_scheduler():
     assert [f for f in found if f[0] not in SCHEDULER_RAISERS] == []
 
 
+# Records check themselves where they are made or read: in the simulation
+# only the config and the two record types raise, and the summary trusts
+# them; it raises only for an unknown report format.
+RECORD_RAISERS = {"sim.py": {"SimConfig", "ClientEpochRecord", "EpochRecord"},
+                  "metrics.py": {"emit_report"}}
+
+
+@pytest.mark.parametrize("filename", sorted(RECORD_RAISERS))
+def test_only_the_record_types_raise_in_the_simulation_and_summary(filename):
+    found = _error_raisers(ast.parse((SRC / filename).read_text(encoding="utf-8")))
+    assert {where for where, _ in found} == RECORD_RAISERS[filename], found
+
+
 # hashlib maps OpenSSL's libcrypto and logging is never used: a run that
 # imports either pays their memory for nothing.
 UNUSED_MODULES = ("hashlib", "_hashlib", "logging")

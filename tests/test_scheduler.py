@@ -622,6 +622,21 @@ class TestLedger:
         ledger.apply(plan)
         assert ledger.held == plan.assignments
 
+    def test_exact_fill_of_a_large_relay_is_accepted(self):
+        # The same at 1e9 Mbit/s, where one ulp is about 1.2e-7: an absolute
+        # slack of 1e-9 refused this plan.
+        batch = batch_of(
+            entry("c3", "s1", 228307507.1709431, 0.0),
+            entry("c0", "s1", 315339571.9344271, 0.0),
+            entry("c1", "s1", 147440001.68154132, 0.0),
+            entry("c2", "s1", 308912919.2130885, 0.0),
+        )
+        ledger = AssignmentLedger([make_server("s1", total=1e9)], reserve_mbps=0.0)
+        plan = solve_greedy(batch, ledger.usable)
+        assert set(plan.assignments) == {"c0", "c1", "c2", "c3"}
+        ledger.apply(plan)
+        assert ledger.held == plan.assignments
+
     def test_release_restores_exactly(self):
         server = make_server("s1", total=10.0, remaining=9.3)
         ledger = AssignmentLedger([server], reserve_mbps=0.0)

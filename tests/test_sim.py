@@ -23,10 +23,10 @@ from bass_sim.seeding import rng_for
 from bass_sim.sim import (
     MAX_ARRIVAL_RATE,
     POLICIES,
+    ClientEpochRecord,
     EpochRecord,
     SimConfig,
     _poisson,
-    hit_rate,
     new_state,
     run_epoch,
     run_simulation,
@@ -81,9 +81,10 @@ def _cached_values(net):
     return links + len(net._relay_paths)
 
 
-def _assert_cache_is_fresh(state):
-    """Every drawn link value and relay path equals what a new network measures now."""
-    scenario, net = state.scenario, state.net
+def _assert_cache_is_fresh(state, scenario):
+    """Every drawn link value and relay path equals what a new network of
+    `scenario` measures now."""
+    net = state.net
     fresh = DistanceDecayNetwork(scenario)
     fresh.remeasure(net.noise_epoch)
     servers = state.ledger.servers
@@ -127,24 +128,59 @@ class TestSimConfig:
         assert SimConfig(epochs=0).epochs == 0
 
 
-class TestHitRate:
-    def test_perfect(self):
-        assert hit_rate(9.0, 9.0) == 1.0
+def client_record(client_id="c1", **changes):
+    """A scored record of a client that achieved 6 of a best 8 Mbit/s."""
+    values = dict(client_id=client_id, server_id="s1", candidate_count=2, feasible_count=1,
+                  b_baseline_mbps=4.0, b_best_mbps=8.0, b_achieved_mbps=6.0, gain_mbps=2.0,
+                  gamma=0.75, chose_best=False)
+    return ClientEpochRecord(**{**values, **changes})
 
-    def test_half(self):
-        assert hit_rate(4.5, 9.0) == 0.5
 
-    def test_rejects_nonpositive_best(self):
-        with pytest.raises(ValidationError):
-            hit_rate(1.0, 0.0)
+class TestClientEpochRecord:
+    @pytest.mark.parametrize("changes", [
+        dict(gamma=0.0), dict(gamma=1.0, chose_best=True, b_achieved_mbps=8.0),
+        dict(gamma=None, chose_best=None, candidate_count=0, feasible_count=0),
+        dict(b_baseline_mbps=0.0, b_best_mbps=0.0, b_achieved_mbps=0.0, gamma=None,
+             chose_best=None),
+    ], ids=["gamma-underflowed", "best", "no-candidate", "no-bandwidth"])
+    def test_accepts_the_boundaries(self, changes):
+        assert client_record(**changes).gamma == changes.get("gamma", 0.75)
 
-    def test_rejects_achieved_above_best(self):
-        with pytest.raises(ValidationError):
-            hit_rate(2.0, 1.0)
+    @pytest.mark.parametrize("changes, field", [
+        (dict(candidate_count=-5), "candidate_count"),
+        (dict(feasible_count=3), "feasible_count"),
+        (dict(feasible_count=-1), "feasible_count"),
+        (dict(b_baseline_mbps=-1.0), "b_baseline_mbps"),
+        (dict(b_baseline_mbps=math.nan), "b_baseline_mbps"),
+        (dict(b_baseline_mbps=9.0), "b_baseline_mbps"),
+        (dict(b_best_mbps=math.inf), "b_best_mbps"),
+        (dict(b_best_mbps=math.nan), "b_best_mbps"),
+        (dict(b_achieved_mbps=-0.5), "b_achieved_mbps"),
+        (dict(b_achieved_mbps=8.5), "b_achieved_mbps"),
+        (dict(chose_best=None), "chose_best"),
+        (dict(gamma=None), "chose_best"),
+        (dict(gamma=5.0), "gamma"),
+        (dict(gamma=-1.0), "gamma"),
+        (dict(gamma=math.nan), "gamma"),
+    ])
+    def test_rejects_a_broken_invariant_naming_its_field(self, changes, field):
+        with pytest.raises(ValidationError, match=field):
+            client_record(**changes)
 
-    def test_rejects_zero_achieved(self):
-        with pytest.raises(ValidationError):
-            hit_rate(0.0, 1.0)
+
+class TestEpochRecord:
+    def _epoch(self, *client_ids):
+        return EpochRecord(epoch_t=0, objective_mbps=0.0, assignments={},
+                           clients=tuple(map(client_record, client_ids)),
+                           server_load_rates={}, n_active=len(client_ids))
+
+    def test_accepts_ascending_clients(self):
+        assert len(self._epoch("c1", "c2", "c3").clients) == 3
+
+    @pytest.mark.parametrize("client_ids", [("c2", "c1"), ("c1", "c3", "c3")])
+    def test_rejects_clients_out_of_order_or_twice(self, client_ids):
+        with pytest.raises(ValidationError, match="client ids must ascend strictly"):
+            self._epoch(*client_ids)
 
 
 def three_candidate_batch():
@@ -369,7 +405,7 @@ class TestRunSimulation:
         for t in range(config.epochs):
             record = run_epoch(state)
             assert state.net.noise_epoch == t
-            _assert_cache_is_fresh(state)
+            _assert_cache_is_fresh(state, scenario)
             # 3 links per client: one direct path each plus one per candidate,
             # and one path per server-origin pair.
             size = _cached_values(state.net)
