@@ -6,6 +6,9 @@ repeated policy, a value that does not parse); 1 any other failure, as one
 Model and sim flags are the fields of `NetModelParams` and `SimConfig` with
 `flag` metadata; `generate_scenario` and `Scenario.validate` check
 `generate`'s shape flags.
+`run` and `compare` write each epoch's records as the epoch ends. A command
+that fails once it has begun writing removes every output file it names
+(`_removed_on_failure`) before its `error:` line.
 argparse reads a negative value in exponent notation, such as `-1e3`, as an
 option, so write it as `--wifi-mu=-1e3`. All output files and stdout
 tables are byte-reproducible under fixed flags.
@@ -15,13 +18,16 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import dataclasses
 import sys
 import typing
 from pathlib import Path
 
+from .codec import remove_output
 from .errors import BassError
 from .metrics import (
+    SummaryFold,
     _mean,
     emit_report,
     load_records,
@@ -30,7 +36,7 @@ from .metrics import (
     summarize,
     write_rows_csv,
 )
-from .sim import POLICIES, SimConfig, run_simulation
+from .sim import POLICIES, SimConfig, run_epochs
 from .topology import (
     DEFAULT_SERVER_CAPACITY_MBPS,
     NetModelParams,
@@ -97,18 +103,47 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+@contextlib.contextmanager
+def _removed_on_failure(paths):
+    """Run the block; if it raises, remove each of `paths` that is a regular
+    file, whether this command or an earlier one wrote it, and re-raise."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            remove_output(path)
+        raise
+
+
+def _handed_on(records, *consumers):
+    """Yield each record once every consumer has been handed it."""
+    for record in records:
+        for consume in consumers:
+            consume(record)
+        yield record
+
+
+def _write_run(policy, epochs, records_path, summary_path, *consumers):
+    """Write a policy's records as `epochs` yields them, each epoch handed
+    also to `consumers` and to the summary's fold, then write the summary
+    and return it."""
+    fold = SummaryFold()
+    save_records(policy, _handed_on(epochs, fold.add, *consumers), records_path)
+    report = fold.report(policy)
+    emit_report(report, "json", summary_path)
+    return report
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     config = _from_flags(SimConfig, args, policy=args.policy)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # before the run: a bad --out fails at once
-    records = run_simulation(scenario, config)
-    report = summarize(args.policy, records)
-
-    save_records(args.policy, records, out_dir / "records.json")
-    write_rows_csv(per_client_rows(args.policy, records), out_dir / "per_client.csv")
-    del records  # the run's trace is written; free it before the summary is encoded
-    emit_report(report, "json", out_dir / "summary.json")
+    records, summary, rows = (out_dir / name
+                              for name in ("records.json", "summary.json", "per_client.csv"))
+    with _removed_on_failure((records, summary, rows)), write_rows_csv(rows) as write_rows:
+        report = _write_run(args.policy, run_epochs(scenario, config), records, summary,
+                            lambda record: write_rows(per_client_rows(args.policy, (record,))))
 
     print(
         f"policy={args.policy} epochs={report.epochs} client_epochs={report.client_epochs} "
@@ -131,17 +166,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     policies = args.policies
     scenario = load_scenario(args.scenario)
     configs = {policy: _from_flags(SimConfig, args, policy=policy) for policy in policies}
-    out_dir = None if args.out is None else Path(args.out)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)  # once, before any run
     reports = {}
-    for policy, config in configs.items():
-        records = run_simulation(scenario, config)
-        reports[policy] = summarize(policy, records)
-        if out_dir is not None:
-            save_records(policy, records, out_dir / f"records_{policy}.json")
-            emit_report(reports[policy], "json", out_dir / f"summary_{policy}.json")
-        del records  # written; free it before the next policy runs
+    if args.out is None:
+        for policy, config in configs.items():
+            reports[policy] = summarize(policy, run_epochs(scenario, config))
+    else:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)  # once, before any run
+        paths = {policy: (out_dir / f"records_{policy}.json", out_dir / f"summary_{policy}.json")
+                 for policy in policies}
+        with _removed_on_failure([path for pair in paths.values() for path in pair]):
+            for policy, config in configs.items():
+                reports[policy] = _write_run(policy, run_epochs(scenario, config), *paths[policy])
 
     print("policy summaries:")
     for policy in policies:

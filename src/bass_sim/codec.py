@@ -13,7 +13,7 @@ import os
 import stat
 import types
 import typing
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from contextlib import suppress
 from enum import Enum
 from functools import cache, partial
@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 
-__all__ = ["decode", "load_json", "open_output", "save_json"]
+__all__ = ["decode", "load_json", "open_output", "remove_output", "save_json"]
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 
@@ -168,15 +168,20 @@ def load_json(cls: type, path, where: str, error: type[ValidationError]):
     return decode(cls, data, where, error)
 
 
-def open_output(path, newline: str | None = None):
-    """Open `path` to write UTF-8 text. An existing regular file (by
-    `os.lstat`: a symlink is not followed) is unlinked and created anew, as
-    truncating a written file in place costs about 50 ms on ext4 mounted
-    with `discard`; its permissions and hard links do not carry over. Any
-    other path, or a file that cannot be unlinked, is opened with "w"."""
+def remove_output(path) -> None:
+    """Unlink `path` if it is a regular file (by `os.lstat`: a symlink is not
+    followed); leave anything else, or a file that cannot be unlinked."""
     with suppress(OSError):
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
+
+
+def open_output(path, newline: str | None = None):
+    """Open `path` to write UTF-8 text. An existing regular file is removed
+    (`remove_output`) and created anew, as truncating a written file in
+    place costs about 50 ms on ext4 mounted with `discard`; its permissions
+    and hard links do not carry over. Any other path is opened with "w"."""
+    remove_output(path)
     return open(path, "w", encoding="utf-8", newline=newline)
 
 
@@ -220,9 +225,10 @@ def _field_layout(cls: type, level: int):
 
 def _emit(value, write, head: str, level: int):
     """Write `head`, then `value` as indented, sorted-key JSON at nesting
-    `level`: a dataclass or a mapping (str keys) as an object, a tuple or
-    list as an array, an enum as its value, a str, int, float, bool or None
-    as itself; anything else is a TypeError. Each write is one container's
+    `level`: a dataclass or a mapping (str keys) as an object, a tuple,
+    list or iterator as an array (an iterator's items are taken as they are
+    written), an enum as its value, a str, int, float, bool or None as
+    itself; anything else is a TypeError. Each write is one container's
     text up to its next item that is not a scalar, or about 4 kB."""
     scalar = _TEXT.get(type(value))
     if scalar is not None:
@@ -233,7 +239,7 @@ def _emit(value, write, head: str, level: int):
         items, brackets = map(getattr, repeat(value), names), "{}"
     elif isinstance(value, Enum):
         return _emit(value.value, write, head, level)
-    elif isinstance(value, (tuple, list)):
+    elif isinstance(value, (tuple, list, Iterator)):
         first, later, close = _indents(level)
         heads, items, brackets = chain((first,), repeat(later)), value, "[]"
     elif isinstance(value, Mapping):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from statistics import mean, median
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import load_json, open_output, save_json
 from .errors import RecordsFormatError, ValidationError
@@ -22,6 +22,7 @@ from .sim import EpochRecord
 
 __all__ = [
     "SummaryReport",
+    "SummaryFold",
     "cdf",
     "summarize",
     "emit_report",
@@ -44,12 +45,15 @@ PER_CLIENT_COLUMNS = (
 )
 
 
-def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
+def cdf(values: Iterable[float]) -> list[tuple[float, float]]:
     """Empirical CDF as (value, cumulative fraction) points.
 
     One point per distinct value, ascending; the last fraction is exactly 1.
     """
-    ordered = sorted(values)
+    return _cdf_of_sorted(sorted(values))
+
+
+def _cdf_of_sorted(ordered: Sequence[float]) -> list[tuple[float, float]]:
     n = len(ordered)
     points: list[tuple[float, float]] = []
     for i, value in enumerate(ordered):
@@ -85,17 +89,35 @@ def _mean(values: Sequence[float]) -> float:
     try:
         return math.fsum(values) / len(values)
     except OverflowError:  # the sum of finite values overflowed, not their mean
+        from statistics import mean  # it loads decimal and fractions: only when needed
+
         return mean(values)
 
 
-def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
-    """Fold a record stream into one report, in one walk over its client records."""
-    gammas: list[float] = []
-    multipliers_filtered: list[float] = []
-    multipliers_all: list[float] = []
-    client_epochs = with_candidates = hits = dead_direct = 0
-    for record in records:
-        client_epochs += len(record.clients)
+def _median_of_sorted(ordered: Sequence[float]) -> float:
+    """`statistics.median` of a list that is already sorted."""
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
+class SummaryFold:
+    """What a summary reads of a run, taken one epoch at a time.
+
+    `add` keeps no record: a run that hands it each epoch as the epoch ends
+    holds only the values below, which grow with the client-epochs.
+    """
+
+    def __init__(self) -> None:
+        self.epochs = self.client_epochs = self.with_candidates = 0
+        self.hits = self.dead_direct = 0
+        self.gammas: list[float] = []
+        self.multipliers_filtered: list[float] = []
+        self.multipliers_all: list[float] = []
+        self.objectives: list[float] = []
+
+    def add(self, record: EpochRecord) -> None:
+        gammas, filtered, every = self.gammas, self.multipliers_filtered, self.multipliers_all
+        hits = with_candidates = dead_direct = 0
         for c in record.clients:
             if c.gamma is not None:
                 gammas.append(c.gamma)
@@ -105,29 +127,62 @@ def summarize(policy: str, records: Sequence[EpochRecord]) -> SummaryReport:
                 with_candidates += 1
             if c.b_baseline_mbps > 0:
                 multiplier = c.b_achieved_mbps / c.b_baseline_mbps
-                multipliers_all.append(multiplier)
+                every.append(multiplier)
                 if c.candidate_count > 0:
-                    multipliers_filtered.append(multiplier)
+                    filtered.append(multiplier)
             else:
                 dead_direct += 1
-    return SummaryReport(
-        policy=policy,
-        epochs=len(records),
-        client_epochs=client_epochs,
-        records_with_candidates=with_candidates,
-        no_candidate_records=client_epochs - with_candidates,
-        dead_direct_records=dead_direct,
-        gamma_mean=_mean(gammas) if gammas else None,
-        gamma_median=median(gammas) if gammas else None,
-        gamma_fraction_one=(hits / len(gammas)) if gammas else None,
-        gamma_cdf=tuple(cdf(gammas)),
-        multiplier_min=min(multipliers_filtered) if multipliers_filtered else None,
-        multiplier_mean=_mean(multipliers_filtered) if multipliers_filtered else None,
-        multiplier_max=max(multipliers_filtered) if multipliers_filtered else None,
-        multiplier_cdf=tuple(cdf(multipliers_filtered)),
-        multiplier_mean_all=_mean(multipliers_all) if multipliers_all else None,
-        objective_series=tuple(record.objective_mbps for record in records),
-    )
+        self.epochs += 1
+        self.client_epochs += len(record.clients)
+        self.hits += hits
+        self.with_candidates += with_candidates
+        self.dead_direct += dead_direct
+        self.objectives.append(record.objective_mbps)
+
+    def report(self, policy: str) -> SummaryReport:
+        """The report of the epochs added so far. Call it once: it empties
+        each value list once it has taken what it needs from it, so that the
+        lists and the CDFs built from them are not all held at once."""
+        gammas, filtered, every = self.gammas, self.multipliers_filtered, self.multipliers_all
+        multiplier_mean_all = _mean(every) if every else None
+        every.clear()
+        gammas.sort()
+        gamma_mean, gamma_median, gamma_fraction_one = (
+            (_mean(gammas), _median_of_sorted(gammas), self.hits / len(gammas))
+            if gammas else (None, None, None))
+        gamma_cdf = tuple(_cdf_of_sorted(gammas))
+        gammas.clear()
+        filtered.sort()
+        multiplier_min, multiplier_mean, multiplier_max = (
+            (min(filtered), _mean(filtered), max(filtered)) if filtered else (None, None, None))
+        multiplier_cdf = tuple(_cdf_of_sorted(filtered))
+        filtered.clear()
+        return SummaryReport(
+            policy=policy,
+            epochs=self.epochs,
+            client_epochs=self.client_epochs,
+            records_with_candidates=self.with_candidates,
+            no_candidate_records=self.client_epochs - self.with_candidates,
+            dead_direct_records=self.dead_direct,
+            gamma_mean=gamma_mean,
+            gamma_median=gamma_median,
+            gamma_fraction_one=gamma_fraction_one,
+            gamma_cdf=gamma_cdf,
+            multiplier_min=multiplier_min,
+            multiplier_mean=multiplier_mean,
+            multiplier_max=multiplier_max,
+            multiplier_cdf=multiplier_cdf,
+            multiplier_mean_all=multiplier_mean_all,
+            objective_series=tuple(self.objectives),
+        )
+
+
+def summarize(policy: str, records: Iterable[EpochRecord]) -> SummaryReport:
+    """Fold a record stream into one report, in one walk over its client records."""
+    fold = SummaryFold()
+    for record in records:
+        fold.add(record)
+    return fold.report(policy)
 
 
 def emit_report(report: SummaryReport, format: str, path) -> None:
@@ -151,7 +206,7 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
 
 def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> Iterator[tuple]:
     """Flat per-client rows, their values in `PER_CLIENT_COLUMNS` order, as a
-    generator (iterable once) that `write_rows_csv` consumes row by row."""
+    generator (iterable once) that `write_rows_csv`'s writer consumes row by row."""
     return (
         (policy, record.epoch_t, c.client_id, c.server_id, c.b_baseline_mbps,
          c.b_achieved_mbps, c.gain_mbps, c.gamma)
@@ -160,22 +215,28 @@ def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> Iterator[tup
     )
 
 
-def write_rows_csv(rows: Iterable[tuple], path) -> None:
-    """Write rows under the `PER_CLIENT_COLUMNS` header; csv writes None as an empty field."""
+@contextmanager
+def write_rows_csv(path) -> Iterator[Callable[[Iterable[tuple]], None]]:
+    """Write the `PER_CLIENT_COLUMNS` header, then yield a function that
+    writes rows under it as they come; csv writes None as an empty field."""
     with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PER_CLIENT_COLUMNS)
-        writer.writerows(rows)
+        yield writer.writerows
 
 
 @dataclass(frozen=True)
 class _RecordsFile:
+    """The layout of records.json. To write one, `epochs` may be any
+    iterable: its key sorts first, so each epoch is written as it comes."""
+
     policy: str
     epochs: tuple[EpochRecord, ...]
 
 
-def save_records(policy: str, records: Sequence[EpochRecord], path) -> None:
-    save_json(_RecordsFile(policy, tuple(records)), path)
+def save_records(policy: str, records: Iterable[EpochRecord], path) -> None:
+    """Write records.json, taking each epoch from `records` once, as it is written."""
+    save_json(_RecordsFile(policy, records), path)
 
 
 def load_records(path) -> tuple[str, list[EpochRecord]]:

@@ -74,6 +74,7 @@ __all__ = [
     "EpochRecord",
     "SimState",
     "run_epoch",
+    "run_epochs",
     "run_simulation",
 ]
 
@@ -136,10 +137,21 @@ class SimConfig:
             raise ValidationError(f"exact_cap must be >= 1, got {self.exact_cap!r}")
 
 
+def _hit_rate(candidate_count: int, achieved: float,
+              best: float) -> tuple[float | None, bool | None]:
+    """A client's `gamma` and `chose_best`: `achieved / best` and whether
+    `achieved == best`, or both None when it had no candidate server or
+    either bandwidth is 0."""
+    if candidate_count and best > 0 and achieved > 0:
+        return achieved / best, achieved == best
+    return None, None
+
+
 @dataclass(frozen=True, slots=True)
 class ClientEpochRecord:
     """Per-client outcome of one epoch, checked alike when a run builds it
-    and when `metrics.load_records` reads it."""
+    and when `metrics.load_records` reads it: `gamma` and `chose_best` are
+    what `_hit_rate` derives from the other fields."""
 
     client_id: str
     server_id: str | None
@@ -168,13 +180,20 @@ class ClientEpochRecord:
                                   f"{gamma!r}, {self.chose_best!r}")
         if gamma is not None and not 0 <= gamma <= 1:
             raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
+        rated = _hit_rate(self.candidate_count, self.b_achieved_mbps, best)
+        if (gamma, self.chose_best) != rated:
+            raise ValidationError(f"gamma and chose_best must be {rated[0]!r}, {rated[1]!r} for "
+                                  f"their candidate_count, b_achieved_mbps and b_best_mbps, got "
+                                  f"{gamma!r}, {self.chose_best!r}")
 
 
 @dataclass(frozen=True)
 class EpochRecord:
     """One epoch's outcome: the applied plan's objective and assignments, and
     its per-client records, in strictly ascending client id order, as
-    `run_epoch` writes them. It is also one epoch of records.json."""
+    `run_epoch` writes them. It is also one epoch of records.json. There is
+    one client record per active client, and the assignments are exactly
+    the records' non-null `server_id`s."""
 
     epoch_t: int
     objective_mbps: float
@@ -187,6 +206,17 @@ class EpochRecord:
         for prev, cur in itertools.pairwise(c.client_id for c in self.clients):
             if not prev < cur:
                 raise ValidationError(f"client ids must ascend strictly: {cur!r} after {prev!r}")
+        if self.n_active != len(self.clients):
+            raise ValidationError(f"n_active must be the number of client records, "
+                                  f"{len(self.clients)}, got {self.n_active!r}")
+        served = {c.client_id: c.server_id for c in self.clients if c.server_id is not None}
+        assigned = {client_id: a.server_id for client_id, a in self.assignments.items()}
+        if served != assigned:
+            client_id = min(k for k in served.keys() | assigned.keys()
+                            if served.get(k) != assigned.get(k))
+            raise ValidationError(f"client {client_id!r} is assigned to "
+                                  f"{assigned.get(client_id)!r} but its record says server_id "
+                                  f"{served.get(client_id)!r}")
 
 
 # Knuth's product method compares against exp(-rate), which underflows to 0
@@ -336,12 +366,7 @@ def run_epoch(state: SimState) -> EpochRecord:
         for e in feasible:
             if e.b_via_mbps > b_best:
                 b_best = e.b_via_mbps
-        if candidate_count and b_best > 0 and achieved > 0:
-            gamma = achieved / b_best
-            chose_best = achieved == b_best
-        else:
-            gamma = None
-            chose_best = None
+        gamma, chose_best = _hit_rate(candidate_count, achieved, b_best)
         records.append(
             ClientEpochRecord(
                 client_id=client_id,
@@ -369,7 +394,14 @@ def run_epoch(state: SimState) -> EpochRecord:
     return record
 
 
-def run_simulation(scenario: Scenario, config: SimConfig) -> list[EpochRecord]:
-    """Fold run_epoch over the configured number of epochs."""
+def run_epochs(scenario: Scenario, config: SimConfig) -> Iterator[EpochRecord]:
+    """Yield each epoch's record as `run_epoch` returns it, for the configured
+    number of epochs; nothing here keeps a record once it is yielded."""
     state = new_state(scenario, config)
-    return [run_epoch(state) for _ in range(config.epochs)]
+    for _ in range(config.epochs):
+        yield run_epoch(state)
+
+
+def run_simulation(scenario: Scenario, config: SimConfig) -> list[EpochRecord]:
+    """Every epoch's record of one run, in order."""
+    return list(run_epochs(scenario, config))

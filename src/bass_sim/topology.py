@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Mapping, Sequence
+
+# What `NormalDist.inv_cdf` calls; `statistics` would also load `decimal` and `fractions`.
+from _statistics import _normal_dist_inv_cdf
 
 from .codec import load_json, save_json
 from .errors import ScenarioFormatError, ValidationError
@@ -76,7 +78,7 @@ def wifi_mu_for_sub_1mbps(fraction: float, sigma: float) -> float:
         raise ValidationError(f"fraction must be in (0, 1), got {fraction!r}")
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma!r}")
-    return -sigma * NormalDist().inv_cdf(fraction)
+    return -sigma * _normal_dist_inv_cdf(fraction, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -162,17 +162,17 @@ class TestCompare:
         assert "repeated policy in 'bass_greedy,random, bass_greedy'" in errors[0]
 
     def test_each_policy_is_written_before_the_next_runs(self, tmp_path, monkeypatch):
-        # Only one policy's records are alive at a time, and its files are
-        # the ones `run` writes for that policy and seed.
+        # One policy runs at a time, and its files are the ones `run` writes
+        # for that policy and seed.
         scenario = make_scenario(tmp_path)
         out = tmp_path / "cmp"
         written_at_start = []
 
         def spy(scenario, config):
             written_at_start.append((config.policy, sorted(p.name for p in out.glob("*"))))
-            return sim.run_simulation(scenario, config)
+            return sim.run_epochs(scenario, config)
 
-        monkeypatch.setattr(cli, "run_simulation", spy)
+        monkeypatch.setattr(cli, "run_epochs", spy)
         assert main(
             ["compare", "--scenario", str(scenario), "--policies", "bass_greedy,random",
              "--epochs", "2", "--seed", "1", "--out", str(out)]
@@ -250,6 +250,15 @@ def _set(path, value):
     return mutate
 
 
+def _update(path, **values):
+    """A mutation of parsed JSON: set several keys of the object at `path`."""
+    def mutate(data):
+        for key in path:
+            data = data[key]
+        data.update(values)
+    return mutate
+
+
 def _drop(path):
     def mutate(data):
         for key in path[:-1]:
@@ -311,6 +320,25 @@ MALFORMED_RECORDS = {
     "client-recorded-twice": (
         lambda data: data["epochs"][1]["clients"].insert(1, data["epochs"][1]["clients"][0]),
         "records.epochs[1]: client ids must ascend strictly: 'c0000' after 'c0000'"),
+    # Derived fields that do not match what they derive from.
+    "gamma-off-its-ratio": (_set(["epochs", 0, "clients", 0, "gamma"], 0.5),
+                            "records.epochs[0].clients[0]: gamma and chose_best must be 1.0, True "
+                            "for their candidate_count, b_achieved_mbps and b_best_mbps, got 0.5, True"),
+    "chose-best-off-its-bandwidths": (
+        _set(["epochs", 1, "clients", 3, "chose_best"], False),
+        "records.epochs[1].clients[3]: gamma and chose_best must be 1.0, True"),
+    "gamma-without-candidates": (
+        _update(["epochs", 0, "clients", 2], candidate_count=0, feasible_count=0),
+        "records.epochs[0].clients[2]: gamma and chose_best must be None, None"),
+    "n-active-off-by-one": (_set(["epochs", 1, "n_active"], 13),
+                            "records.epochs[1]: n_active must be the number of client records, "
+                            "12, got 13"),
+    "assignment-without-its-record": (
+        _set(["epochs", 0, "clients", 4, "server_id"], None),
+        "records.epochs[0]: client 'c0004' is assigned to 's0003' but its record says server_id None"),
+    "record-without-its-assignment": (
+        _set(["epochs", 1, "clients", 11, "server_id"], "s0000"),
+        "records.epochs[1]: client 'c0011' is assigned to None but its record says server_id 's0000'"),
 }
 
 

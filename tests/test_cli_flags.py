@@ -163,7 +163,7 @@ def test_each_sim_flag_reaches_its_field(tmp_path, monkeypatch):
     scenario = tmp_path / "scenario.json"
     save_scenario(generate_scenario(3, 2, 2, seed=1), scenario)
     configs = []
-    monkeypatch.setattr(cli, "run_simulation", lambda _, config: configs.append(config) or [])
+    monkeypatch.setattr(cli, "run_epochs", lambda _, config: configs.append(config) or [])
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"),
                  "--policy", "random", "--epochs", "3", "--seed", "7", "--arrival-rate", "1.5",
                  "--session-mean", "4", "--k-candidates", "2", "--load-threshold", "0.3",

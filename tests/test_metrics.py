@@ -100,14 +100,16 @@ class TestPerClientRows:
     def test_csv_header_matches_schema(self, sample_run, tmp_path):
         rows = per_client_rows("bass_greedy", sample_run)
         path = tmp_path / "rows.csv"
-        write_rows_csv(rows, path)
+        with write_rows_csv(path) as write_rows:
+            write_rows(rows)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == ",".join(PER_CLIENT_COLUMNS)
 
     def test_row_count(self, sample_run, tmp_path):
         rows = list(per_client_rows("bass_greedy", sample_run))
         path = tmp_path / "rows.csv"
-        write_rows_csv(rows, path)
+        with write_rows_csv(path) as write_rows:
+            write_rows(rows)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + len(rows)
 

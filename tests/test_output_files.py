@@ -3,18 +3,22 @@
 An existing regular output file is replaced by a new file, never truncated
 and rewritten in place: the bytes are those written into an empty
 directory, and a hard link to the old file keeps the old bytes. Symlinks,
-directories and other non-regular targets are opened as they are.
+directories and other non-regular targets are opened as they are. `run`
+and `compare` write each epoch as it ends and keep no earlier one; a run
+that fails once it has begun writing leaves none of its output files.
 """
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from bass_sim import cli, errors
+from bass_sim import cli, errors, sim
 from bass_sim.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bass_sim"
@@ -149,12 +153,98 @@ def test_an_out_that_is_a_file_fails_before_simulating(subcommand, tmp_path, cap
     def never(scenario, config):
         raise AssertionError("the simulation ran before the output directory was made")
 
-    monkeypatch.setattr(cli, "run_simulation", never)
+    monkeypatch.setattr(cli, "run_epochs", never)
     capsys.readouterr()
     assert main([*subcommand, "--scenario", str(scenario), "--epochs", "2",
                  "--out", str(taken)]) == 1
     _assert_one_error_line(capsys)
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+# Written by the build that held every epoch until the run ended: a run of
+# no epochs still writes `"epochs": []`, and `compare --out` the same files.
+KEPT_DIGESTS = {
+    "zero/per_client.csv": "49b501fb068e582d1f83d8313c93a4fa76542a53d57d7b1e39a77f2fa57e583f",
+    "zero/records.json": "c4a3e8126cf3fc694dbb0a693fc281d0d8fd9d3262052c620f25f67b61552825",
+    "zero/summary.json": "9896b39643da4d641f98fea23a30a514c2f18b0574fff97b2c6331cd60671111",
+    "cmp/records_bass_greedy.json":
+        "0dec79aebb60610e75b17d26938c63fcc574c0a971dfdbf8c9e48822feb5ba7c",
+    "cmp/records_random.json": "df4fac9c92b6b0552b1b2759731ffde08f0a7e9084da68f91a40d481aab0bd57",
+    "cmp/summary_bass_greedy.json":
+        "83d8fbd353482637b2d844b82ca141252d0d9b36523e36b60aeddf21244f546f",
+    "cmp/summary_random.json": "9b77b4ceb8f41b74b8911e2af28e6f6cd4a2bf24e71f66f7828a30ba2453b10d",
+}
+
+
+def test_zero_epochs_and_compare_out_keep_their_bytes(tmp_path):
+    scenario = _scenario(tmp_path)
+    assert main(["run", "--scenario", str(scenario), "--epochs", "0",
+                 "--out", str(tmp_path / "zero")]) == 0
+    assert main(["compare", "--scenario", str(scenario), "--policies", "bass_greedy,random",
+                 "--epochs", "3", "--seed", "2", "--arrival-rate", "2", "--session-mean", "4",
+                 "--remeasure-noise", "--out", str(tmp_path / "cmp")]) == 0
+    written = {f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+               for d in ("zero", "cmp") for f in (tmp_path / d).iterdir()}
+    assert written == KEPT_DIGESTS
+
+
+@pytest.mark.parametrize("subcommand, runs", [
+    (["run"], 1),
+    (["compare", "--policies", "bass_greedy,random"], 2),
+])
+def test_no_record_outlives_the_epoch_after_it(subcommand, runs, tmp_path, monkeypatch):
+    # When an epoch starts, every record but the last one made is gone:
+    # the run holds at most the epoch being written and the one being made.
+    original = sim.run_epoch
+    made = []
+
+    def run_epoch(state):
+        assert [ref() for ref in made[:-1]] == [None] * len(made[:-1]), len(made)
+        record = original(state)
+        made.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(sim, "run_epoch", run_epoch)
+    assert main([*subcommand, "--scenario", str(_scenario(tmp_path)), "--epochs", "12",
+                 "--arrival-rate", "2", "--session-mean", "4", "--out", str(tmp_path / "out")]) == 0
+    assert len(made) == 12 * runs
+    assert [ref() for ref in made] == [None] * len(made)
+
+
+@pytest.mark.parametrize("subcommand, names", [
+    (["run", "--policy", "bass_exact"], RUN_FILES),
+    (["compare", "--policies", "bass_greedy,bass_exact"],
+     [f"{kind}_{policy}.json" for kind in ("records", "summary")
+      for policy in ("bass_greedy", "bass_exact")]),
+])
+def test_a_run_that_fails_midway_leaves_none_of_its_outputs(subcommand, names, tmp_path, capsys,
+                                                            monkeypatch):
+    # Arrivals push the exact solver's batch past its cap of 12 clients after
+    # the first epoch was solved and written. Outputs that an earlier run left
+    # under the same names go too: none is left beside another run's files.
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--clients", "10", "--servers", "3", "--origins", "2", "--seed", "1",
+                 "--out", str(scenario)]) == 0
+    out = tmp_path / "out"
+    assert main([*subcommand, "--scenario", str(scenario), "--epochs", "1",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    (out / "other.txt").write_text("kept\n", encoding="utf-8")
+    original, solved = sim.run_epoch, []
+
+    def run_epoch(state):
+        solved.append(state.epoch)
+        return original(state)
+
+    monkeypatch.setattr(sim, "run_epoch", run_epoch)
+    capsys.readouterr()
+    assert main([*subcommand, "--scenario", str(scenario), "--epochs", "10",
+                 "--arrival-rate", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "batch has 16 clients, above the exact-solver cap of 12" in err
+    assert solved[-1] > 0  # the failing epoch is not the first
+    assert [p.name for p in out.iterdir()] == ["other.txt"]
 
 
 def _is_write_open(call: ast.Call) -> bool:
@@ -287,9 +377,9 @@ def test_only_the_record_types_raise_in_the_simulation_and_summary(filename):
     assert {where for where, _ in found} == RECORD_RAISERS[filename], found
 
 
-# hashlib maps OpenSSL's libcrypto and logging is never used: a run that
-# imports either pays their memory for nothing.
-UNUSED_MODULES = ("hashlib", "_hashlib", "logging")
+# hashlib maps OpenSSL's libcrypto, statistics loads decimal and fractions,
+# and none of them is used: a run that imports any pays its memory for nothing.
+UNUSED_MODULES = ("hashlib", "_hashlib", "logging", "statistics", "decimal", "fractions")
 _RUN_AND_LIST_MODULES = """
 import sys
 from bass_sim.cli import main

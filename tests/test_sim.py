@@ -18,7 +18,13 @@ from bass_sim.model import (
     baseline_bandwidth,
 )
 from bass_sim.metrics import save_records
-from bass_sim.scheduler import RequestBatch, measure_gains, random_policy, solve_greedy
+from bass_sim.scheduler import (
+    Assignment,
+    RequestBatch,
+    measure_gains,
+    random_policy,
+    solve_greedy,
+)
 from bass_sim.seeding import rng_for
 from bass_sim.sim import (
     MAX_ARRIVAL_RATE,
@@ -138,7 +144,7 @@ def client_record(client_id="c1", **changes):
 
 class TestClientEpochRecord:
     @pytest.mark.parametrize("changes", [
-        dict(gamma=0.0), dict(gamma=1.0, chose_best=True, b_achieved_mbps=8.0),
+        dict(gamma=0.0, b_achieved_mbps=5e-324), dict(gamma=1.0, chose_best=True, b_achieved_mbps=8.0),
         dict(gamma=None, chose_best=None, candidate_count=0, feasible_count=0),
         dict(b_baseline_mbps=0.0, b_best_mbps=0.0, b_achieved_mbps=0.0, gamma=None,
              chose_best=None),
@@ -162,6 +168,11 @@ class TestClientEpochRecord:
         (dict(gamma=5.0), "gamma"),
         (dict(gamma=-1.0), "gamma"),
         (dict(gamma=math.nan), "gamma"),
+        (dict(gamma=0.5), "gamma"),
+        (dict(gamma=1.0, chose_best=False, b_achieved_mbps=8.0), "chose_best"),
+        (dict(chose_best=True), "chose_best"),
+        (dict(candidate_count=0, feasible_count=0), "gamma"),
+        (dict(gamma=None, chose_best=None), "gamma"),
     ])
     def test_rejects_a_broken_invariant_naming_its_field(self, changes, field):
         with pytest.raises(ValidationError, match=field):
@@ -169,10 +180,12 @@ class TestClientEpochRecord:
 
 
 class TestEpochRecord:
-    def _epoch(self, *client_ids):
-        return EpochRecord(epoch_t=0, objective_mbps=0.0, assignments={},
-                           clients=tuple(map(client_record, client_ids)),
-                           server_load_rates={}, n_active=len(client_ids))
+    def _epoch(self, *client_ids, **changes):
+        values = dict(epoch_t=0, objective_mbps=0.0,
+                      assignments={c: Assignment("s1", 6.0, 2.0) for c in client_ids},
+                      clients=tuple(map(client_record, client_ids)),
+                      server_load_rates={}, n_active=len(client_ids))
+        return EpochRecord(**{**values, **changes})
 
     def test_accepts_ascending_clients(self):
         assert len(self._epoch("c1", "c2", "c3").clients) == 3
@@ -181,6 +194,20 @@ class TestEpochRecord:
     def test_rejects_clients_out_of_order_or_twice(self, client_ids):
         with pytest.raises(ValidationError, match="client ids must ascend strictly"):
             self._epoch(*client_ids)
+
+    def test_rejects_an_n_active_that_is_not_the_client_count(self):
+        with pytest.raises(ValidationError, match="n_active must be the number of client records"):
+            self._epoch("c1", "c2", n_active=3)
+
+    @pytest.mark.parametrize("assignments", [
+        {"c1": Assignment("s1", 6.0, 2.0)},
+        {"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s2", 6.0, 2.0)},
+        {"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s1", 6.0, 2.0),
+         "c3": Assignment("s1", 6.0, 2.0)},
+    ], ids=["one-left-out", "another-server", "one-too-many"])
+    def test_rejects_assignments_that_are_not_the_records_servers(self, assignments):
+        with pytest.raises(ValidationError, match="is assigned to"):
+            self._epoch("c1", "c2", assignments=assignments)
 
 
 def three_candidate_batch():
