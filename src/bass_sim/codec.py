@@ -2,7 +2,8 @@
 
 A file format is written down once, as dataclasses. `save_json` writes an
 instance as JSON text, one key per field; `decode` rebuilds it from the
-field annotations and checks every value on the way.
+field annotations and checks every value on the way, down to a derived
+(`init=False`) field, which must equal what the class derives.
 """
 
 from __future__ import annotations
@@ -41,10 +42,13 @@ class _Mismatch(Exception):
         self.path: list[str] = []
 
 
-def _expected(what: str, value) -> _Mismatch:
+def _short(value) -> str:
     text = repr(value)
-    text = text if len(text) <= 40 else text[:37] + "..."
-    return _Mismatch(f"expected {what}, got {type(value).__name__} {text}")
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _expected(what: str, value) -> _Mismatch:
+    return _Mismatch(f"expected {what}, got {type(value).__name__} {_short(value)}")
 
 
 def _unwind(bad: _Mismatch, item, key) -> _Mismatch:
@@ -97,14 +101,16 @@ def _read_enum(tp: type[Enum], data):
 
 
 def _read_dataclass(cls: type, fields: dict, data):
+    """Build `cls` from its init fields, then compare each derived field with
+    `data`'s in declaration order; a mapping's names its first differing key."""
     if type(data) is not dict:
         raise _expected("an object", data)
     if data.keys() != fields.keys():
         if data.keys() - fields.keys():
             raise _Mismatch(f"unknown field(s) {sorted(data.keys() - fields.keys())!r}")
         raise _Mismatch(f"missing field(s) {sorted(fields.keys() - data.keys())!r}")
-    values = {}
-    for name, (plain, read_field) in fields.items():
+    values, derived = {}, []
+    for name, (plain, read_field, init) in fields.items():
         item = data[name]
         if type(item) is not plain:  # a scalar of its annotated type skips the call
             try:
@@ -112,11 +118,25 @@ def _read_dataclass(cls: type, fields: dict, data):
             except _Mismatch as bad:
                 bad.path.append(f".{name}")
                 raise
-        values[name] = item
+        if init:
+            values[name] = item
+        else:
+            derived.append((name, item))
     try:
-        return cls(**values)
+        built = cls(**values)
     except ValidationError as exc:
         raise _Mismatch(str(exc)) from None
+    for name, item in derived:
+        own = getattr(built, name)
+        if own != item:
+            path = f".{name}"
+            if isinstance(own, Mapping):
+                key = min(k for k in own.keys() | item.keys() if own.get(k) != item.get(k))
+                own, item, path = own.get(key), item.get(key), f"{path}[{key!r}]"
+            bad = _Mismatch(f"expected {_short(own)} from the other fields, got {_short(item)}")
+            bad.path.append(path)
+            raise bad
+    return built
 
 
 @cache
@@ -137,8 +157,8 @@ def _reader(tp):
         return partial(_read_enum, tp)
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        fields = {n: (hints[n] if hints[n] in _SCALARS else None, _reader(hints[n]))
-                  for n in _field_names(tp)}
+        fields = {f.name: (hints[f.name] if hints[f.name] in _SCALARS else None,
+                           _reader(hints[f.name]), f.init) for f in dataclasses.fields(tp)}
         return partial(_read_dataclass, tp, fields)
     raise TypeError(f"no JSON codec for annotation {tp!r}")
 

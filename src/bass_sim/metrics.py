@@ -108,7 +108,7 @@ class SummaryFold:
     """
 
     def __init__(self) -> None:
-        self.epochs = self.client_epochs = self.with_candidates = 0
+        self.client_epochs = self.with_candidates = 0
         self.hits = self.dead_direct = 0
         self.gammas: list[float] = []
         self.multipliers_filtered: list[float] = []
@@ -132,7 +132,6 @@ class SummaryFold:
                     filtered.append(multiplier)
             else:
                 dead_direct += 1
-        self.epochs += 1
         self.client_epochs += len(record.clients)
         self.hits += hits
         self.with_candidates += with_candidates
@@ -159,7 +158,7 @@ class SummaryFold:
         filtered.clear()
         return SummaryReport(
             policy=policy,
-            epochs=self.epochs,
+            epochs=len(self.objectives),
             client_epochs=self.client_epochs,
             records_with_candidates=self.with_candidates,
             no_candidate_records=self.client_epochs - self.with_candidates,

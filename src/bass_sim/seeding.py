@@ -14,7 +14,15 @@ import random
 
 from _blake2 import blake2b  # hashlib also loads OpenSSL; random.py takes _sha512 the same way
 
+from .errors import ValidationError
+
 _SEED_BYTES = 8
+
+
+def check_seed(seed) -> None:
+    """Refuse a master seed that is not a 64-bit unsigned `int` (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def _label_bytes(labels) -> bytes:

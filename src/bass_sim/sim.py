@@ -14,8 +14,11 @@ best bandwidth it could have obtained this epoch, where the always-available
 direct path counts as one of the options next to the capacity-feasible
 candidate servers. A client that is correctly left on its direct path (no
 candidate beats it) therefore scores 1.0. Rates lie in [0, 1]: one can
-underflow to 0.0 at an extreme `direct_path_factor`. Records are a pure
-function of (scenario, config): running twice yields identical records.
+underflow to 0.0 at an extreme `direct_path_factor`. `run_epoch` records
+only what it measured; each record derives the rest (a client's gain and
+hit rate, an epoch's plan), so a run and a records file that `report`
+reads derive them alike. Records are a pure function of (scenario,
+config): running twice yields identical records.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .scheduler import (
     solve_exact,
     solve_greedy,
 )
-from .seeding import SeededStream, derive_seed, rng_for
+from .seeding import SeededStream, check_seed, derive_seed, rng_for
 from .topology import DistanceDecayNetwork, Scenario, candidate_subset, sample_client
 
 @dataclass(frozen=True)
@@ -115,8 +118,7 @@ class SimConfig:
             raise ValidationError(
                 f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICIES)}"
             )
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
         if not (0 <= self.arrival_rate <= MAX_ARRIVAL_RATE):
             raise ValidationError(
                 f"arrival_rate must be in [0, {MAX_ARRIVAL_RATE:g}], got {self.arrival_rate!r}"
@@ -137,21 +139,14 @@ class SimConfig:
             raise ValidationError(f"exact_cap must be >= 1, got {self.exact_cap!r}")
 
 
-def _hit_rate(candidate_count: int, achieved: float,
-              best: float) -> tuple[float | None, bool | None]:
-    """A client's `gamma` and `chose_best`: `achieved / best` and whether
-    `achieved == best`, or both None when it had no candidate server or
-    either bandwidth is 0."""
-    if candidate_count and best > 0 and achieved > 0:
-        return achieved / best, achieved == best
-    return None, None
-
-
 @dataclass(frozen=True, slots=True)
 class ClientEpochRecord:
     """Per-client outcome of one epoch, checked alike when a run builds it
-    and when `metrics.load_records` reads it: `gamma` and `chose_best` are
-    what `_hit_rate` derives from the other fields."""
+    and when `metrics.load_records` reads it. The last three fields derive
+    from the others: `gain_mbps` is achieved less baseline, and `gamma` and
+    `chose_best` are `achieved / best` and whether `achieved == best`, or
+    both None when the client had no candidate server or either bandwidth
+    is 0."""
 
     client_id: str
     server_id: str | None
@@ -160,63 +155,53 @@ class ClientEpochRecord:
     b_baseline_mbps: float
     b_best_mbps: float
     b_achieved_mbps: float
-    gain_mbps: float
-    gamma: float | None
-    chose_best: bool | None
+    gain_mbps: float = field(init=False)
+    gamma: float | None = field(init=False)
+    chose_best: bool | None = field(init=False)
 
     def __post_init__(self) -> None:
-        best, gamma = self.b_best_mbps, self.gamma
+        best, achieved = self.b_best_mbps, self.b_achieved_mbps
         if not 0 <= self.feasible_count <= self.candidate_count:
             raise ValidationError(f"need 0 <= feasible_count <= candidate_count, got "
                                   f"{self.feasible_count!r}, {self.candidate_count!r}")
         if not 0 <= self.b_baseline_mbps <= best < math.inf:
             raise ValidationError(f"need 0 <= b_baseline_mbps <= b_best_mbps < inf, got "
                                   f"{self.b_baseline_mbps!r}, {best!r}")
-        if not 0 <= self.b_achieved_mbps <= best:
+        if not 0 <= achieved <= best:
             raise ValidationError(f"need 0 <= b_achieved_mbps <= b_best_mbps, got "
-                                  f"{self.b_achieved_mbps!r}, {best!r}")
-        if (gamma is None) is not (self.chose_best is None):
-            raise ValidationError(f"gamma and chose_best must be null together, got "
-                                  f"{gamma!r}, {self.chose_best!r}")
-        if gamma is not None and not 0 <= gamma <= 1:
-            raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
-        rated = _hit_rate(self.candidate_count, self.b_achieved_mbps, best)
-        if (gamma, self.chose_best) != rated:
-            raise ValidationError(f"gamma and chose_best must be {rated[0]!r}, {rated[1]!r} for "
-                                  f"their candidate_count, b_achieved_mbps and b_best_mbps, got "
-                                  f"{gamma!r}, {self.chose_best!r}")
+                                  f"{achieved!r}, {best!r}")
+        scored = self.candidate_count and best > 0 and achieved > 0
+        object.__setattr__(self, "gain_mbps", achieved - self.b_baseline_mbps)
+        object.__setattr__(self, "gamma", achieved / best if scored else None)
+        object.__setattr__(self, "chose_best", achieved == best if scored else None)
 
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One epoch's outcome: the applied plan's objective and assignments, and
-    its per-client records, in strictly ascending client id order, as
-    `run_epoch` writes them. It is also one epoch of records.json. There is
-    one client record per active client, and the assignments are exactly
-    the records' non-null `server_id`s."""
+    """One epoch's outcome: its per-client records, in strictly ascending
+    client id order, one per active client, as `run_epoch` writes them, and
+    the relays' load rates. It is also one epoch of records.json. The plan
+    applied derives from the records: `assignments` puts each client with a
+    `server_id` on that server, with its achieved bandwidth as demand and
+    its gain, `objective_mbps` is their running sum of gains (as
+    `AllocationPlan` takes it) and `n_active` counts the records."""
 
     epoch_t: int
-    objective_mbps: float
-    assignments: Mapping[str, Assignment]
     clients: tuple[ClientEpochRecord, ...]
     server_load_rates: Mapping[str, float]
-    n_active: int
+    assignments: Mapping[str, Assignment] = field(init=False)
+    objective_mbps: float = field(init=False)
+    n_active: int = field(init=False)
 
     def __post_init__(self) -> None:
         for prev, cur in itertools.pairwise(c.client_id for c in self.clients):
             if not prev < cur:
                 raise ValidationError(f"client ids must ascend strictly: {cur!r} after {prev!r}")
-        if self.n_active != len(self.clients):
-            raise ValidationError(f"n_active must be the number of client records, "
-                                  f"{len(self.clients)}, got {self.n_active!r}")
-        served = {c.client_id: c.server_id for c in self.clients if c.server_id is not None}
-        assigned = {client_id: a.server_id for client_id, a in self.assignments.items()}
-        if served != assigned:
-            client_id = min(k for k in served.keys() | assigned.keys()
-                            if served.get(k) != assigned.get(k))
-            raise ValidationError(f"client {client_id!r} is assigned to "
-                                  f"{assigned.get(client_id)!r} but its record says server_id "
-                                  f"{served.get(client_id)!r}")
+        plan = AllocationPlan({c.client_id: Assignment(c.server_id, c.b_achieved_mbps, c.gain_mbps)
+                               for c in self.clients if c.server_id is not None})
+        object.__setattr__(self, "assignments", plan.assignments)
+        object.__setattr__(self, "objective_mbps", plan.objective_mbps)
+        object.__setattr__(self, "n_active", len(self.clients))
 
 
 # Knuth's product method compares against exp(-rate), which underflows to 0
@@ -349,6 +334,7 @@ def run_epoch(state: SimState) -> EpochRecord:
 
     # 7. Per-client records. A left-out entry is feasible and never beats
     #    the baseline, so it counts as feasible and leaves `b_best` alone.
+    #    The record derives the plan's assignments and objective back.
     records = []
     for client_id in client_ids:
         baseline = baselines[client_id]
@@ -356,17 +342,10 @@ def run_epoch(state: SimState) -> EpochRecord:
         candidate_count = offered.get(client_id, 0)
         feasible = [e for e in group if e.b_via_mbps <= usable[e.server_id]]
         assignment = plan.assignments.get(client_id)
-        if assignment is not None:
-            achieved = assignment.demand_mbps
-            gain = assignment.gain_mbps
-        else:
-            achieved = baseline
-            gain = 0.0
         b_best = baseline
         for e in feasible:
             if e.b_via_mbps > b_best:
                 b_best = e.b_via_mbps
-        gamma, chose_best = _hit_rate(candidate_count, achieved, b_best)
         records.append(
             ClientEpochRecord(
                 client_id=client_id,
@@ -375,21 +354,12 @@ def run_epoch(state: SimState) -> EpochRecord:
                 feasible_count=len(feasible) + candidate_count - len(group),
                 b_baseline_mbps=baseline,
                 b_best_mbps=b_best,
-                b_achieved_mbps=achieved,
-                gain_mbps=gain,
-                gamma=gamma,
-                chose_best=chose_best,
+                b_achieved_mbps=assignment.demand_mbps if assignment is not None else baseline,
             )
         )
 
-    record = EpochRecord(
-        epoch_t=t,
-        objective_mbps=plan.objective_mbps,
-        assignments=plan.assignments,
-        clients=tuple(records),
-        server_load_rates=state.ledger.load_rates(),
-        n_active=len(state.active),
-    )
+    record = EpochRecord(epoch_t=t, clients=tuple(records),
+                         server_load_rates=state.ledger.load_rates())
     state.epoch += 1
     return record
 

@@ -31,7 +31,7 @@ from .model import (
     LinkKind,
     OriginServer,
 )
-from .seeding import SeededStream, rng_for
+from .seeding import SeededStream, check_seed, rng_for
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -179,8 +179,7 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
         if not self.origins:
             raise ValidationError("scenario needs at least one origin server")
         if not self.agg_servers:

@@ -298,15 +298,6 @@ MALFORMED_RECORDS = {
     "epoch-t-5000-digits": (b'{"epochs": [{"epoch_t": ' + b"1" * 5000 + b"}]}",
                             "not readable as UTF-8 JSON"),
     # Well-typed values that break a record's invariants.
-    "gamma-above-one": (_set(["epochs", 0, "clients", 0, "gamma"], 5.0),
-                        "records.epochs[0].clients[0]: gamma must be in [0, 1], got 5.0"),
-    "gamma-negative": (_set(["epochs", 0, "clients", 0, "gamma"], -1.0),
-                       "records.epochs[0].clients[0]: gamma must be in [0, 1], got -1.0"),
-    "gamma-nan": (_set(["epochs", 0, "clients", 1, "gamma"], math.nan),
-                  "records.epochs[0].clients[1]: gamma must be in [0, 1], got nan"),
-    "gamma-without-chose-best": (
-        _set(["epochs", 1, "clients", 0, "chose_best"], None),
-        "records.epochs[1].clients[0]: gamma and chose_best must be null together"),
     "baseline-negative": (_set(["epochs", 0, "clients", 0, "b_baseline_mbps"], -1),
                           "records.epochs[0].clients[0]: need 0 <= b_baseline_mbps"),
     "baseline-nan": (_set(["epochs", 1, "clients", 2, "b_baseline_mbps"], math.nan),
@@ -321,24 +312,48 @@ MALFORMED_RECORDS = {
         lambda data: data["epochs"][1]["clients"].insert(1, data["epochs"][1]["clients"][0]),
         "records.epochs[1]: client ids must ascend strictly: 'c0000' after 'c0000'"),
     # Derived fields that do not match what they derive from.
+    "gamma-above-one": (_set(["epochs", 0, "clients", 0, "gamma"], 5.0),
+                        "records.epochs[0].clients[0].gamma: expected 1.0 from the other fields, "
+                        "got 5.0"),
+    "gamma-negative": (_set(["epochs", 0, "clients", 0, "gamma"], -1.0),
+                       "records.epochs[0].clients[0].gamma: expected 1.0 from the other fields, "
+                       "got -1.0"),
+    "gamma-nan": (_set(["epochs", 0, "clients", 1, "gamma"], math.nan),
+                  "records.epochs[0].clients[1].gamma: expected 1.0 from the other fields, got nan"),
+    "gamma-without-chose-best": (
+        _set(["epochs", 1, "clients", 0, "chose_best"], None),
+        "records.epochs[1].clients[0].chose_best: expected True from the other fields, got None"),
     "gamma-off-its-ratio": (_set(["epochs", 0, "clients", 0, "gamma"], 0.5),
-                            "records.epochs[0].clients[0]: gamma and chose_best must be 1.0, True "
-                            "for their candidate_count, b_achieved_mbps and b_best_mbps, got 0.5, True"),
+                            "records.epochs[0].clients[0].gamma: expected 1.0 from the other "
+                            "fields, got 0.5"),
     "chose-best-off-its-bandwidths": (
         _set(["epochs", 1, "clients", 3, "chose_best"], False),
-        "records.epochs[1].clients[3]: gamma and chose_best must be 1.0, True"),
+        "records.epochs[1].clients[3].chose_best: expected True from the other fields, got False"),
     "gamma-without-candidates": (
         _update(["epochs", 0, "clients", 2], candidate_count=0, feasible_count=0),
-        "records.epochs[0].clients[2]: gamma and chose_best must be None, None"),
+        "records.epochs[0].clients[2].gamma: expected None from the other fields, got 1.0"),
+    "gain-off-its-bandwidths": (
+        _set(["epochs", 0, "clients", 0, "gain_mbps"], 4.0),
+        "records.epochs[0].clients[0].gain_mbps: expected 3.384880978931175 from the other "
+        "fields, got 4.0"),
     "n-active-off-by-one": (_set(["epochs", 1, "n_active"], 13),
-                            "records.epochs[1]: n_active must be the number of client records, "
-                            "12, got 13"),
+                            "records.epochs[1].n_active: expected 12 from the other fields, got 13"),
+    "objective-off-its-gains": (
+        _set(["epochs", 0, "objective_mbps"], 1e6),
+        "records.epochs[0].objective_mbps: expected 20.670517471222603 from the other fields, "
+        "got 1000000.0"),
+    "assignment-off-its-record": (
+        _set(["epochs", 0, "assignments", "c0004", "demand_mbps"], 9.0),
+        "records.epochs[0].assignments['c0004']: expected Assignment(server_id='s0003', "
+        "demand_... from the other fields, got Assignment(server_id='s0003', demand_..."),
     "assignment-without-its-record": (
         _set(["epochs", 0, "clients", 4, "server_id"], None),
-        "records.epochs[0]: client 'c0004' is assigned to 's0003' but its record says server_id None"),
+        "records.epochs[0].assignments['c0004']: expected None from the other fields, "
+        "got Assignment(server_id='s0003', demand_..."),
     "record-without-its-assignment": (
         _set(["epochs", 1, "clients", 11, "server_id"], "s0000"),
-        "records.epochs[1]: client 'c0011' is assigned to None but its record says server_id 's0000'"),
+        "records.epochs[1].assignments['c0011']: expected Assignment(server_id='s0000', "
+        "demand_... from the other fields, got None"),
 }
 
 

@@ -3,7 +3,7 @@ import gc
 import json
 import math
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from bass_sim.codec import decode, save_json
 from bass_sim.errors import RecordsFormatError, ScenarioFormatError, ValidationError
 from bass_sim.metrics import _RecordsFile, emit_report, load_records, save_records, summarize
-from bass_sim.model import LinkKind
+from bass_sim.model import GainEntry, LinkKind
+from bass_sim.scheduler import AllocationPlan
 from bass_sim.sim import SimConfig, run_simulation
 from bass_sim.topology import generate_scenario, load_scenario
 
@@ -75,6 +76,42 @@ def test_mismatch_names_the_path(path, value, message):
     with pytest.raises(ValidationError) as exc:
         decode(Tree, data, "tree", ValidationError)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, data, field, derived", [
+    (GainEntry, {"client_id": "c1", "server_id": "s1", "b_via_mbps": 5.0, "b_baseline_mbps": 1.5},
+     "gain_mbps", 3.5),
+    (AllocationPlan, {"assignments": {"c2": {"server_id": "s1", "demand_mbps": 4.0,
+                                             "gain_mbps": 0.25},
+                                      "c1": {"server_id": "s2", "demand_mbps": 5.0,
+                                             "gain_mbps": 1.5}}},
+     "objective_mbps", 1.75),
+], ids=["gain-entry", "allocation-plan"])
+def test_a_derived_field_must_equal_what_the_class_derives(cls, data, field, derived):
+    # Neither class is a file's; the rule is the codec's, for every dataclass.
+    built = decode(cls, {**data, field: derived}, "x", ValidationError)
+    assert getattr(built, field) == derived and encode(built) == {**data, field: derived}
+    with pytest.raises(ValidationError) as exc:
+        decode(cls, {**data, field: derived + 1.0}, "x", ValidationError)
+    assert str(exc.value) == f"x.{field}: expected {derived!r} from the other fields, got {derived + 1.0!r}"
+    with pytest.raises(ValidationError, match=rf"^x: missing field\(s\) \['{field}'\]$"):
+        decode(cls, data, "x", ValidationError)
+
+
+def test_a_derived_mismatch_is_named_in_declaration_order():
+    @dataclass(frozen=True)
+    class Doubled:
+        value: float
+        twice: float = field(init=False)
+        squared: float = field(init=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "twice", 2 * self.value)
+            object.__setattr__(self, "squared", self.value ** 2)
+
+    data = {"squared": 10.0, "twice": 10.0, "value": 3.0}  # both off; file order is not the rule
+    with pytest.raises(ValidationError, match=r"^d\.twice: expected 6\.0 from the other fields"):
+        decode(Doubled, data, "d", ValidationError)
 
 
 def _paths(node, prefix=()):

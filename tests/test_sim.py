@@ -7,7 +7,8 @@ from types import MappingProxyType
 import pytest
 
 from bass_sim import sim, topology
-from bass_sim.errors import BatchTooLargeError, ValidationError
+from bass_sim.codec import decode
+from bass_sim.errors import BatchTooLargeError, RecordsFormatError, ValidationError
 from bass_sim.model import (
     AggregationServer,
     BBoxClient,
@@ -45,7 +46,13 @@ from bass_sim.topology import (
     path_bandwidth,
 )
 
-from oracles import baseline_every_link, brute_force_optimum, contended_batch, measure_every_link
+from oracles import (
+    baseline_every_link,
+    brute_force_optimum,
+    contended_batch,
+    encode,
+    measure_every_link,
+)
 
 
 def flat_params(base=100.0, direct_factor=1.0):
@@ -130,6 +137,15 @@ class TestSimConfig:
             with pytest.raises(ValidationError, match="arrival_rate"):
                 SimConfig(arrival_rate=bad)
 
+    @pytest.mark.parametrize("seed", [2.7, 3.0, False, -1, 2**64, "2"])
+    def test_rejects_a_seed_that_is_not_a_64_bit_unsigned_int(self, seed):
+        # A float seed once ran as the integer below it.
+        with pytest.raises(ValidationError, match="seed must be a 64-bit unsigned integer"):
+            SimConfig(seed=seed)
+
+    def test_accepts_the_seed_range_ends(self):
+        assert [SimConfig(seed=s).seed for s in (0, 2**64 - 1)] == [0, 2**64 - 1]
+
     def test_epochs_zero_allowed(self):
         assert SimConfig(epochs=0).epochs == 0
 
@@ -137,21 +153,31 @@ class TestSimConfig:
 def client_record(client_id="c1", **changes):
     """A scored record of a client that achieved 6 of a best 8 Mbit/s."""
     values = dict(client_id=client_id, server_id="s1", candidate_count=2, feasible_count=1,
-                  b_baseline_mbps=4.0, b_best_mbps=8.0, b_achieved_mbps=6.0, gain_mbps=2.0,
-                  gamma=0.75, chose_best=False)
+                  b_baseline_mbps=4.0, b_best_mbps=8.0, b_achieved_mbps=6.0)
     return ClientEpochRecord(**{**values, **changes})
 
 
-class TestClientEpochRecord:
-    @pytest.mark.parametrize("changes", [
-        dict(gamma=0.0, b_achieved_mbps=5e-324), dict(gamma=1.0, chose_best=True, b_achieved_mbps=8.0),
-        dict(gamma=None, chose_best=None, candidate_count=0, feasible_count=0),
-        dict(b_baseline_mbps=0.0, b_best_mbps=0.0, b_achieved_mbps=0.0, gamma=None,
-             chose_best=None),
-    ], ids=["gamma-underflowed", "best", "no-candidate", "no-bandwidth"])
-    def test_accepts_the_boundaries(self, changes):
-        assert client_record(**changes).gamma == changes.get("gamma", 0.75)
+def _decoded(cls, record, **changes):
+    """`record` encoded, with `changes` made to the data, decoded as a `cls`."""
+    return decode(cls, {**encode(record), **changes}, "record", RecordsFormatError)
 
+
+class TestClientEpochRecord:
+    @pytest.mark.parametrize("changes, derived", [
+        (dict(b_achieved_mbps=5e-324), (5e-324 - 4.0, 0.0, False)),
+        (dict(b_achieved_mbps=8.0), (4.0, 1.0, True)),
+        (dict(candidate_count=0, feasible_count=0), (2.0, None, None)),
+        (dict(b_baseline_mbps=0.0, b_best_mbps=0.0, b_achieved_mbps=0.0), (0.0, None, None)),
+        ({}, (2.0, 0.75, False)),
+        (dict(server_id=None, b_achieved_mbps=4.0), (0.0, 0.5, False)),
+    ], ids=["gamma-underflowed", "best", "no-candidate", "no-bandwidth", "scored", "direct"])
+    def test_accepts_the_boundaries(self, changes, derived):
+        record = client_record(**changes)
+        assert (record.gain_mbps, record.gamma, record.chose_best) == derived
+        assert _decoded(ClientEpochRecord, record) == record
+
+    # Each case changes the file copy of `client_record()`: a measured
+    # field the record refuses, or a derived one off its rule.
     @pytest.mark.parametrize("changes, field", [
         (dict(candidate_count=-5), "candidate_count"),
         (dict(feasible_count=3), "feasible_count"),
@@ -164,31 +190,44 @@ class TestClientEpochRecord:
         (dict(b_achieved_mbps=-0.5), "b_achieved_mbps"),
         (dict(b_achieved_mbps=8.5), "b_achieved_mbps"),
         (dict(chose_best=None), "chose_best"),
-        (dict(gamma=None), "chose_best"),
+        (dict(gamma=None), "gamma"),
         (dict(gamma=5.0), "gamma"),
         (dict(gamma=-1.0), "gamma"),
         (dict(gamma=math.nan), "gamma"),
         (dict(gamma=0.5), "gamma"),
-        (dict(gamma=1.0, chose_best=False, b_achieved_mbps=8.0), "chose_best"),
+        (dict(b_achieved_mbps=8.0, gain_mbps=4.0, gamma=1.0, chose_best=False), "chose_best"),
         (dict(chose_best=True), "chose_best"),
         (dict(candidate_count=0, feasible_count=0), "gamma"),
         (dict(gamma=None, chose_best=None), "gamma"),
+        (dict(gain_mbps=2.5), "gain_mbps"),
     ])
     def test_rejects_a_broken_invariant_naming_its_field(self, changes, field):
-        with pytest.raises(ValidationError, match=field):
-            client_record(**changes)
+        with pytest.raises(RecordsFormatError, match=rf"^record: .*{field}|^record\.{field}: "):
+            _decoded(ClientEpochRecord, client_record(), **changes)
+
+    def test_derived_fields_are_not_constructor_arguments(self):
+        for name in ("gain_mbps", "gamma", "chose_best"):
+            with pytest.raises(TypeError):
+                client_record(**{name: 0.0})
 
 
 class TestEpochRecord:
     def _epoch(self, *client_ids, **changes):
-        values = dict(epoch_t=0, objective_mbps=0.0,
-                      assignments={c: Assignment("s1", 6.0, 2.0) for c in client_ids},
-                      clients=tuple(map(client_record, client_ids)),
-                      server_load_rates={}, n_active=len(client_ids))
+        values = dict(epoch_t=0, clients=tuple(map(client_record, client_ids)),
+                      server_load_rates={})
         return EpochRecord(**{**values, **changes})
 
     def test_accepts_ascending_clients(self):
         assert len(self._epoch("c1", "c2", "c3").clients) == 3
+
+    def test_derives_the_plan_from_its_records(self):
+        clients = (client_record("c1", b_achieved_mbps=8.0), client_record("c2", server_id=None,
+                   b_achieved_mbps=4.0), client_record("c3", server_id="s2"))
+        epoch = self._epoch(clients=clients)
+        assert epoch.assignments == {"c1": Assignment("s1", 8.0, 4.0),
+                                     "c3": Assignment("s2", 6.0, 2.0)}
+        assert epoch.objective_mbps == 6.0 and epoch.n_active == 3
+        assert _decoded(EpochRecord, epoch) == epoch
 
     @pytest.mark.parametrize("client_ids", [("c2", "c1"), ("c1", "c3", "c3")])
     def test_rejects_clients_out_of_order_or_twice(self, client_ids):
@@ -196,18 +235,26 @@ class TestEpochRecord:
             self._epoch(*client_ids)
 
     def test_rejects_an_n_active_that_is_not_the_client_count(self):
-        with pytest.raises(ValidationError, match="n_active must be the number of client records"):
-            self._epoch("c1", "c2", n_active=3)
+        with pytest.raises(RecordsFormatError,
+                           match=r"^record\.n_active: expected 2 from the other fields, got 3$"):
+            _decoded(EpochRecord, self._epoch("c1", "c2"), n_active=3)
 
-    @pytest.mark.parametrize("assignments", [
-        {"c1": Assignment("s1", 6.0, 2.0)},
-        {"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s2", 6.0, 2.0)},
-        {"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s1", 6.0, 2.0),
-         "c3": Assignment("s1", 6.0, 2.0)},
-    ], ids=["one-left-out", "another-server", "one-too-many"])
-    def test_rejects_assignments_that_are_not_the_records_servers(self, assignments):
-        with pytest.raises(ValidationError, match="is assigned to"):
-            self._epoch("c1", "c2", assignments=assignments)
+    def test_rejects_an_objective_that_is_not_the_sum_of_gains(self):
+        with pytest.raises(RecordsFormatError, match=r"^record\.objective_mbps: expected 4\.0 "):
+            _decoded(EpochRecord, self._epoch("c1", "c2"), objective_mbps=5.0)
+
+    @pytest.mark.parametrize("assignments, client_id", [
+        ({"c1": Assignment("s1", 6.0, 2.0)}, "c2"),
+        ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s2", 6.0, 2.0)}, "c2"),
+        ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s1", 6.0, 2.0),
+          "c3": Assignment("s1", 6.0, 2.0)}, "c3"),
+        ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s1", 7.0, 2.0)}, "c2"),
+        ({"c1": Assignment("s1", 6.0, 2.5), "c2": Assignment("s1", 6.0, 2.0)}, "c1"),
+    ], ids=["one-left-out", "another-server", "one-too-many", "another-demand", "another-gain"])
+    def test_rejects_assignments_that_are_not_the_records_servers(self, assignments, client_id):
+        with pytest.raises(RecordsFormatError,
+                           match=rf"^record\.assignments\['{client_id}'\]: expected "):
+            _decoded(EpochRecord, self._epoch("c1", "c2"), assignments=encode(assignments))
 
 
 def three_candidate_batch():

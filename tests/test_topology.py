@@ -174,6 +174,16 @@ class TestGenerateScenario:
         with pytest.raises(ValidationError):
             generate_scenario(1, 0, 1, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64, "1"])
+    def test_rejects_a_seed_that_is_not_a_64_bit_unsigned_int(self, seed):
+        # A float seed once built seed 1's clients and saved a file that did not load.
+        with pytest.raises(ValidationError, match="seed must be a 64-bit unsigned integer"):
+            generate_scenario(3, 2, 2, seed=seed)
+
+    def test_accepts_the_seed_range_ends(self):
+        for seed in (0, 2**64 - 1):
+            assert generate_scenario(3, 2, 2, seed=seed).seed == seed
+
     def test_client_sampling_is_per_index(self):
         # Client i does not depend on how many clients exist around it.
         small = generate_scenario(3, 2, 2, seed=5)
