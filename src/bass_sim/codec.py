@@ -102,7 +102,8 @@ def _read_enum(tp: type[Enum], data):
 
 def _read_dataclass(cls: type, fields: dict, data):
     """Build `cls` from its init fields, then compare each derived field with
-    `data`'s in declaration order; a mapping's names its first differing key."""
+    `data`'s in declaration order, naming a mapping's first differing key,
+    then the first differing field of a dataclass that both values are."""
     if type(data) is not dict:
         raise _expected("an object", data)
     if data.keys() != fields.keys():
@@ -133,6 +134,10 @@ def _read_dataclass(cls: type, fields: dict, data):
             if isinstance(own, Mapping):
                 key = min(k for k in own.keys() | item.keys() if own.get(k) != item.get(k))
                 own, item, path = own.get(key), item.get(key), f"{path}[{key!r}]"
+            names = _field_names(type(own)) if type(own) is type(item) else None
+            if names:
+                name = next(n for n in names if getattr(own, n) != getattr(item, n))
+                own, item, path = getattr(own, name), getattr(item, name), f"{path}.{name}"
             bad = _Mismatch(f"expected {_short(own)} from the other fields, got {_short(item)}")
             bad.path.append(path)
             raise bad

@@ -19,13 +19,13 @@ requesting client's group can then be empty. The batch orders only its
 clients, by id; each solver orders the entries it walks.
 
 Two solvers are provided. `solve_exact` searches all assignments
-(depth-first, results identical to full enumeration) and is capped at a
-small client count. It prunes with two admissible bounds: each remaining
-client's best gain, and the Lagrangian relaxation of the relay capacities
-(Ross & Soland 1975; Fisher 1981), with relay prices from a few root
-subgradient steps (Held & Karp 1971). The bounds only decide what is
-pruned: both carry a float slack and never prune a tie, so the prices
-cannot change the plan. `solve_greedy` scans
+(depth-first, best gains first; the plan full enumeration returns) and is
+capped at a small client count. It prunes with two admissible bounds: each
+remaining client's best gain, and the Lagrangian relaxation of the relay
+capacities (Ross & Soland 1975; Fisher 1981), with relay prices from a few
+root subgradient steps (Held & Karp 1971). Both bounds carry a float slack
+and never prune a tie, and ties are settled at the leaves, so neither the
+order nor the prices can change the plan. `solve_greedy` scans
 candidate pairs in globally descending gain order and is the production
 path; `random_policy` is the uniform baseline both are compared against.
 Each solver picks at most one gain entry per client, and one builder turns
@@ -34,12 +34,12 @@ names each policy, the solver call that serves it, and whether that
 solver reads entries that cannot gain. Determinism
 contract: identical inputs produce identical plans, including tie-breaks
 (gain ties resolve by client id, then server id; equal objectives resolve
-to the lexicographically smallest assignment vector, the first optimum in
-the exact search's walk).
+to the lexicographically smallest assignment vector, unassigned before any
+server, which the exact search compares at each leaf it reaches).
 
 Objectives are floats; every objective in this module is computed as the
 running sum of chosen gains in client-id order, so equal plans always
-produce bit-equal objectives.
+produce bit-equal objectives; the exact search also checks fit in that order.
 """
 
 from __future__ import annotations
@@ -283,28 +283,36 @@ def _capacity_prices(
     return best_prices
 
 
+def _fits(picks: Iterable[tuple[str, float]], usable: Mapping[str, float]) -> bool:
+    """Whether (server id, demand) picks, subtracted in client-id order, fit `usable`."""
+    left = dict(usable)
+    for server_id, demand in picks:
+        if demand > left[server_id]:
+            return False
+        left[server_id] -= demand
+    return True
+
+
 def solve_exact(
     batch: RequestBatch,
     usable: Mapping[str, float],
     *,
     client_cap: int = DEFAULT_EXACT_CAP,
 ) -> AllocationPlan:
-    """Optimal assignment under each server's `usable` capacity, by
-    exhaustive search over all feasible plans.
+    """The plan full enumeration returns under each server's `usable`
+    capacity, found by branch and bound.
 
-    Depth-first over clients in id order, each client's options walked as
-    full enumeration walks them: unassigned first, then by server id. Each
-    client's positive-gain options are sorted by server id once, and the
-    capacity prices and the search both walk that list. The search is
-    pruned by two admissible upper bounds on what a path can still reach:
-    its objective plus each remaining client's best gain, and its reduced
-    objective plus the Lagrangian bound of `_capacity_prices` over the
-    remaining clients. Both carry a slack so float rounding can never prune
-    a plan that ties or beats the incumbent, which keeps the result
-    identical to brute-force enumeration. Leaves come in lexicographic order
-    of the assignment vector, so the first optimum found, the one returned,
-    is the smallest among equal-objective optima. Raises BatchTooLargeError
-    above `client_cap` clients; use the greedy solver there.
+    Depth-first over the clients with a positive gain, by best gain
+    descending (ties by id), each one's options by gain descending (ties by
+    server id), then unassigned. A path is pruned by two admissible upper
+    bounds, each with a slack so rounding never prunes a tie: its objective
+    plus each remaining client's best gain, and its reduced objective plus
+    the Lagrangian bound of `_capacity_prices` over the remaining clients.
+    A leaf's objective is summed and its demands checked in client-id order;
+    it is kept if it beats the incumbent, or ties it with a smaller
+    assignment vector (unassigned before any server, servers by id), so the
+    order and the prices only decide what is pruned. Raises
+    BatchTooLargeError above `client_cap` clients; use solve_greedy there.
     """
     n = batch.n
     if n > client_cap:
@@ -312,75 +320,77 @@ def solve_exact(
             f"batch has {n} clients, above the exact-solver cap of {client_cap}; "
             "use solve_greedy for batches this size"
         )
-    # Positive-gain candidates only, by server id: a zero or negative gain
-    # can never beat leaving the client unassigned, and unassigned wins the
-    # tie-break.
+    # Positive gains only, best first: a gain <= 0 never beats staying unassigned.
     options = [
-        sorted((e for e in group if e.gain_mbps > 0.0), key=lambda e: e.server_id)
+        sorted((e for e in group if e.gain_mbps > 0.0), key=lambda e: (-e.gain_mbps, e.server_id))
         for group in batch.entries.values()
     ]
-    # Seed the incumbent with the greedy objective; its plan is one of the
-    # leaves below, so the search will recover a plan at least this good.
-    best_objective = solve_greedy(batch, usable).objective_mbps
+    # Seed the incumbent with the greedy plan if it fits in client-id order,
+    # else with the empty plan; either is a leaf below that no bound prunes.
+    greedy = solve_greedy(batch, usable)
+    fits = _fits(((a.server_id, a.demand_mbps) for a in greedy.assignments.values()), usable)
+    best_objective = greedy.objective_mbps if fits else 0.0
     prices = _capacity_prices(options, usable, best_objective)
 
-    # Each option as (entry, server, demand, gain, reduced gain); per
-    # suffix of clients, the sum of best gains and the sum of best
-    # reduced gains, each at least 0 because leaving a client unassigned is
-    # always allowed.
-    priced = [
-        [
-            (e, e.server_id, e.b_via_mbps, e.gain_mbps,
-             e.gain_mbps - prices[e.server_id] * e.b_via_mbps)
-            for e in group
-        ]
-        for group in options
-    ]
-    suffix_bound = [0.0] * (n + 1)
-    priced_bound = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + max([0.0] + [o[3] for o in priced[i]])
-        priced_bound[i] = priced_bound[i + 1] + max([0.0] + [o[4] for o in priced[i]])
-    # Slack for rounding, scaled to the terms summed: ulps, not whole gains.
+    # The stable sort breaks ties in best gain by client id.
+    order = sorted((i for i in range(n) if options[i]), key=lambda i: -options[i][0].gain_mbps)
+    depth = len(order)
+    # Per search position, each option as (entry, server, demand, gain, reduced
+    # gain); per suffix, the sums of best gains and of best reduced gains (>= 0).
+    priced = [[(e, e.server_id, e.b_via_mbps, e.gain_mbps,
+                e.gain_mbps - prices[e.server_id] * e.b_via_mbps) for e in options[i]]
+              for i in order]
+    suffix_bound, priced_bound = [0.0] * (depth + 1), [0.0] * (depth + 1)
+    for k in range(depth - 1, -1, -1):
+        suffix_bound[k] = suffix_bound[k + 1] + priced[k][0][3]
+        priced_bound[k] = priced_bound[k + 1] + max([0.0] + [o[4] for o in priced[k]])
+    # One rounding slack for the whole batch. A bound (search-order sums) and a
+    # leaf's objective (an id-order sum) each round n times at most, over terms
+    # whose sizes sum to at most `charged` plus the best gains, so both are within
+    # 2n·2⁻⁵³ of that sum: under 1e-12 for n ≤ 4,500, and the search recurses
+    # once per client, so Python's recursion limit keeps n far below that.
     charged = sum(prices[sid] * usable[sid] for sid in prices)
     slack = 1e-9 + 1e-12 * (charged + suffix_bound[0])
-    suffix_bound_safe = [b + 1e-9 + 1e-12 * abs(b) for b in suffix_bound]
+    suffix_bound_safe = [b + slack for b in suffix_bound]
     priced_bound_safe = [b + charged + slack for b in priced_bound]
 
     best_choices: list[GainEntry | None] | None = None
+    best_vector = [(2, "")]  # above every assignment vector until a leaf is kept
     choices: list[GainEntry | None] = [None] * n
-    usable = dict(usable)  # what is left of each server; the search writes it
+    # Room for ulps: the search subtracts in its order, a kept leaf fits in id order.
+    left = {sid: u + _FEAS_SLACK * max(1.0, u) for sid, u in usable.items()}
 
-    def dfs(i: int, objective: float, reduced: float) -> None:
-        nonlocal best_objective, best_choices
+    def dfs(k: int, objective: float, reduced: float) -> None:
+        nonlocal best_objective, best_choices, best_vector
         if (
-            objective + suffix_bound_safe[i] < best_objective
-            or reduced + priced_bound_safe[i] < best_objective
+            objective + suffix_bound_safe[k] < best_objective
+            or reduced + priced_bound_safe[k] < best_objective
         ):
             return
-        if i == n:
-            # The first leaf to reach the best objective is the smallest
-            # optimum; one only equal to the greedy incumbent counts until then.
-            if objective > best_objective or (
-                objective == best_objective and best_choices is None
-            ):
-                best_objective = objective
-                best_choices = choices.copy()
+        if k == depth:
+            total = 0.0
+            for entry in choices:
+                if entry is not None:
+                    total += entry.gain_mbps
+            # Keep a fitting leaf that ranks first by objective, then by vector.
+            vector = [(0, "") if e is None else (1, e.server_id) for e in choices]
+            if (-total, vector) < (-best_objective, best_vector) and _fits(
+                    ((e.server_id, e.b_via_mbps) for e in choices if e is not None), usable):
+                best_objective, best_choices, best_vector = total, choices.copy(), vector
             return
-        dfs(i + 1, objective, reduced)  # leave client i unassigned
-        for entry, server_id, demand, gain, entry_reduced in priced[i]:
-            remaining = usable[server_id]
+        i = order[k]
+        for entry, server_id, demand, gain, entry_reduced in priced[k]:
+            remaining = left[server_id]
             if demand <= remaining:
-                usable[server_id] = remaining - demand
+                left[server_id] = remaining - demand
                 choices[i] = entry
-                dfs(i + 1, objective + gain, reduced + entry_reduced)
+                dfs(k + 1, objective + gain, reduced + entry_reduced)
                 choices[i] = None
-                usable[server_id] = remaining
+                left[server_id] = remaining
+        dfs(k + 1, objective, reduced)  # leave client i unassigned
 
     dfs(0, 0.0, 0.0)
     if best_choices is None:
-        # The greedy plan is itself a leaf of this search and its path is
-        # never pruned, so the search always adopts some plan.
         raise AssertionError("exact search finished without adopting a plan")
     return _plan(entry for entry in best_choices if entry is not None)
 

@@ -112,7 +112,7 @@ class SimConfig:
         "flag": "--exact-cap", "help": "client cap for the exact solver"})
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epochs, int) or self.epochs < 0:
+        if type(self.epochs) is not int or self.epochs < 0:
             raise ValidationError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if self.policy not in POLICIES:
             raise ValidationError(
@@ -129,14 +129,14 @@ class SimConfig:
             raise ValidationError(
                 f"session_epochs_mean must be >= 1 or None, got {self.session_epochs_mean!r}"
             )
-        if not isinstance(self.k_candidates, int) or self.k_candidates < 1:
-            raise ValidationError(f"k_candidates must be >= 1, got {self.k_candidates!r}")
+        if type(self.k_candidates) is not int or self.k_candidates < 1:
+            raise ValidationError(f"k_candidates must be an int >= 1, got {self.k_candidates!r}")
         if not (0.0 <= self.load_threshold <= 1.0):
             raise ValidationError(f"load_threshold must be in [0, 1], got {self.load_threshold!r}")
         if not (math.isfinite(self.reserve_mbps) and self.reserve_mbps >= 0):
             raise ValidationError(f"reserve_mbps must be non-negative, got {self.reserve_mbps!r}")
-        if not isinstance(self.exact_cap, int) or self.exact_cap < 1:
-            raise ValidationError(f"exact_cap must be >= 1, got {self.exact_cap!r}")
+        if type(self.exact_cap) is not int or self.exact_cap < 1:
+            raise ValidationError(f"exact_cap must be an int >= 1, got {self.exact_cap!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -143,7 +143,7 @@ class NetModelParams:
                 f"direct_path_factor must be positive, got {self.direct_path_factor!r}"
             )
         wifi, cellular = self.wifi_links_per_client, self.cellular_links_per_client
-        if not (all(isinstance(n, int) and n >= 0 for n in (wifi, cellular))
+        if not (all(type(n) is int and n >= 0 for n in (wifi, cellular))
                 and 1 <= wifi + cellular <= MAX_LINKS_PER_CLIENT):
             raise ValidationError(
                 "wifi_links_per_client and cellular_links_per_client must be non-negative "
@@ -406,7 +406,7 @@ def generate_scenario(
     All servers start idle (remaining = total capacity).
     """
     for name, count in (("n_clients", n_clients), ("m_servers", m_servers), ("k_origins", k_origins)):
-        if not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:
             raise ValidationError(f"{name} must be a positive integer, got {count!r}")
     if not (math.isfinite(server_capacity_mbps) and server_capacity_mbps > 0):
         raise ValidationError(

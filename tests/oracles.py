@@ -6,7 +6,10 @@ the package: it walks the full cartesian product of per-client options
 Like the solvers, it takes each server's usable capacity (remaining
 capacity minus the reserve). Feasibility uses sequential subtraction from
 it in client-id order, the same arithmetic convention the solvers'
-canonical objective uses, so objectives compare exactly. `encode` is the
+canonical objective uses, so objectives compare exactly.
+`lexicographic_exact` is the exact search as it walked clients in id
+order; it shares the capacity prices, greedy incumbent and plan builder
+with the package and serves batches too large to enumerate. `encode` is the
 byte oracle of the JSON writer: `codec.save_json(value, path)` writes
 `json.dumps(encode(value), indent=2, sort_keys=True) + "\n"`. The
 `*_every_link` functions measure as the package did before it read links
@@ -32,7 +35,7 @@ from bass_sim.model import (
     LinkKind,
     OriginServer,
 )
-from bass_sim.scheduler import RequestBatch
+from bass_sim.scheduler import RequestBatch, _capacity_prices, _plan, solve_greedy
 from bass_sim.topology import MAX_LINKS_PER_CLIENT, NetModelParams, Scenario, geo_distance_km
 
 
@@ -90,6 +93,71 @@ def brute_force_optimum(batch, usable):
                 if entry is not None
             }
     return best_objective, best_assignments
+
+
+def lexicographic_exact(batch, usable):
+    """The exact search as it walked before it branched by gain: clients in
+    id order, each client's options unassigned first and then by server id,
+    so leaves come in lexicographic order of the assignment vector and the
+    first optimum found is the smallest. Same greedy incumbent, capacity
+    prices and bounds as `solve_exact`; no client cap. A reference for
+    batches too large to enumerate.
+    """
+    n = batch.n
+    options = [
+        sorted((e for e in group if e.gain_mbps > 0.0), key=lambda e: e.server_id)
+        for group in batch.entries.values()
+    ]
+    best_objective = solve_greedy(batch, usable).objective_mbps
+    prices = _capacity_prices(options, usable, best_objective)
+    priced = [
+        [
+            (e, e.server_id, e.b_via_mbps, e.gain_mbps,
+             e.gain_mbps - prices[e.server_id] * e.b_via_mbps)
+            for e in group
+        ]
+        for group in options
+    ]
+    suffix_bound = [0.0] * (n + 1)
+    priced_bound = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_bound[i] = suffix_bound[i + 1] + max([0.0] + [o[3] for o in priced[i]])
+        priced_bound[i] = priced_bound[i + 1] + max([0.0] + [o[4] for o in priced[i]])
+    charged = sum(prices[sid] * usable[sid] for sid in prices)
+    slack = 1e-9 + 1e-12 * (charged + suffix_bound[0])
+    suffix_bound_safe = [b + 1e-9 + 1e-12 * abs(b) for b in suffix_bound]
+    priced_bound_safe = [b + charged + slack for b in priced_bound]
+
+    best_choices = None
+    choices = [None] * n
+    usable = dict(usable)
+
+    def dfs(i, objective, reduced):
+        nonlocal best_objective, best_choices
+        if (
+            objective + suffix_bound_safe[i] < best_objective
+            or reduced + priced_bound_safe[i] < best_objective
+        ):
+            return
+        if i == n:
+            if objective > best_objective or (
+                objective == best_objective and best_choices is None
+            ):
+                best_objective = objective
+                best_choices = choices.copy()
+            return
+        dfs(i + 1, objective, reduced)
+        for entry, server_id, demand, gain, entry_reduced in priced[i]:
+            remaining = usable[server_id]
+            if demand <= remaining:
+                usable[server_id] = remaining - demand
+                choices[i] = entry
+                dfs(i + 1, objective + gain, reduced + entry_reduced)
+                choices[i] = None
+                usable[server_id] = remaining
+
+    dfs(0, 0.0, 0.0)
+    return _plan(entry for entry in best_choices if entry is not None)
 
 
 def random_instance(rng: random.Random, n_max: int = 4, m_max: int = 4):

@@ -344,8 +344,8 @@ MALFORMED_RECORDS = {
         "got 1000000.0"),
     "assignment-off-its-record": (
         _set(["epochs", 0, "assignments", "c0004", "demand_mbps"], 9.0),
-        "records.epochs[0].assignments['c0004']: expected Assignment(server_id='s0003', "
-        "demand_... from the other fields, got Assignment(server_id='s0003', demand_..."),
+        "records.epochs[0].assignments['c0004'].demand_mbps: expected 4.440788994220907 from "
+        "the other fields, got 9.0"),
     "assignment-without-its-record": (
         _set(["epochs", 0, "clients", 4, "server_id"], None),
         "records.epochs[0].assignments['c0004']: expected None from the other fields, "

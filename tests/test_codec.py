@@ -14,7 +14,7 @@ from bass_sim.codec import decode, save_json
 from bass_sim.errors import RecordsFormatError, ScenarioFormatError, ValidationError
 from bass_sim.metrics import _RecordsFile, emit_report, load_records, save_records, summarize
 from bass_sim.model import GainEntry, LinkKind
-from bass_sim.scheduler import AllocationPlan
+from bass_sim.scheduler import AllocationPlan, Assignment
 from bass_sim.sim import SimConfig, run_simulation
 from bass_sim.topology import generate_scenario, load_scenario
 
@@ -112,6 +112,24 @@ def test_a_derived_mismatch_is_named_in_declaration_order():
     data = {"squared": 10.0, "twice": 10.0, "value": 3.0}  # both off; file order is not the rule
     with pytest.raises(ValidationError, match=r"^d\.twice: expected 6\.0 from the other fields"):
         decode(Doubled, data, "d", ValidationError)
+
+
+def test_a_derived_dataclass_mismatch_names_its_first_differing_field():
+    @dataclass(frozen=True)
+    class Held:
+        server_id: str
+        demand_mbps: float
+        assignment: Assignment = field(init=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "assignment", Assignment(self.server_id, self.demand_mbps, 1.0))
+
+    # Two fields differ; the first in declaration order is named, with both values in full.
+    data = {"server_id": "s1", "demand_mbps": 4.0,
+            "assignment": {"server_id": "s1", "demand_mbps": 9.0, "gain_mbps": 2.0}}
+    with pytest.raises(ValidationError) as exc:
+        decode(Held, data, "h", ValidationError)
+    assert str(exc.value) == "h.assignment.demand_mbps: expected 4.0 from the other fields, got 9.0"
 
 
 def _paths(node, prefix=()):

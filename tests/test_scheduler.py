@@ -32,6 +32,7 @@ from oracles import (
     brute_force_optimum,
     contended_batch,
     lagrangian_bound,
+    lexicographic_exact,
     link_fuzz_scenario,
     links_drawn,
     measure_every_link,
@@ -325,6 +326,65 @@ class TestSolveExact:
             plan = solve_exact(batch, usable)
             assert plan.objective_mbps == expected_obj
             assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
+
+    def test_matches_the_id_order_search_on_large_contended_batches(self):
+        # Too many clients to enumerate; the search that walked clients in id
+        # order, unassigned first, is the reference.
+        rng = random.Random(1990)
+        for _ in range(160):
+            batch, usable = contended_batch(rng, rng.randint(12, 16))
+            expected = lexicographic_exact(batch, usable)
+            plan = solve_exact(batch, usable, client_cap=16)
+            assert plan == expected
+            assert plan.objective_mbps.hex() == expected.objective_mbps.hex()
+
+    def test_order_dependent_rounding_cannot_change_the_plan(self):
+        # Bandwidths on a 0.1 grid give gains such as 0.30000000000000004, whose
+        # sums in gain order and in id order differ in the last bit, and every
+        # batch has clients that share a best gain.
+        ulp_apart = 0
+        for i in range(500):
+            rng = random.Random(i)
+            server_ids = ["s0", "s1", "s2"][: rng.randint(2, 3)]
+            usable = {sid: rng.randint(10, 30) / 10 for sid in server_ids}
+            vias = [rng.randint(2, 14) / 10 for _ in range(3)]
+            entries = {}
+            for c in range(rng.randint(5, 7)):
+                cid = f"c{c}"
+                baseline = rng.choice([0.1, 0.2])
+                entries[cid] = [entry(cid, sid, rng.choice(vias), baseline)
+                                for sid in rng.sample(server_ids, rng.randint(1, len(server_ids)))]
+            for cid in (f"c{c}" for c in rng.sample(range(len(entries)), 2)):
+                copied = entries[rng.choice(sorted(entries.keys() - {cid}))]
+                entries[cid] = [entry(cid, e.server_id, e.b_via_mbps, e.b_baseline_mbps)
+                                for e in copied]
+            batch = RequestBatch.build(entries)
+            bests = [max(e.gain_mbps for e in group) for group in batch.entries.values()]
+            assert len(set(bests)) < len(bests)
+            expected_obj, expected_assign = brute_force_optimum(batch, usable)
+            plan = solve_exact(batch, usable)
+            assert plan.objective_mbps.hex() == expected_obj.hex()
+            assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
+            by_gain = sorted((a.gain_mbps for a in plan.assignments.values()), reverse=True)
+            ulp_apart += sum(by_gain) != plan.objective_mbps
+        assert ulp_apart >= 100  # 142 of 500
+
+    @pytest.mark.parametrize("demands, gains, assigned", [
+        ((12.600000000000001, 4.7, 2.7), (0.1, 3.7, 2.2), 2),
+        ((4.7, 2.7, 12.600000000000001), (3.7, 2.2, 5.0), 3),
+    ], ids=["fits-only-by-gain", "fits-only-by-id"])
+    def test_fit_is_checked_in_client_id_order(self, demands, gains, assigned):
+        # On one 20 Mbit/s relay, 20 - 4.7 - 2.7 leaves exactly 12.600000000000001,
+        # but 20 - 12.600000000000001 - 4.7 leaves 2.6999999999999984, short of 2.7.
+        # Enumeration takes the demands in id order, whatever order the gains
+        # give; the greedy plan of the first case fits only in gain order.
+        batch = batch_of(*(entry(f"c{k}", "s1", d, d - g)
+                           for k, (d, g) in enumerate(zip(demands, gains))))
+        expected_obj, expected_assign = brute_force_optimum(batch, {"s1": 20.0})
+        plan = solve_exact(batch, {"s1": 20.0})
+        assert plan.objective_mbps == expected_obj
+        assert {c: a.server_id for c, a in plan.assignments.items()} == expected_assign
+        assert len(expected_assign) == assigned
 
     def test_adding_a_server_never_hurts(self):
         rng = random.Random(55)

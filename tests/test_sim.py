@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import fields, replace
 from types import MappingProxyType
@@ -146,6 +147,12 @@ class TestSimConfig:
     def test_accepts_the_seed_range_ends(self):
         assert [SimConfig(seed=s).seed for s in (0, 2**64 - 1)] == [0, 2**64 - 1]
 
+    @pytest.mark.parametrize("field", ["epochs", "k_candidates", "exact_cap"])
+    def test_rejects_a_bool_count(self, field):
+        # True == 1 and isinstance(True, int), yet no count is a switch.
+        with pytest.raises(ValidationError, match=rf"^{field} must be .*got True$"):
+            SimConfig(**{field: True})
+
     def test_epochs_zero_allowed(self):
         assert SimConfig(epochs=0).epochs == 0
 
@@ -243,17 +250,21 @@ class TestEpochRecord:
         with pytest.raises(RecordsFormatError, match=r"^record\.objective_mbps: expected 4\.0 "):
             _decoded(EpochRecord, self._epoch("c1", "c2"), objective_mbps=5.0)
 
-    @pytest.mark.parametrize("assignments, client_id", [
-        ({"c1": Assignment("s1", 6.0, 2.0)}, "c2"),
-        ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s2", 6.0, 2.0)}, "c2"),
+    @pytest.mark.parametrize("assignments, where", [
+        ({"c1": Assignment("s1", 6.0, 2.0)}, "['c2']"),
+        ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s2", 6.0, 2.0)},
+         "['c2'].server_id"),
         ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s1", 6.0, 2.0),
-          "c3": Assignment("s1", 6.0, 2.0)}, "c3"),
-        ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s1", 7.0, 2.0)}, "c2"),
-        ({"c1": Assignment("s1", 6.0, 2.5), "c2": Assignment("s1", 6.0, 2.0)}, "c1"),
+          "c3": Assignment("s1", 6.0, 2.0)}, "['c3']"),
+        ({"c1": Assignment("s1", 6.0, 2.0), "c2": Assignment("s1", 7.0, 2.0)},
+         "['c2'].demand_mbps"),
+        ({"c1": Assignment("s1", 6.0, 2.5), "c2": Assignment("s1", 6.0, 2.0)},
+         "['c1'].gain_mbps"),
     ], ids=["one-left-out", "another-server", "one-too-many", "another-demand", "another-gain"])
-    def test_rejects_assignments_that_are_not_the_records_servers(self, assignments, client_id):
+    def test_rejects_assignments_that_are_not_the_records_servers(self, assignments, where):
+        # Where both are assignments, the first field that differs is named.
         with pytest.raises(RecordsFormatError,
-                           match=rf"^record\.assignments\['{client_id}'\]: expected "):
+                           match=rf"^record\.assignments{re.escape(where)}: expected "):
             _decoded(EpochRecord, self._epoch("c1", "c2"), assignments=encode(assignments))
 
 

@@ -174,6 +174,14 @@ class TestGenerateScenario:
         with pytest.raises(ValidationError):
             generate_scenario(1, 0, 1, seed=0)
 
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["n_clients", "m_servers", "k_origins"])
+    def test_rejects_a_bool_count(self, position):
+        # generate_scenario(True, True, True) once returned one client.
+        counts = [3, 2, 2]
+        counts[position] = True
+        with pytest.raises(ValidationError, match=r"must be a positive integer, got True$"):
+            generate_scenario(*counts, seed=0)
+
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64, "1"])
     def test_rejects_a_seed_that_is_not_a_64_bit_unsigned_int(self, seed):
         # A float seed once built seed 1's clients and saved a file that did not load.
@@ -202,6 +210,13 @@ class TestGenerateScenario:
         for wifi, cellular in ((0, 0), (-1, 2), (1, -1), (1.0, 0)):
             with pytest.raises(ValidationError, match="links_per_client"):
                 NetModelParams(wifi_links_per_client=wifi, cellular_links_per_client=cellular)
+
+    @pytest.mark.parametrize("field", ["wifi_links_per_client", "cellular_links_per_client"])
+    def test_link_mix_rejects_a_bool(self, field):
+        # With the other count at 0, True once built one link per client.
+        other = ({"wifi_links_per_client", "cellular_links_per_client"} - {field}).pop()
+        with pytest.raises(ValidationError, match="links_per_client"):
+            NetModelParams(**{field: True, other: 0})
 
     def test_link_mix_is_capped(self):
         at_cap = NetModelParams(wifi_links_per_client=MAX_LINKS_PER_CLIENT - 1,
