@@ -33,18 +33,29 @@ __all__ = [
     "OriginServer",
     "GainEntry",
     "baseline_bandwidth",
+    "check_number",
 ]
 
 
-def _require_finite_nonneg(value: float, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
-    if value < 0:
-        raise ValidationError(f"{what} must be non-negative, got {value!r}")
-    return value
+def check_number(what: str, value: object, low: float = 0.0, high: float = math.inf, *,
+                 integer: bool = False, above: bool = False) -> None:
+    """Refuse `value` unless it is a finite int or float, and not a bool, in
+    [low, high], or in (low, high] when `above` is set; an `integer` field
+    takes only an int. A refusal is one `ValidationError` naming `what` and `value`.
+    """
+    kind = type(value)
+    if ((kind is int or kind is float and not integer
+         or not isinstance(value, bool) and isinstance(value, int if integer else (int, float)))
+            and (low < value if above else low <= value) and value <= high
+            and -math.inf < value < math.inf):
+        return
+    article, noun = ("an", "integer") if integer else ("a", "finite number")
+    if high == math.inf and (low == 0 or integer and low == 1):
+        wanted = f"a {'positive' if above or low else 'non-negative'} {noun}"
+    else:
+        close = "]" if high < math.inf else ")"
+        wanted = f"{article} {noun} in {'(' if above else '['}{low!r}, {high!r}{close}"
+    raise ValidationError(f"{what} must be {wanted}, got {value!r}")
 
 
 class LinkKind(str, Enum):
@@ -62,10 +73,8 @@ class GeoPoint:
     longitude: float
 
     def __post_init__(self) -> None:
-        if not (-90.0 <= self.latitude <= 90.0):
-            raise ValidationError(f"latitude out of range [-90, 90]: {self.latitude!r}")
-        if not (-180.0 <= self.longitude <= 180.0):
-            raise ValidationError(f"longitude out of range [-180, 180]: {self.longitude!r}")
+        check_number("latitude", self.latitude, -90, 90)
+        check_number("longitude", self.longitude, -180, 180)
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class EdgeLink:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", LinkKind(self.kind))
-        _require_finite_nonneg(self.uplink_mbps, f"link {self.id!r} uplink_mbps")
+        check_number(f"link {self.id!r} uplink_mbps", self.uplink_mbps)
 
 
 @dataclass(frozen=True)
@@ -114,17 +123,9 @@ class AggregationServer:
 
     def __post_init__(self) -> None:
         total = self.total_capacity_mbps
-        if not (isinstance(total, (int, float)) and math.isfinite(total) and total > 0):
-            raise ValidationError(
-                f"server {self.id!r} total_capacity_mbps must be positive, got {total!r}"
-            )
-        remaining = _require_finite_nonneg(
-            self.remaining_capacity_mbps, f"server {self.id!r} remaining_capacity_mbps"
-        )
-        if remaining > total:
-            raise ValidationError(
-                f"server {self.id!r} remaining capacity {remaining!r} exceeds total {total!r}"
-            )
+        check_number(f"server {self.id!r} total_capacity_mbps", total, above=True)
+        check_number(f"server {self.id!r} remaining_capacity_mbps",
+                     self.remaining_capacity_mbps, 0, total)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .errors import ValidationError
-from .model import BBoxClient, baseline_bandwidth
+from .model import BBoxClient, baseline_bandwidth, check_number
 from .scheduler import (
     AllocationPlan,
     Assignment,
@@ -90,9 +90,11 @@ class SimConfig:
     """Settings of one simulation run.
 
     A field with `flag` metadata is a `run`/`compare` option; its default
-    and range check are the field's own. `arrival_rate` is at most
-    `MAX_ARRIVAL_RATE`, 50 times the 200 of the largest benchmark workload:
-    an epoch's arrivals are all built in memory, and stay until they depart.
+    and range are the field's own. Each number must be finite and not a
+    bool, and an `int` field takes only an int (`model.check_number`).
+    `arrival_rate` is at most `MAX_ARRIVAL_RATE`, 50 times the 200 of the
+    largest benchmark workload: an epoch's arrivals are all built in
+    memory, and stay until they depart.
     """
 
     epochs: int = field(default=10, metadata={"flag": "--epochs"})
@@ -112,31 +114,19 @@ class SimConfig:
         "flag": "--exact-cap", "help": "client cap for the exact solver"})
 
     def __post_init__(self) -> None:
-        if type(self.epochs) is not int or self.epochs < 0:
-            raise ValidationError(f"epochs must be a non-negative integer, got {self.epochs!r}")
+        check_number("epochs", self.epochs, integer=True)
         if self.policy not in POLICIES:
             raise ValidationError(
                 f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICIES)}"
             )
         check_seed(self.seed)
-        if not (0 <= self.arrival_rate <= MAX_ARRIVAL_RATE):
-            raise ValidationError(
-                f"arrival_rate must be in [0, {MAX_ARRIVAL_RATE:g}], got {self.arrival_rate!r}"
-            )
-        if self.session_epochs_mean is not None and not (
-            math.isfinite(self.session_epochs_mean) and self.session_epochs_mean >= 1.0
-        ):
-            raise ValidationError(
-                f"session_epochs_mean must be >= 1 or None, got {self.session_epochs_mean!r}"
-            )
-        if type(self.k_candidates) is not int or self.k_candidates < 1:
-            raise ValidationError(f"k_candidates must be an int >= 1, got {self.k_candidates!r}")
-        if not (0.0 <= self.load_threshold <= 1.0):
-            raise ValidationError(f"load_threshold must be in [0, 1], got {self.load_threshold!r}")
-        if not (math.isfinite(self.reserve_mbps) and self.reserve_mbps >= 0):
-            raise ValidationError(f"reserve_mbps must be non-negative, got {self.reserve_mbps!r}")
-        if type(self.exact_cap) is not int or self.exact_cap < 1:
-            raise ValidationError(f"exact_cap must be an int >= 1, got {self.exact_cap!r}")
+        check_number("arrival_rate", self.arrival_rate, 0, MAX_ARRIVAL_RATE)
+        if self.session_epochs_mean is not None:
+            check_number("session_epochs_mean", self.session_epochs_mean, 1)
+        check_number("k_candidates", self.k_candidates, 1, integer=True)
+        check_number("load_threshold", self.load_threshold, 0, 1)
+        check_number("reserve_mbps", self.reserve_mbps)
+        check_number("exact_cap", self.exact_cap, 1, integer=True)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,6 +30,7 @@ from .model import (
     GeoPoint,
     LinkKind,
     OriginServer,
+    check_number,
 )
 from .seeding import SeededStream, check_seed, rng_for
 
@@ -76,8 +77,7 @@ def wifi_mu_for_sub_1mbps(fraction: float, sigma: float) -> float:
     """
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must be in (0, 1), got {fraction!r}")
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    check_number("sigma", sigma, above=True)
     return -sigma * _normal_dist_inv_cdf(fraction, 0.0, 1.0)
 
 
@@ -95,7 +95,8 @@ class NetModelParams:
     every client is built in memory.
 
     A field with `flag` metadata is a `generate` option; its default and
-    range check are the field's own.
+    range are the field's own. Each number must be finite and not a bool,
+    and an `int` field takes only an int (`model.check_number`).
     """
 
     base_path_mbps: float = field(default=22.0, metadata={"flag": "--base-path-mbps"})
@@ -114,41 +115,21 @@ class NetModelParams:
     cellular_links_per_client: int = field(default=1, metadata={"flag": "--cellular-links"})
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.base_path_mbps) and self.base_path_mbps > 0):
-            raise ValidationError(f"base_path_mbps must be positive, got {self.base_path_mbps!r}")
-        if not (math.isfinite(self.distance_decay_per_1000km) and self.distance_decay_per_1000km >= 0):
-            raise ValidationError(
-                f"distance_decay_per_1000km must be non-negative, got {self.distance_decay_per_1000km!r}"
-            )
-        if not (math.isfinite(self.noise_sigma) and 0 <= self.noise_sigma <= MAX_NOISE_SIGMA):
-            raise ValidationError(
-                f"noise_sigma must be in [0, {MAX_NOISE_SIGMA!r}], got {self.noise_sigma!r}"
-            )
-        if not math.isfinite(self.wifi_lognormal_mu):
-            raise ValidationError(f"wifi_lognormal_mu must be finite, got {self.wifi_lognormal_mu!r}")
-        if not (math.isfinite(self.wifi_lognormal_sigma) and self.wifi_lognormal_sigma >= 0):
-            raise ValidationError(
-                f"wifi_lognormal_sigma must be non-negative, got {self.wifi_lognormal_sigma!r}"
-            )
-        object.__setattr__(
-            self, "cellular_uplink_mbps_range", tuple(self.cellular_uplink_mbps_range)
-        )
+        check_number("base_path_mbps", self.base_path_mbps, above=True)
+        check_number("distance_decay_per_1000km", self.distance_decay_per_1000km)
+        check_number("noise_sigma", self.noise_sigma, 0, MAX_NOISE_SIGMA)
+        check_number("wifi_lognormal_mu", self.wifi_lognormal_mu, -math.inf, above=True)
+        check_number("wifi_lognormal_sigma", self.wifi_lognormal_sigma)
         low, high = self.cellular_uplink_mbps_range
-        if not (math.isfinite(low) and math.isfinite(high) and 0 <= low <= high):
-            raise ValidationError(
-                f"cellular_uplink_mbps_range must satisfy 0 <= low <= high, got {(low, high)!r}"
-            )
-        if not (math.isfinite(self.direct_path_factor) and self.direct_path_factor > 0):
-            raise ValidationError(
-                f"direct_path_factor must be positive, got {self.direct_path_factor!r}"
-            )
+        object.__setattr__(self, "cellular_uplink_mbps_range", (low, high))
+        check_number("cellular_uplink_mbps_range[0]", low)
+        check_number("cellular_uplink_mbps_range[1]", high, low)
+        check_number("direct_path_factor", self.direct_path_factor, above=True)
         wifi, cellular = self.wifi_links_per_client, self.cellular_links_per_client
-        if not (all(type(n) is int and n >= 0 for n in (wifi, cellular))
-                and 1 <= wifi + cellular <= MAX_LINKS_PER_CLIENT):
-            raise ValidationError(
-                "wifi_links_per_client and cellular_links_per_client must be non-negative "
-                f"integers with a sum in [1, {MAX_LINKS_PER_CLIENT}], got {wifi!r} and {cellular!r}"
-            )
+        check_number("wifi_links_per_client", wifi, integer=True)
+        check_number("cellular_links_per_client", cellular, integer=True)
+        check_number("wifi_links_per_client + cellular_links_per_client", wifi + cellular,
+                     1, MAX_LINKS_PER_CLIENT, integer=True)
         mu, sigma = self.wifi_lognormal_mu, self.wifi_lognormal_sigma
         if wifi > 0 and mu + _MAX_NORMAL_Z * sigma > _MAX_EXP_ARG:
             raise ValidationError(
@@ -406,12 +387,9 @@ def generate_scenario(
     All servers start idle (remaining = total capacity).
     """
     for name, count in (("n_clients", n_clients), ("m_servers", m_servers), ("k_origins", k_origins)):
-        if type(count) is not int or count < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {count!r}")
-    if not (math.isfinite(server_capacity_mbps) and server_capacity_mbps > 0):
-        raise ValidationError(
-            f"server_capacity_mbps must be positive, got {server_capacity_mbps!r}"
-        )
+        check_number(name, count, 1, integer=True)
+    check_number("server_capacity_mbps", server_capacity_mbps, above=True)
+    check_seed(seed)  # the draws below read it before `Scenario` checks it
     params = params if params is not None else NetModelParams()
 
     origins = tuple(
