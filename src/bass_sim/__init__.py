@@ -10,51 +10,6 @@ capacity-constrained gain-maximizing matching between clients and relays
 capture.
 """
 
-from .errors import (
-    BassError,
-    BatchTooLargeError,
-    CapacityConflictError,
-    RecordsFormatError,
-    ScenarioFormatError,
-    ValidationError,
-)
-from .model import (
-    AggregationServer,
-    BBoxClient,
-    EdgeLink,
-    GainEntry,
-    GeoPoint,
-    LinkKind,
-    OriginServer,
-    baseline_bandwidth,
-)
-from .topology import (
-    DistanceDecayNetwork,
-    NetModelParams,
-    Scenario,
-    candidate_subset,
-    generate_scenario,
-    geo_distance_km,
-    load_scenario,
-    path_bandwidth,
-    save_scenario,
-)
-from .scheduler import (
-    AllocationPlan,
-    Assignment,
-    AssignmentLedger,
-    RequestBatch,
-    measure_gains,
-    random_policy,
-    solve_exact,
-    solve_greedy,
-)
-from .sim import (
-    ClientEpochRecord,
-    EpochRecord,
-    SimConfig,
-    run_simulation,
-)
-from .metrics import SummaryReport, cdf, emit_report, summarize
+from . import errors, model, topology, scheduler, sim, metrics
 
 __version__ = "0.1.0"

@@ -86,7 +86,11 @@ class EdgeLink:
     uplink_mbps: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", LinkKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", LinkKind(self.kind))
+        except ValueError:
+            raise ValidationError(f"link {self.id!r} kind must be one of "
+                                  f"{[kind.value for kind in LinkKind]}, got {self.kind!r}") from None
         check_number(f"link {self.id!r} uplink_mbps", self.uplink_mbps)
 
 

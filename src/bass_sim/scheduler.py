@@ -53,6 +53,9 @@ from .seeding import rng_for
 
 DEFAULT_EXACT_CAP = 12
 
+# Below Python's recursion limit, with room for callers (README, `bass_exact`).
+MAX_EXACT_DEPTH = 800
+
 # Root subgradient steps that price relay capacity for the exact search,
 # and the step's decay. A few steps price a contended relay; many cost
 # more at the root than the prices prune on a small batch.
@@ -75,6 +78,7 @@ __all__ = [
     "solve_greedy",
     "random_policy",
     "DEFAULT_EXACT_CAP",
+    "MAX_EXACT_DEPTH",
 ]
 
 
@@ -312,7 +316,8 @@ def solve_exact(
     it is kept if it beats the incumbent, or ties it with a smaller
     assignment vector (unassigned before any server, servers by id), so the
     order and the prices only decide what is pruned. Raises
-    BatchTooLargeError above `client_cap` clients; use solve_greedy there.
+    BatchTooLargeError above `client_cap` clients, or above
+    `MAX_EXACT_DEPTH` clients with a positive gain; use solve_greedy there.
     """
     n = batch.n
     if n > client_cap:
@@ -325,6 +330,13 @@ def solve_exact(
         sorted((e for e in group if e.gain_mbps > 0.0), key=lambda e: (-e.gain_mbps, e.server_id))
         for group in batch.entries.values()
     ]
+    # The stable sort breaks ties in best gain by client id.
+    order = sorted((i for i in range(n) if options[i]), key=lambda i: -options[i][0].gain_mbps)
+    depth = len(order)
+    if depth > MAX_EXACT_DEPTH:
+        raise BatchTooLargeError(
+            f"batch has {depth} clients with a positive gain, above the exact search's "
+            f"depth limit of {MAX_EXACT_DEPTH}; use solve_greedy for batches this size")
     # Seed the incumbent with the greedy plan if it fits in client-id order,
     # else with the empty plan; either is a leaf below that no bound prunes.
     greedy = solve_greedy(batch, usable)
@@ -332,9 +344,6 @@ def solve_exact(
     best_objective = greedy.objective_mbps if fits else 0.0
     prices = _capacity_prices(options, usable, best_objective)
 
-    # The stable sort breaks ties in best gain by client id.
-    order = sorted((i for i in range(n) if options[i]), key=lambda i: -options[i][0].gain_mbps)
-    depth = len(order)
     # Per search position, each option as (entry, server, demand, gain, reduced
     # gain); per suffix, the sums of best gains and of best reduced gains (>= 0).
     priced = [[(e, e.server_id, e.b_via_mbps, e.gain_mbps,
@@ -345,10 +354,10 @@ def solve_exact(
         suffix_bound[k] = suffix_bound[k + 1] + priced[k][0][3]
         priced_bound[k] = priced_bound[k + 1] + max([0.0] + [o[4] for o in priced[k]])
     # One rounding slack for the whole batch. A bound (search-order sums) and a
-    # leaf's objective (an id-order sum) each round n times at most, over terms
-    # whose sizes sum to at most `charged` plus the best gains, so both are within
-    # 2n·2⁻⁵³ of that sum: under 1e-12 for n ≤ 4,500, and the search recurses
-    # once per client, so Python's recursion limit keeps n far below that.
+    # leaf's objective (an id-order sum) each round `depth` times at most, over
+    # terms whose sizes sum to at most `charged` plus the best gains, so both are
+    # within 2·depth·2⁻⁵³ of that sum: under 1e-12 for depth ≤ 4,500, and
+    # MAX_EXACT_DEPTH keeps depth far below that.
     charged = sum(prices[sid] * usable[sid] for sid in prices)
     slack = 1e-9 + 1e-12 * (charged + suffix_bound[0])
     suffix_bound_safe = [b + slack for b in suffix_bound]

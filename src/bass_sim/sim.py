@@ -115,6 +115,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_number("epochs", self.epochs, integer=True)
+        if not isinstance(self.policy, str):
+            raise ValidationError(f"policy must be a str, got {self.policy!r}")
         if self.policy not in POLICIES:
             raise ValidationError(
                 f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICIES)}"
@@ -126,6 +128,8 @@ class SimConfig:
         check_number("k_candidates", self.k_candidates, 1, integer=True)
         check_number("load_threshold", self.load_threshold, 0, 1)
         check_number("reserve_mbps", self.reserve_mbps)
+        if not isinstance(self.remeasure_noise, bool):
+            raise ValidationError(f"remeasure_noise must be a bool, got {self.remeasure_noise!r}")
         check_number("exact_cap", self.exact_cap, 1, integer=True)
 
 

@@ -7,9 +7,9 @@ seen in real uplink measurements. Every value is a pure function of
 network draws each link of a client only when it is read: leaving one
 undrawn moves no other value.
 
-Wi-Fi uplink capacities are sampled from a lognormal calibrated so that a
-configurable fraction of links (default 60%) falls below 1 Mbit/s, matching
-what large-scale hotspot measurements report for metropolitan areas.
+Wi-Fi uplink capacities are sampled from a lognormal whose defaults put 60%
+of links below 1 Mbit/s, matching what large-scale hotspot measurements
+report for metropolitan areas.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-# What `NormalDist.inv_cdf` calls; `statistics` would also load `decimal` and `fractions`.
-from _statistics import _normal_dist_inv_cdf
 
 from .codec import load_json, save_json
 from .errors import ScenarioFormatError, ValidationError
@@ -35,10 +32,6 @@ from .model import (
 from .seeding import SeededStream, check_seed, rng_for
 
 EARTH_RADIUS_KM = 6371.0
-
-# Fraction of sampled Wi-Fi uplinks that should fall below 1 Mbit/s.
-WIFI_SUB_1MBPS_TARGET = 0.60
-DEFAULT_WIFI_SIGMA = 1.2
 
 DEFAULT_SERVER_CAPACITY_MBPS = 200.0
 MAX_LINKS_PER_CLIENT = 64
@@ -59,7 +52,6 @@ __all__ = [
     "geo_distance_km",
     "decayed_bandwidth",
     "path_bandwidth",
-    "wifi_mu_for_sub_1mbps",
     "sample_client",
     "generate_scenario",
     "save_scenario",
@@ -67,18 +59,6 @@ __all__ = [
     "candidate_subset",
     "DEFAULT_SERVER_CAPACITY_MBPS",
 ]
-
-
-def wifi_mu_for_sub_1mbps(fraction: float, sigma: float) -> float:
-    """Lognormal location parameter putting `fraction` of mass below 1 Mbit/s.
-
-    P(X < 1) = Phi(-mu / sigma) for X = exp(mu + sigma Z), so
-    mu = -sigma * Phi^-1(fraction).
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValidationError(f"fraction must be in (0, 1), got {fraction!r}")
-    check_number("sigma", sigma, above=True)
-    return -sigma * _normal_dist_inv_cdf(fraction, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,9 +83,9 @@ class NetModelParams:
     distance_decay_per_1000km: float = field(default=1.0, metadata={
         "flag": "--distance-decay", "help": "bandwidth decay per 1000 km of path distance"})
     noise_sigma: float = field(default=0.5, metadata={"flag": "--noise-sigma"})
-    wifi_lognormal_mu: float = field(default=wifi_mu_for_sub_1mbps(
-        WIFI_SUB_1MBPS_TARGET, DEFAULT_WIFI_SIGMA), metadata={"flag": "--wifi-mu"})
-    wifi_lognormal_sigma: float = field(default=DEFAULT_WIFI_SIGMA, metadata={"flag": "--wifi-sigma"})
+    # -1.2 * NormalDist().inv_cdf(0.60): 60% of Wi-Fi uplinks fall below 1 Mbit/s.
+    wifi_lognormal_mu: float = field(default=-0.30401652376295973, metadata={"flag": "--wifi-mu"})
+    wifi_lognormal_sigma: float = field(default=1.2, metadata={"flag": "--wifi-sigma"})
     cellular_uplink_mbps_range: tuple[float, float] = field(default=(2.0, 8.0), metadata={
         "flag": "--cellular-range", "metavar": ("LOW", "HIGH")})
     direct_path_factor: float = field(default=1.0, metadata={
@@ -120,7 +100,10 @@ class NetModelParams:
         check_number("noise_sigma", self.noise_sigma, 0, MAX_NOISE_SIGMA)
         check_number("wifi_lognormal_mu", self.wifi_lognormal_mu, -math.inf, above=True)
         check_number("wifi_lognormal_sigma", self.wifi_lognormal_sigma)
-        low, high = self.cellular_uplink_mbps_range
+        pair = self.cellular_uplink_mbps_range
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValidationError(f"cellular_uplink_mbps_range must be a pair, got {pair!r}")
+        low, high = pair
         object.__setattr__(self, "cellular_uplink_mbps_range", (low, high))
         check_number("cellular_uplink_mbps_range[0]", low)
         check_number("cellular_uplink_mbps_range[1]", high, low)

@@ -1,8 +1,7 @@
 """The byte contract across interpreters, and a public twin for each private
 name it leans on.
 
-`seeding` hashes with `_blake2.blake2b`, `topology` draws Wi-Fi calibration
-through `_statistics._normal_dist_inv_cdf` and `codec` writes strings with
+`seeding` hashes with `_blake2.blake2b` and `codec` writes strings with
 `json.encoder.encode_basestring_ascii`. Each is compared here with the
 public API it stands in for, so a Python release that changes one fails a
 test instead of shifting output bytes. The package itself imports neither
@@ -11,10 +10,8 @@ test instead of shifting output bytes. The package itself imports neither
 
 import hashlib
 import json
-import math
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 from json.encoder import py_encode_basestring_ascii
@@ -24,7 +21,6 @@ import pytest
 
 from bass_sim.codec import encode_basestring_ascii
 from bass_sim.seeding import blake2b
-from bass_sim.topology import _normal_dist_inv_cdf
 
 from test_cli import PINNED_DIGESTS, PINNED_RUNS
 
@@ -47,22 +43,6 @@ def test_blake2b_matches_hashlib():
     assert draw.digest() == hashlib.blake2b(
         b"5\x1fpath-noise\x1fc0001/c0001-wifi0->s0002@3", digest_size=8).digest()
     assert prefix.digest() == hashlib.blake2b(b"5\x1fpath-noise", digest_size=8).digest()
-
-
-def test_normal_inverse_cdf_matches_normal_dist():
-    # Both tails down to the smallest float, each side of the algorithm's
-    # branch points (|p - 0.5| = 0.425, and p = exp(-25) in each tail), and
-    # a uniform grid between.
-    branches = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
-    grid = [5e-324, 1e-300, 1e-100, 1e-20, 1e-12, 1e-6, 0.6,
-            1.0 - 1e-12, math.nextafter(1.0, 0.0),
-            *branches, *(math.nextafter(p, 0.0) for p in branches),
-            *(math.nextafter(p, 1.0) for p in branches),
-            *(i / 1000 for i in range(1, 1000))]
-    for mu, sigma in ((0.0, 1.0), (2.5, 0.3)):
-        dist = statistics.NormalDist(mu, sigma)
-        for p in grid:
-            assert _normal_dist_inv_cdf(p, mu, sigma) == dist.inv_cdf(p), (p, mu, sigma)
 
 
 def test_encode_basestring_ascii_matches_json_dumps():

@@ -189,6 +189,29 @@ class TestCompare:
         assert (out / "records_random.json").read_bytes() == (run_out / "records.json").read_bytes()
         assert (out / "summary_random.json").read_bytes() == (run_out / "summary.json").read_bytes()
 
+    def test_each_policy_writes_what_run_writes_for_it(self, tmp_path):
+        # The oracle for a `compare` that shares one world among its policies:
+        # with arrivals, departures and re-drawn noise, each policy's files
+        # are byte for byte those of `run --policy` with the same flags.
+        scenario = make_scenario(tmp_path, extra=["--clients", "30", "--servers", "5",
+                                                  "--server-capacity-mbps", "40"])
+        flags = ["--scenario", str(scenario), "--epochs", "6", "--seed", "2",
+                 "--arrival-rate", "2", "--session-mean", "4", "--remeasure-noise",
+                 "--exact-cap", "40"]
+        policies = ["bass_exact", "bass_greedy", "random"]
+        out = tmp_path / "cmp"
+        assert main(["compare", "--policies", ",".join(policies), "--out", str(out), *flags]) == 0
+        for policy in policies:
+            run_out = tmp_path / policy
+            assert main(["run", "--policy", policy, "--out", str(run_out), *flags]) == 0
+            for name in ("records", "summary"):
+                assert ((out / f"{name}_{policy}.json").read_bytes()
+                        == (run_out / f"{name}.json").read_bytes()), (policy, name)
+        records = json.loads((out / "records_bass_exact.json").read_text(encoding="utf-8"))
+        ids = [{c["client_id"] for c in epoch["clients"]} for epoch in records["epochs"]]
+        assert any(now - then for then, now in zip(ids, ids[1:]))  # arrivals
+        assert any(then - now for then, now in zip(ids, ids[1:]))  # departures
+
     def test_stdout_reproducible(self, tmp_path, capsys):
         scenario = make_scenario(tmp_path)
         capsys.readouterr()  # drop the generate line
@@ -398,6 +421,18 @@ def test_arrival_with_overflowing_wifi_uplink_is_one_error_line(tmp_path, capsys
     assert main(["run", "--scenario", str(path), "--epochs", "3", "--arrival-rate", "5",
                  "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys, "wifi_lognormal_sigma")
+
+
+def test_exact_search_too_deep_is_one_error_line(tmp_path, capsys):
+    # 2,500 clients on 8 relays that never fill: 1,764 of them gain, more
+    # levels than the exact search may recurse.
+    path = tmp_path / "scenario.json"
+    assert main(["generate", "--clients", "2500", "--servers", "8",
+                 "--server-capacity-mbps", "1e9", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--policy", "bass_exact", "--exact-cap", "5000",
+                 "--epochs", "1", "--reserve-mbps", "0", "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, "1764 clients with a positive gain")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))

@@ -1,7 +1,8 @@
 """Every numeric setting and entity field is checked by one rule where it
 enters: a finite int or float, never a bool, an int where the field is
 `int`, within the field's range. A refusal is one `ValidationError` that
-names the field and the value."""
+names the field and the value. A setting or field of another type (a bool,
+a str, an enum, a pair) refuses a value of the wrong type the same way."""
 
 import dataclasses
 import math
@@ -11,15 +12,9 @@ import typing
 import pytest
 
 from bass_sim.errors import ValidationError
-from bass_sim.model import AggregationServer, EdgeLink, GeoPoint
+from bass_sim.model import AggregationServer, EdgeLink, GeoPoint, LinkKind
 from bass_sim.sim import MAX_ARRIVAL_RATE, SimConfig
-from bass_sim.topology import (
-    MAX_LINKS_PER_CLIENT,
-    MAX_NOISE_SIGMA,
-    NetModelParams,
-    generate_scenario,
-    wifi_mu_for_sub_1mbps,
-)
+from bass_sim.topology import MAX_LINKS_PER_CLIENT, MAX_NOISE_SIGMA, NetModelParams, generate_scenario
 
 TINY = 5e-324  # the smallest positive float
 
@@ -96,8 +91,6 @@ TABLE = [
     ("generate_scenario", "seed", lambda v: _generate(seed=v), [0, 2**64 - 1], [-1, 2**64, 1.0]),
     ("generate_scenario", "server_capacity_mbps", lambda v: _generate(server_capacity_mbps=v),
      [TINY, 1e308, 200], [0.0]),
-    ("wifi_mu_for_sub_1mbps", "sigma", lambda v: wifi_mu_for_sub_1mbps(0.6, v),
-     [TINY, 1e308], [0.0]),
 ]
 REFUSED_BY_EVERY_FIELD = [True, False, "1", math.nan, math.inf, -math.inf]
 
@@ -134,3 +127,30 @@ def test_every_numeric_field_is_in_the_table(owner):
     numeric = {name for name in names if _numeric(hints[name])}
     covered = {name.split("[")[0] for who, name, *_ in TABLE if who == owner.__name__}
     assert numeric and numeric == covered
+
+
+# (field, build(value), accepted values, values of the wrong type).
+TYPED = [
+    ("remeasure_noise", lambda v: SimConfig(remeasure_noise=v), [False, True], ["no", 1, None]),
+    ("policy", lambda v: SimConfig(policy=v), ["bass_exact", "random"], [[], 5, None]),
+    ("kind", lambda v: EdgeLink(id="l", kind=v, uplink_mbps=1.0),
+     ["wifi", LinkKind.CELLULAR], ["bogus", "WIFI", [], None]),
+    ("cellular_uplink_mbps_range", lambda v: NetModelParams(cellular_uplink_mbps_range=v),
+     [(1.0, 2.0), [1, 2]], [5, (1, 2, 3), (1.0,), "ab", None]),
+]
+
+
+@pytest.mark.parametrize("build, value", [
+    pytest.param(build, value, id=f"{name}={value!r}")
+    for name, build, good, _ in TYPED for value in good])
+def test_a_value_of_the_field_type_builds(build, value):
+    build(value)
+
+
+@pytest.mark.parametrize("build, name, value", [
+    pytest.param(build, name, value, id=f"{name}={value!r}")
+    for name, build, _, bad in TYPED for value in bad])
+def test_a_value_of_another_type_is_one_error_naming_the_field_and_the_value(build, name, value):
+    with pytest.raises(ValidationError, match=re.escape(name)) as exc:
+        build(value)
+    assert str(exc.value).endswith(f"got {value!r}")

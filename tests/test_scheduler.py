@@ -12,6 +12,7 @@ from bass_sim.model import (
     GeoPoint,
 )
 from bass_sim.scheduler import (
+    MAX_EXACT_DEPTH,
     AllocationPlan,
     Assignment,
     AssignmentLedger,
@@ -287,6 +288,23 @@ class TestSolveExact:
         batch = batch_of(*entries)
         with pytest.raises(BatchTooLargeError):
             solve_exact(batch, {"s1": 100.0}, client_cap=4)
+
+    def test_depth_limit_enforced_before_the_search_recurses(self):
+        # One frame per positive-gain client: 1,100 would overflow Python's
+        # default recursion limit, so the search refuses them up front.
+        def one_option_clients(n):
+            return batch_of(*(entry(f"c{i:04d}", "s1", 2, 1) for i in range(n)))
+
+        usable = {"s1": 1e9}
+        plan = solve_exact(one_option_clients(MAX_EXACT_DEPTH), usable, client_cap=2000)
+        assert len(plan.assignments) == MAX_EXACT_DEPTH
+        for n in (MAX_EXACT_DEPTH + 1, 1100):
+            with pytest.raises(BatchTooLargeError, match=f"{n} clients with a positive gain"):
+                solve_exact(one_option_clients(n), usable, client_cap=2000)
+        # Clients with no positive gain are not searched, so they do not count.
+        extra = [entry(f"d{i:04d}", "s1", 1, 1) for i in range(300)]
+        batch = batch_of(*(entry(f"c{i:04d}", "s1", 2, 1) for i in range(MAX_EXACT_DEPTH)), *extra)
+        assert len(solve_exact(batch, usable, client_cap=2000).assignments) == MAX_EXACT_DEPTH
 
     def test_tie_breaks_prefer_smallest_vector(self):
         # Both servers give the same gain; s1 sorts first.

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from bass_sim.topology import (
     EARTH_RADIUS_KM,
     MAX_LINKS_PER_CLIENT,
     MAX_NOISE_SIGMA,
-    WIFI_SUB_1MBPS_TARGET,
     DistanceDecayNetwork,
     NetModelParams,
     Scenario,
@@ -25,7 +25,6 @@ from bass_sim.topology import (
     load_scenario,
     path_bandwidth,
     save_scenario,
-    wifi_mu_for_sub_1mbps,
 )
 
 from oracles import encode, filtered_then_sorted_candidates
@@ -119,9 +118,10 @@ class TestPathBandwidth:
 
 class TestWifiCalibration:
     def test_mu_formula_hits_target(self):
-        mu = wifi_mu_for_sub_1mbps(0.6, 1.2)
+        params = NetModelParams()
         rng = random.Random(123)
-        draws = [rng.lognormvariate(mu, 1.2) for _ in range(20000)]
+        draws = [rng.lognormvariate(params.wifi_lognormal_mu, params.wifi_lognormal_sigma)
+                 for _ in range(20000)]
         frac = sum(1 for d in draws if d < 1.0) / len(draws)
         assert abs(frac - 0.6) < 0.03
 
@@ -143,7 +143,9 @@ class TestWifiCalibration:
             assert params.wifi_lognormal_mu == mu
 
     def test_default_target_is_60_percent(self):
-        assert WIFI_SUB_1MBPS_TARGET == 0.60
+        # P(X < 1) = Phi(-mu / sigma) for X = exp(mu + sigma Z).
+        params = NetModelParams()
+        assert params.wifi_lognormal_mu == -params.wifi_lognormal_sigma * NormalDist().inv_cdf(0.60)
 
 
 class TestGenerateScenario:
