@@ -3,7 +3,10 @@
 A file format is written down once, as dataclasses. `save_json` writes an
 instance as JSON text, one key per field; `decode` rebuilds it from the
 field annotations and checks every value on the way, down to a derived
-(`init=False`) field, which must equal what the class derives.
+(`init=False`) field, which must equal what the class derives. An
+annotation is a str, int, float or bool, an optional, a tuple, a mapping
+with str keys or a dataclass: the codec checks a value's JSON type, and the
+class its range or choice.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import types
 import typing
 from collections.abc import Iterator, Mapping
 from contextlib import suppress
-from enum import Enum
 from functools import cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -93,13 +95,6 @@ def _read_object(read_value, data):
     return values
 
 
-def _read_enum(tp: type[Enum], data):
-    try:
-        return tp(data)
-    except (ValueError, TypeError):
-        raise _expected(f"one of {[m.value for m in tp]!r}", data) from None
-
-
 def _read_dataclass(cls: type, fields: dict, data):
     """Build `cls` from its init fields, then compare each derived field with
     `data`'s in declaration order, naming a mapping's first differing key,
@@ -158,8 +153,6 @@ def _reader(tp):
         return partial(_read_array, [_reader(a) for a in args[: 1 if variadic else None]], variadic)
     if origin is Mapping and args[0] is str:
         return partial(_read_object, _reader(args[1]))
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return partial(_read_enum, tp)
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         fields = {f.name: (hints[f.name] if hints[f.name] in _SCALARS else None,
@@ -252,9 +245,9 @@ def _emit(value, write, head: str, level: int):
     """Write `head`, then `value` as indented, sorted-key JSON at nesting
     `level`: a dataclass or a mapping (str keys) as an object, a tuple,
     list or iterator as an array (an iterator's items are taken as they are
-    written), an enum as its value, a str, int, float, bool or None as
-    itself; anything else is a TypeError. Each write is one container's
-    text up to its next item that is not a scalar, or about 4 kB."""
+    written), a str, int, float, bool or None as itself; anything else is
+    a TypeError. Each write is one container's text up to its next item
+    that is not a scalar, or about 4 kB."""
     scalar = _TEXT.get(type(value))
     if scalar is not None:
         return write(head + scalar(value))
@@ -262,8 +255,6 @@ def _emit(value, write, head: str, level: int):
     if layout is not None:
         names, heads, close = layout
         items, brackets = map(getattr, repeat(value), names), "{}"
-    elif isinstance(value, Enum):
-        return _emit(value.value, write, head, level)
     elif isinstance(value, (tuple, list, Iterator)):
         first, later, close = _indents(level)
         heads, items, brackets = chain((first,), repeat(later)), value, "[]"

@@ -14,6 +14,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import load_json, open_output, save_json
@@ -205,10 +206,11 @@ def emit_report(report: SummaryReport, format: str, path) -> None:
 
 def per_client_rows(policy: str, records: Iterable[EpochRecord]) -> Iterator[tuple]:
     """Flat per-client rows, their values in `PER_CLIENT_COLUMNS` order, as a
-    generator (iterable once) that `write_rows_csv`'s writer consumes row by row."""
+    generator (iterable once) that `write_rows_csv`'s writer consumes row by
+    row. Past the policy and epoch, each column names its record field."""
+    fields_of = attrgetter(*PER_CLIENT_COLUMNS[2:])
     return (
-        (policy, record.epoch_t, c.client_id, c.server_id, c.b_baseline_mbps,
-         c.b_achieved_mbps, c.gain_mbps, c.gamma)
+        (policy, record.epoch_t) + fields_of(c)
         for record in records
         for c in record.clients
     )

@@ -5,34 +5,35 @@ through a relay delivers the smaller of (a) the sum of its subflow
 bandwidths and (b) the relay's own path to the destination, as
 `scheduler.measure_gains` measures it; a client without aggregation uses
 its single best edge link, `baseline_bandwidth`. Both read a client's
-links one at a time from the network and stop once the links not read yet
-cannot change the value, so a link is measured only when it can. The gain
-of routing through a relay is the via-bandwidth minus that single-link
-baseline and may be negative, in which case staying on the direct path
-(gain 0) is always available to the schedulers.
+links one at a time from the network (a `PathOracle`) and stop once the
+links not read yet cannot change the value, so a link is measured only
+when it can. The gain of routing through a relay is the via-bandwidth minus
+that single-link baseline and may be negative, in which case staying on the
+direct path (gain 0) is always available to the schedulers.
+
+Two rules check every scalar setting and entity field of the package where
+it enters: `check_number` a number, `check_choice` one of a fixed set of
+values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import TYPE_CHECKING
+from typing import Iterable, Protocol, Sequence
 
 from .errors import ValidationError
 
-if TYPE_CHECKING:
-    from .scheduler import PathOracle
-
 __all__ = [
-    "LinkKind",
     "GeoPoint",
     "EdgeLink",
     "BBoxClient",
     "AggregationServer",
     "OriginServer",
     "GainEntry",
+    "PathOracle",
     "baseline_bandwidth",
+    "check_choice",
     "check_number",
 ]
 
@@ -58,11 +59,14 @@ def check_number(what: str, value: object, low: float = 0.0, high: float = math.
     raise ValidationError(f"{what} must be {wanted}, got {value!r}")
 
 
-class LinkKind(str, Enum):
-    """Edge network technology of one uplink."""
-
-    WIFI = "wifi"
-    CELLULAR = "cellular"
+def check_choice(what: str, value: object, choices: Iterable) -> None:
+    """Refuse `value` unless it is one of `choices` and of that choice's exact
+    type: 1 is not True, nor a str subclass a str. A refusal is one
+    `ValidationError` naming `what` and `value`."""
+    for choice in choices:
+        if type(value) is type(choice) and value == choice:
+            return
+    raise ValidationError(f"{what} must be one of {list(choices)!r}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,18 +83,15 @@ class GeoPoint:
 
 @dataclass(frozen=True)
 class EdgeLink:
-    """One wireless uplink (Wi-Fi or cellular) of a client, with capacity."""
+    """One wireless uplink of a client, with capacity. Its `kind`, "wifi" or
+    "cellular", only labels it: the simulation never reads it."""
 
     id: str
-    kind: LinkKind
+    kind: str
     uplink_mbps: float
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "kind", LinkKind(self.kind))
-        except ValueError:
-            raise ValidationError(f"link {self.id!r} kind must be one of "
-                                  f"{[kind.value for kind in LinkKind]}, got {self.kind!r}") from None
+        check_choice(f"link {self.id!r} kind", self.kind, ("wifi", "cellular"))
         check_number(f"link {self.id!r} uplink_mbps", self.uplink_mbps)
 
 
@@ -157,6 +158,18 @@ class GainEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gain_mbps", self.b_via_mbps - self.b_baseline_mbps)
+
+
+class PathOracle(Protocol):
+    """Bandwidth measurements the model and the scheduler need from the
+    network layer: a client's links one at a time, in the order to read
+    them, and a relay's path to an origin."""
+
+    def link_order(self, client: BBoxClient) -> Sequence[int]: ...
+
+    def link_bandwidth(self, client: BBoxClient, dest_id: str, i: int) -> float: ...
+
+    def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float: ...
 
 
 def baseline_bandwidth(client: BBoxClient, net: PathOracle) -> float:

@@ -45,10 +45,10 @@ produce bit-equal objectives; the exact search also checks fit in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BatchTooLargeError, CapacityConflictError
-from .model import AggregationServer, BBoxClient, GainEntry
+from .model import AggregationServer, BBoxClient, GainEntry, PathOracle
 from .seeding import rng_for
 
 DEFAULT_EXACT_CAP = 12
@@ -68,7 +68,6 @@ _PRICE_STEP_DECAY = 0.8
 _FEAS_SLACK = 1e-9
 
 __all__ = [
-    "PathOracle",
     "RequestBatch",
     "Assignment",
     "AllocationPlan",
@@ -80,18 +79,6 @@ __all__ = [
     "DEFAULT_EXACT_CAP",
     "MAX_EXACT_DEPTH",
 ]
-
-
-class PathOracle(Protocol):
-    """Bandwidth measurements the model and the scheduler need from the
-    network layer: a client's links one at a time, in the order to read
-    them, and a relay's path to an origin."""
-
-    def link_order(self, client: BBoxClient) -> Sequence[int]: ...
-
-    def link_bandwidth(self, client: BBoxClient, dest_id: str, i: int) -> float: ...
-
-    def server_origin_bandwidth(self, server: AggregationServer, origin_id: str) -> float: ...
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ concerns (entity placement, link sampling, arrivals, policy draws, path
 noise) each derive their own sub-seed by hashing the master seed together
 with string labels, so adding or reordering one consumer never shifts the
 streams seen by the others. Python's builtin ``hash`` is salted per process
-and therefore unusable here; blake2b is stable.
+and therefore unusable here; blake2b is stable. A master seed is an int in
+[0, MAX_SEED]; each caller that takes one checks it with
+`model.check_number`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,8 @@ import random
 
 from _blake2 import blake2b  # hashlib also loads OpenSSL; random.py takes _sha512 the same way
 
-from .errors import ValidationError
-
 _SEED_BYTES = 8
-
-
-def check_seed(seed) -> None:
-    """Refuse a master seed that is not a 64-bit unsigned `int` (a bool is not one)."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+MAX_SEED = 2**64 - 1
 
 
 def _label_bytes(labels) -> bytes:

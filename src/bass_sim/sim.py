@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .errors import ValidationError
-from .model import BBoxClient, baseline_bandwidth, check_number
+from .model import BBoxClient, baseline_bandwidth, check_choice, check_number
 from .scheduler import (
     AllocationPlan,
     Assignment,
@@ -41,7 +41,7 @@ from .scheduler import (
     solve_exact,
     solve_greedy,
 )
-from .seeding import SeededStream, check_seed, derive_seed, rng_for
+from .seeding import MAX_SEED, SeededStream, derive_seed, rng_for
 from .topology import DistanceDecayNetwork, Scenario, candidate_subset, sample_client
 
 @dataclass(frozen=True)
@@ -91,10 +91,12 @@ class SimConfig:
 
     A field with `flag` metadata is a `run`/`compare` option; its default
     and range are the field's own. Each number must be finite and not a
-    bool, and an `int` field takes only an int (`model.check_number`).
-    `arrival_rate` is at most `MAX_ARRIVAL_RATE`, 50 times the 200 of the
-    largest benchmark workload: an epoch's arrivals are all built in
-    memory, and stay until they depart.
+    bool, and an `int` field takes only an int (`model.check_number`);
+    `policy` and `remeasure_noise` take one of their values, of its exact
+    type (`model.check_choice`). `arrival_rate` is at most
+    `MAX_ARRIVAL_RATE`, 50 times the 200 of the largest benchmark workload:
+    an epoch's arrivals are all built in memory, and stay until they
+    depart.
     """
 
     epochs: int = field(default=10, metadata={"flag": "--epochs"})
@@ -115,21 +117,15 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_number("epochs", self.epochs, integer=True)
-        if not isinstance(self.policy, str):
-            raise ValidationError(f"policy must be a str, got {self.policy!r}")
-        if self.policy not in POLICIES:
-            raise ValidationError(
-                f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICIES)}"
-            )
-        check_seed(self.seed)
+        check_choice("policy", self.policy, POLICIES)
+        check_number("seed", self.seed, 0, MAX_SEED, integer=True)
         check_number("arrival_rate", self.arrival_rate, 0, MAX_ARRIVAL_RATE)
         if self.session_epochs_mean is not None:
             check_number("session_epochs_mean", self.session_epochs_mean, 1)
         check_number("k_candidates", self.k_candidates, 1, integer=True)
         check_number("load_threshold", self.load_threshold, 0, 1)
         check_number("reserve_mbps", self.reserve_mbps)
-        if not isinstance(self.remeasure_noise, bool):
-            raise ValidationError(f"remeasure_noise must be a bool, got {self.remeasure_noise!r}")
+        check_choice("remeasure_noise", self.remeasure_noise, (False, True))
         check_number("exact_cap", self.exact_cap, 1, integer=True)
 
 

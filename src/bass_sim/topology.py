@@ -25,11 +25,10 @@ from .model import (
     BBoxClient,
     EdgeLink,
     GeoPoint,
-    LinkKind,
     OriginServer,
     check_number,
 )
-from .seeding import SeededStream, check_seed, rng_for
+from .seeding import MAX_SEED, SeededStream, rng_for
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -143,7 +142,7 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        check_seed(self.seed)
+        check_number("seed", self.seed, 0, MAX_SEED, integer=True)
         if not self.origins:
             raise ValidationError("scenario needs at least one origin server")
         if not self.agg_servers:
@@ -151,14 +150,17 @@ class Scenario:
         # Paths are cached by these ids and draw their noise under the tag
         # "{client}/{link}->{relay or origin}", so an id used twice (even by
         # two kinds) or holding a separator would share a value or a draw.
-        seen: set[str] = set()
-        for entity in (*self.clients, *self.agg_servers, *self.origins):
-            if entity.id in seen:
-                raise ValidationError(f"duplicate id {entity.id!r}")
-            seen.add(entity.id)
-        for name in (*seen, *(link.id for client in self.clients for link in client.links)):
+        entity_ids = [entity.id for entity in (*self.clients, *self.agg_servers, *self.origins)]
+        for name in (*entity_ids, *(link.id for client in self.clients for link in client.links)):
+            if type(name) is not str:
+                raise ValidationError(f"an id must be a str, got {name!r}")
             if "/" in name or "->" in name:
                 raise ValidationError(f"id {name!r} contains '/' or '->'")
+        seen: set[str] = set()
+        for name in entity_ids:
+            if name in seen:
+                raise ValidationError(f"duplicate id {name!r}")
+            seen.add(name)
         origin_ids = {origin.id for origin in self.origins}
         for client in self.clients:
             if client.origin_id not in origin_ids:
@@ -344,11 +346,11 @@ def sample_client(
     links = []
     for w in range(params.wifi_links_per_client):
         uplink = rng.lognormvariate(params.wifi_lognormal_mu, params.wifi_lognormal_sigma)
-        links.append(EdgeLink(id=f"{client_id}-wifi{w}", kind=LinkKind.WIFI, uplink_mbps=uplink))
+        links.append(EdgeLink(id=f"{client_id}-wifi{w}", kind="wifi", uplink_mbps=uplink))
     low, high = params.cellular_uplink_mbps_range
     for c in range(params.cellular_links_per_client):
         uplink = rng.uniform(low, high)
-        links.append(EdgeLink(id=f"{client_id}-cell{c}", kind=LinkKind.CELLULAR, uplink_mbps=uplink))
+        links.append(EdgeLink(id=f"{client_id}-cell{c}", kind="cellular", uplink_mbps=uplink))
     origin_id = origin_ids[rng.randrange(len(origin_ids))]
     return BBoxClient(id=client_id, location=location, links=tuple(links), origin_id=origin_id)
 
@@ -372,7 +374,8 @@ def generate_scenario(
     for name, count in (("n_clients", n_clients), ("m_servers", m_servers), ("k_origins", k_origins)):
         check_number(name, count, 1, integer=True)
     check_number("server_capacity_mbps", server_capacity_mbps, above=True)
-    check_seed(seed)  # the draws below read it before `Scenario` checks it
+    # The draws below read the seed before `Scenario` checks it.
+    check_number("seed", seed, 0, MAX_SEED, integer=True)
     params = params if params is not None else NetModelParams()
 
     origins = tuple(

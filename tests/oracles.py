@@ -24,7 +24,6 @@ import dataclasses
 import itertools
 import random
 from collections.abc import Mapping
-from enum import Enum
 
 from bass_sim.model import (
     AggregationServer,
@@ -32,7 +31,6 @@ from bass_sim.model import (
     EdgeLink,
     GainEntry,
     GeoPoint,
-    LinkKind,
     OriginServer,
 )
 from bass_sim.scheduler import RequestBatch, _capacity_prices, _plan, solve_greedy
@@ -40,12 +38,10 @@ from bass_sim.topology import MAX_LINKS_PER_CLIENT, NetModelParams, Scenario, ge
 
 
 def encode(value):
-    """Plain JSON data: a dataclass becomes a dict with one key per field, an
-    enum its value, a tuple or list a list, a mapping a dict."""
+    """Plain JSON data: a dataclass becomes a dict with one key per field, a
+    tuple or list a list, a mapping a dict."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, (tuple, list)):
         return [encode(item) for item in value]
     if isinstance(value, Mapping):
@@ -288,7 +284,7 @@ def link_fuzz_scenario(rng: random.Random, many_links: bool = False):
     for i in range(rng.randint(1, 6)):
         n = MAX_LINKS_PER_CLIENT if many_links and i == 0 else rng.randint(1, 8)
         links = tuple(
-            EdgeLink(f"c{i}-l{k}", LinkKind.WIFI,
+            EdgeLink(f"c{i}-l{k}", "wifi",
                      rng.choice([0.0, -0.0, tied, tied, rng.uniform(0.0, 30.0)]))
             for k in range(n)
         )

@@ -305,6 +305,9 @@ MALFORMED_SCENARIOS = {
     "relay-id-of-origin": (_set(["agg_servers", 0, "id"], "o0000"), "duplicate id 'o0000'"),
     "link-id-separator": (_set(["clients", 0, "links", 0, "id"], "c0000->o0000"),
                           "id 'c0000->o0000' contains"),
+    "link-kind-bogus": (_set(["clients", 0, "links", 1, "kind"], "bogus"),
+                        "scenario.clients['c0000'].links['c0000-wifi1']: link 'c0000-wifi1' "
+                        "kind must be one of ['wifi', 'cellular'], got 'bogus'"),
     "non-utf8": (b'{"seed": "\xff"}', "not readable as UTF-8 JSON"),
     "nested-too-deep": (b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
                         "not readable as UTF-8 JSON"),

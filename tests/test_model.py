@@ -11,7 +11,6 @@ from bass_sim.model import (
     EdgeLink,
     GainEntry,
     GeoPoint,
-    LinkKind,
     OriginServer,
     baseline_bandwidth,
 )
@@ -36,7 +35,7 @@ def load_rate(total, remaining):
 
 
 def client_with(uplinks, cid="c", origin_id="o"):
-    links = tuple(EdgeLink(id=f"l{i}", kind=LinkKind.WIFI, uplink_mbps=u) for i, u in enumerate(uplinks))
+    links = tuple(EdgeLink(id=f"l{i}", kind="wifi", uplink_mbps=u) for i, u in enumerate(uplinks))
     return BBoxClient(id=cid, location=GeoPoint(0, 0), links=links, origin_id=origin_id)
 
 
@@ -203,17 +202,18 @@ class TestGeoPoint:
 
 class TestEdgeLink:
     def test_kind_coercion(self):
+        # A kind is kept as the str it was given; nothing converts it.
         link = EdgeLink(id="l1", kind="wifi", uplink_mbps=1.5)
-        assert link.kind is LinkKind.WIFI
+        assert type(link.kind) is str and link.kind == "wifi"
 
     def test_rejects_negative_uplink(self):
         with pytest.raises(ValidationError):
-            EdgeLink(id="l1", kind=LinkKind.WIFI, uplink_mbps=-0.1)
+            EdgeLink(id="l1", kind="wifi", uplink_mbps=-0.1)
 
     def test_rejects_non_finite_uplink(self):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValidationError):
-                EdgeLink(id="l1", kind=LinkKind.WIFI, uplink_mbps=value)
+                EdgeLink(id="l1", kind="wifi", uplink_mbps=value)
 
 
 class TestBBoxClient:
@@ -222,7 +222,7 @@ class TestBBoxClient:
             BBoxClient(id="c", location=GeoPoint(0, 0), links=(), origin_id="o")
 
     def test_rejects_duplicate_link_ids(self):
-        link = EdgeLink(id="l1", kind=LinkKind.WIFI, uplink_mbps=1.0)
+        link = EdgeLink(id="l1", kind="wifi", uplink_mbps=1.0)
         with pytest.raises(ValidationError):
             BBoxClient(id="c", location=GeoPoint(0, 0), links=(link, link), origin_id="o")
 

@@ -1,8 +1,8 @@
 """Every numeric setting and entity field is checked by one rule where it
 enters: a finite int or float, never a bool, an int where the field is
 `int`, within the field's range. A refusal is one `ValidationError` that
-names the field and the value. A setting or field of another type (a bool,
-a str, an enum, a pair) refuses a value of the wrong type the same way."""
+names the field and the value. A setting or field that takes one of a
+fixed set of values, and the one pair, refuse any other value the same way."""
 
 import dataclasses
 import math
@@ -12,9 +12,11 @@ import typing
 import pytest
 
 from bass_sim.errors import ValidationError
-from bass_sim.model import AggregationServer, EdgeLink, GeoPoint, LinkKind
+from bass_sim.model import AggregationServer, EdgeLink, GeoPoint, OriginServer
 from bass_sim.sim import MAX_ARRIVAL_RATE, SimConfig
-from bass_sim.topology import MAX_LINKS_PER_CLIENT, MAX_NOISE_SIGMA, NetModelParams, generate_scenario
+from bass_sim.topology import (
+    MAX_LINKS_PER_CLIENT, MAX_NOISE_SIGMA, NetModelParams, Scenario, generate_scenario,
+)
 
 TINY = 5e-324  # the smallest positive float
 
@@ -37,12 +39,19 @@ def _server(**values):
                                 **values})
 
 
+def _scenario(seed):
+    return Scenario(clients=(), agg_servers=(_server(),),
+                    origins=(OriginServer("o", GeoPoint(0.0, 0.0)),),
+                    net_params=NetModelParams(), seed=seed)
+
+
 # (owner, field, build(value), in-range values at each bound, the first
 # values outside each bound). Every field also refuses both bools, "1", NaN
 # and ±inf: no field takes a bool, a string or a value that is not finite.
 TABLE = [
     ("SimConfig", "epochs", lambda v: SimConfig(epochs=v), [0], [-1, 1.0]),
     ("SimConfig", "seed", lambda v: SimConfig(seed=v), [0, 2**64 - 1], [-1, 2**64, 1.0]),
+    ("Scenario", "seed", _scenario, [0, 2**64 - 1], [-1, 2**64, 1.0]),
     ("SimConfig", "arrival_rate", lambda v: SimConfig(arrival_rate=v),
      [0, -0.0, MAX_ARRIVAL_RATE], [-TINY, next_up(MAX_ARRIVAL_RATE)]),
     ("SimConfig", "session_epochs_mean", lambda v: SimConfig(session_epochs_mean=v),
@@ -117,7 +126,7 @@ def _numeric(hint):
 
 
 @pytest.mark.parametrize("owner", [SimConfig, NetModelParams, GeoPoint, EdgeLink,
-                                   AggregationServer, generate_scenario])
+                                   AggregationServer, Scenario, generate_scenario])
 def test_every_numeric_field_is_in_the_table(owner):
     hints = typing.get_type_hints(owner)
     if dataclasses.is_dataclass(owner):
@@ -129,12 +138,22 @@ def test_every_numeric_field_is_in_the_table(owner):
     assert numeric and numeric == covered
 
 
-# (field, build(value), accepted values, values of the wrong type).
+class Label(str):
+    """A str subclass: equal to its text, but not of the exact type `str`."""
+
+    def __repr__(self):
+        return f"Label({str(self)!r})"
+
+
+# (field, build(value), accepted values, values that are not one of them,
+# some only looking right).
 TYPED = [
-    ("remeasure_noise", lambda v: SimConfig(remeasure_noise=v), [False, True], ["no", 1, None]),
-    ("policy", lambda v: SimConfig(policy=v), ["bass_exact", "random"], [[], 5, None]),
+    ("remeasure_noise", lambda v: SimConfig(remeasure_noise=v), [False, True],
+     ["no", 1, 0, "True", None]),
+    ("policy", lambda v: SimConfig(policy=v), ["bass_exact", "bass_greedy", "random"],
+     [[], 5, None, "Bass_greedy"]),
     ("kind", lambda v: EdgeLink(id="l", kind=v, uplink_mbps=1.0),
-     ["wifi", LinkKind.CELLULAR], ["bogus", "WIFI", [], None]),
+     ["wifi", "cellular"], ["bogus", "WIFI", " wifi", Label("wifi"), [], None]),
     ("cellular_uplink_mbps_range", lambda v: NetModelParams(cellular_uplink_mbps_range=v),
      [(1.0, 2.0), [1, 2]], [5, (1, 2, 3), (1.0,), "ab", None]),
 ]

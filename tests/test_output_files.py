@@ -365,9 +365,10 @@ def test_only_the_ledger_and_the_exact_cap_raise_in_the_scheduler():
 
 
 # Records check themselves where they are made or read: in the simulation
-# only the config and the two record types raise, and the summary trusts
-# them; it raises only for an unknown report format.
-RECORD_RAISERS = {"sim.py": {"SimConfig", "ClientEpochRecord", "EpochRecord"},
+# only the two record types raise (the config checks through `model`'s two
+# rules), and the summary trusts them; it raises only for an unknown report
+# format.
+RECORD_RAISERS = {"sim.py": {"ClientEpochRecord", "EpochRecord"},
                   "metrics.py": {"emit_report"}}
 
 
@@ -375,6 +376,25 @@ RECORD_RAISERS = {"sim.py": {"SimConfig", "ClientEpochRecord", "EpochRecord"},
 def test_only_the_record_types_raise_in_the_simulation_and_summary(filename):
     found = _error_raisers(ast.parse((SRC / filename).read_text(encoding="utf-8")))
     assert {where for where, _ in found} == RECORD_RAISERS[filename], found
+
+
+def _package_imports(tree) -> set[str]:
+    """The package modules a module imports, relatively or as `bass_sim.*`,
+    anywhere in it, a `TYPE_CHECKING` block included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bass_sim"):
+            found.update([node.module] if "." in node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.startswith("bass_sim"))
+    return {name.removeprefix("bass_sim.").split(".")[0] for name in found}
+
+
+# The domain types stand beneath every layer that reads them.
+def test_model_imports_no_package_module_but_errors():
+    assert _package_imports(ast.parse((SRC / "model.py").read_text(encoding="utf-8"))) == {"errors"}
 
 
 # hashlib maps OpenSSL's libcrypto, statistics loads decimal and fractions,
