@@ -28,9 +28,9 @@ from .codec import remove_output
 from .errors import BassError
 from .metrics import (
     SummaryFold,
-    _mean,
     emit_report,
     load_records,
+    mean,
     per_client_rows,
     save_records,
     summarize,
@@ -209,7 +209,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _mean_or_none(series):
-    return _mean(series) if series else None
+    return mean(series) if series else None
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -25,8 +25,6 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 
-__all__ = ["decode", "load_json", "open_output", "remove_output", "save_json"]
-
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 
 

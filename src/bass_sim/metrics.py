@@ -21,19 +21,6 @@ from .codec import load_json, open_output, save_json
 from .errors import RecordsFormatError, ValidationError
 from .sim import EpochRecord
 
-__all__ = [
-    "SummaryReport",
-    "SummaryFold",
-    "cdf",
-    "summarize",
-    "emit_report",
-    "per_client_rows",
-    "write_rows_csv",
-    "save_records",
-    "load_records",
-    "PER_CLIENT_COLUMNS",
-]
-
 PER_CLIENT_COLUMNS = (
     "policy",
     "epoch",
@@ -86,13 +73,14 @@ class SummaryReport:
     objective_series: tuple[float, ...]
 
 
-def _mean(values: Sequence[float]) -> float:
+def mean(values: Sequence[float]) -> float:
+    """The mean of finite `values`, finite too when their sum overflows."""
     try:
         return math.fsum(values) / len(values)
     except OverflowError:  # the sum of finite values overflowed, not their mean
-        from statistics import mean  # it loads decimal and fractions: only when needed
+        from statistics import mean as exact_mean  # loads decimal and fractions: only when needed
 
-        return mean(values)
+        return exact_mean(values)
 
 
 def _median_of_sorted(ordered: Sequence[float]) -> float:
@@ -144,17 +132,17 @@ class SummaryFold:
         each value list once it has taken what it needs from it, so that the
         lists and the CDFs built from them are not all held at once."""
         gammas, filtered, every = self.gammas, self.multipliers_filtered, self.multipliers_all
-        multiplier_mean_all = _mean(every) if every else None
+        multiplier_mean_all = mean(every) if every else None
         every.clear()
         gammas.sort()
         gamma_mean, gamma_median, gamma_fraction_one = (
-            (_mean(gammas), _median_of_sorted(gammas), self.hits / len(gammas))
+            (mean(gammas), _median_of_sorted(gammas), self.hits / len(gammas))
             if gammas else (None, None, None))
         gamma_cdf = tuple(_cdf_of_sorted(gammas))
         gammas.clear()
         filtered.sort()
         multiplier_min, multiplier_mean, multiplier_max = (
-            (min(filtered), _mean(filtered), max(filtered)) if filtered else (None, None, None))
+            (min(filtered), mean(filtered), max(filtered)) if filtered else (None, None, None))
         multiplier_cdf = tuple(_cdf_of_sorted(filtered))
         filtered.clear()
         return SummaryReport(

@@ -24,19 +24,6 @@ from typing import Iterable, Protocol, Sequence
 
 from .errors import ValidationError
 
-__all__ = [
-    "GeoPoint",
-    "EdgeLink",
-    "BBoxClient",
-    "AggregationServer",
-    "OriginServer",
-    "GainEntry",
-    "PathOracle",
-    "baseline_bandwidth",
-    "check_choice",
-    "check_number",
-]
-
 
 def check_number(what: str, value: object, low: float = 0.0, high: float = math.inf, *,
                  integer: bool = False, above: bool = False) -> None:
@@ -97,7 +84,8 @@ class EdgeLink:
 
 @dataclass(frozen=True)
 class BBoxClient:
-    """A broadcaster's proxy box: location, edge links, target origin server."""
+    """A broadcaster's proxy box: location, edge links, target origin server.
+    `Scenario.validate` checks its ids."""
 
     id: str
     location: GeoPoint
@@ -108,9 +96,6 @@ class BBoxClient:
         object.__setattr__(self, "links", tuple(self.links))
         if not self.links:
             raise ValidationError(f"client {self.id!r} must have at least one link")
-        link_ids = [link.id for link in self.links]
-        if len(set(link_ids)) != len(link_ids):
-            raise ValidationError(f"client {self.id!r} has duplicate link ids")
 
 
 @dataclass(frozen=True)

@@ -67,19 +67,6 @@ _PRICE_STEP_DECAY = 0.8
 # conflicts differ by whole demands, not 1e-9 of the capacity.
 _FEAS_SLACK = 1e-9
 
-__all__ = [
-    "RequestBatch",
-    "Assignment",
-    "AllocationPlan",
-    "AssignmentLedger",
-    "measure_gains",
-    "solve_exact",
-    "solve_greedy",
-    "random_policy",
-    "DEFAULT_EXACT_CAP",
-    "MAX_EXACT_DEPTH",
-]
-
 
 @dataclass(frozen=True)
 class RequestBatch:

@@ -69,18 +69,6 @@ POLICIES: dict[str, Policy] = {
         batch, usable, derive_seed(config.seed, "policy", t)), reads_every_entry=True),
 }
 
-__all__ = [
-    "POLICIES",
-    "Policy",
-    "SimConfig",
-    "ClientEpochRecord",
-    "EpochRecord",
-    "SimState",
-    "run_epoch",
-    "run_epochs",
-    "run_simulation",
-]
-
 
 MAX_ARRIVAL_RATE = 10_000.0
 

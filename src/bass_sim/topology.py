@@ -44,21 +44,6 @@ _MAX_NORMAL_Z = 12.13
 _MAX_EXP_ARG = 709.78
 MAX_NOISE_SIGMA = _MAX_EXP_ARG / _MAX_NORMAL_Z
 
-__all__ = [
-    "NetModelParams",
-    "Scenario",
-    "DistanceDecayNetwork",
-    "geo_distance_km",
-    "decayed_bandwidth",
-    "path_bandwidth",
-    "sample_client",
-    "generate_scenario",
-    "save_scenario",
-    "load_scenario",
-    "candidate_subset",
-    "DEFAULT_SERVER_CAPACITY_MBPS",
-]
-
 
 @dataclass(frozen=True)
 class NetModelParams:
@@ -163,6 +148,10 @@ class Scenario:
             seen.add(name)
         origin_ids = {origin.id for origin in self.origins}
         for client in self.clients:
+            if type(client.origin_id) is not str:
+                raise ValidationError(f"an id must be a str, got {client.origin_id!r}")
+            if len({link.id for link in client.links}) != len(client.links):
+                raise ValidationError(f"client {client.id!r} has duplicate link ids")
             if client.origin_id not in origin_ids:
                 raise ValidationError(
                     f"client {client.id!r} references unknown origin {client.origin_id!r}"

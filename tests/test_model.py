@@ -222,9 +222,12 @@ class TestBBoxClient:
             BBoxClient(id="c", location=GeoPoint(0, 0), links=(), origin_id="o")
 
     def test_rejects_duplicate_link_ids(self):
+        # The scenario checks every id, so the client itself hashes none.
         link = EdgeLink(id="l1", kind="wifi", uplink_mbps=1.0)
-        with pytest.raises(ValidationError):
-            BBoxClient(id="c", location=GeoPoint(0, 0), links=(link, link), origin_id="o")
+        client = BBoxClient(id="c", location=GeoPoint(0, 0), links=(link, link), origin_id="o")
+        with pytest.raises(ValidationError, match="client 'c' has duplicate link ids"):
+            Scenario((client,), (server(100.0, 100.0),), (OriginServer("o", GeoPoint(0, 1)),),
+                     NetModelParams(), seed=0)
 
 
 class TestAggregationServer:

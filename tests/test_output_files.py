@@ -397,6 +397,36 @@ def test_model_imports_no_package_module_but_errors():
     assert _package_imports(ast.parse((SRC / "model.py").read_text(encoding="utf-8"))) == {"errors"}
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _second_privacy_marks(tree, modules) -> list[int]:
+    """Lines that assign `__all__`, or reach another package module's
+    underscore name by an import or an attribute of the module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("bass_sim")) and any(
+                _is_private(alias.name) for alias in node.names):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and _is_private(node.attr)
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+# A leading underscore is the package's one mark of a private name: no module
+# lists its public names a second time, and none reads another's private name.
+def test_a_leading_underscore_alone_marks_a_private_name():
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    found = {path.name: _second_privacy_marks(ast.parse(path.read_text(encoding="utf-8")), modules)
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
 # hashlib maps OpenSSL's libcrypto, statistics loads decimal and fractions,
 # and none of them is used: a run that imports any pays its memory for nothing.
 UNUSED_MODULES = ("hashlib", "_hashlib", "logging", "statistics", "decimal", "fractions")

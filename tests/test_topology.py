@@ -274,13 +274,24 @@ class TestScenarioFiles:
             replace(scenario, agg_servers=relays)
         assert repr(bad_id) in str(exc.value)
 
-    @pytest.mark.parametrize("bad_id", ["c0000/wifi0", 5])
+    @pytest.mark.parametrize("bad_id", ["c0000/wifi0", 5, ["x"]])
     def test_link_id_holding_a_separator(self, bad_id):
+        # An id that is not a str (only the API can pass one) is refused before
+        # the client's duplicate-link check hashes it.
         scenario = generate_scenario(2, 2, 1, seed=0)
         client = scenario.clients[0]
         links = (replace(client.links[0], id=bad_id), *client.links[1:])
         clients = (replace(client, links=links), *scenario.clients[1:])
         with pytest.raises(ValidationError, match="contains|must be a str") as exc:
+            replace(scenario, clients=clients)
+        assert repr(bad_id) in str(exc.value)
+
+    @pytest.mark.parametrize("bad_id", [5, ["o"]])
+    def test_origin_id_that_is_not_a_str(self, bad_id):
+        # Refused before the origin lookup hashes it.
+        scenario = generate_scenario(2, 2, 1, seed=0)
+        clients = (replace(scenario.clients[0], origin_id=bad_id), *scenario.clients[1:])
+        with pytest.raises(ValidationError, match="must be a str") as exc:
             replace(scenario, clients=clients)
         assert repr(bad_id) in str(exc.value)
 
